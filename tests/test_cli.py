@@ -83,6 +83,21 @@ def test_domain_error_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_spectrum_dim_over_memory_budget_refused(monkeypatch, capsys):
+    import scipy.linalg
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solver must not be reached")
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", unreachable)
+    assert run_subcommand(["spectrum", "--dim", "100000", "--nmax", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dim=100000 ")
+    assert "80000000000 bytes" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_metrology_squeezed_appends_squeeze_columns(capsys):
     assert run_subcommand(["metrology", "--state", "squeezed", "--epsilon", "0.08"]) == 0
     row = _csv_row(capsys.readouterr().out)

@@ -16,6 +16,8 @@ from relqsl.fock_core import (
     diagonalize,
     evolve,
     expectation,
+    hamiltonian_band,
+    lowest_levels,
     variance,
 )
 
@@ -80,10 +82,11 @@ def test_hamiltonian_hermitian_with_correction():
 
 
 def test_epsilon_validation():
-    with pytest.raises(ValueError):
-        build_hamiltonian(DIM, -1e-6)
-    with pytest.warns(UserWarning):
-        build_hamiltonian(DIM, 0.2)
+    for build in (build_hamiltonian, hamiltonian_band, lambda d, e: lowest_levels(d, e, 4)):
+        with pytest.raises(ValueError):
+            build(DIM, -1e-6)
+        with pytest.warns(UserWarning):
+            build(DIM, 0.2)
 
 
 def test_min_dim_enforced():
@@ -91,6 +94,8 @@ def test_min_dim_enforced():
         build_ladder(7)
     with pytest.raises(ValueError):
         TruncatedOperator(4, np.zeros((4, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        lowest_levels(7, 1e-3, 1)
 
 
 def test_state_vector_norm_check():
@@ -151,6 +156,65 @@ def test_dimension_mismatch_raises():
         expectation(h, StateVector(2 * DIM, amps))
 
 
+def _band_to_dense(band: np.ndarray) -> np.ndarray:
+    dim = band.shape[1]
+    full = np.zeros((dim, dim))
+    for k, row in enumerate(band):
+        idx = np.arange(dim - k)
+        full[idx + k, idx] = row[: dim - k]
+        full[idx, idx + k] = row[: dim - k]
+    return full
+
+
+TIE_CASES = [
+    (dim, eps) for dim in (64, 256, 512) for eps in (0.0, 1e-3, 1.0 / dim)
+] + [(256, 0.08)]
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+@pytest.mark.parametrize("dim,eps", TIE_CASES)
+def test_banded_levels_tie_to_dense_reference(dim, eps):
+    """The band is the dense H, and the banded solver returns the dense lowest levels."""
+    op = build_hamiltonian(dim, eps)
+    h = op.entries
+    band = hamiltonian_band(dim, eps)
+    assert band.shape == (fock_core.BAND_ROWS, dim)
+    assert np.all(h.imag == 0)
+    assert np.abs(_band_to_dense(band) - h.real).max() <= 1e-12 * np.abs(h).max()
+    dense = diagonalize(op).eigenvalues
+    for count in sorted({1, 11, dim // 4}):
+        levels = lowest_levels(dim, eps, count)
+        assert levels.shape == (count,)
+        assert np.abs(levels - dense[:count]).max() <= 1e-11
+    if eps == 0.08:
+        # past the cutoff turnover 8/(3 eps) both routes report the same
+        # spurious ground state; the swap neither hides nor adds the defect
+        assert lowest_levels(dim, eps, 1)[0] == pytest.approx(-2093.42, abs=5e-3)
+
+
+def test_banded_levels_verification_is_live(monkeypatch):
+    import scipy.linalg
+
+    solve = scipy.linalg.eig_banded
+
+    def perturbed(*args, **kwargs):
+        w, v = solve(*args, **kwargs)
+        w = w.copy()
+        w[2] += 1e-3
+        return w, v
+
+    assert lowest_levels(DIM, 1e-3, 5).shape == (5,)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", perturbed)
+    with pytest.raises(ArithmeticError, match="residual"):
+        lowest_levels(DIM, 1e-3, 5)
+
+
+def test_lowest_levels_count_range():
+    for count in (0, DIM + 1):
+        with pytest.raises(ValueError):
+            lowest_levels(DIM, 1e-3, count)
+
+
 def test_default_cutoff_policy():
     for (alpha0, r), expected in EXPECTED_CUTOFFS.items():
         assert default_cutoff(alpha0=alpha0, r=r) == expected
@@ -158,4 +222,6 @@ def test_default_cutoff_policy():
 
 def test_module_constants():
     assert fock_core.MIN_DIM == 8
+    assert fock_core.MAX_DIM == 16384
+    assert 8 * fock_core.MAX_DIM**2 == fock_core.BANDED_WORKSPACE_BYTES
     assert fock_core.EPSILON_WARN_THRESHOLD == 0.1
