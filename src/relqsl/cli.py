@@ -1,16 +1,17 @@
 """Batch front-end: one subcommand per result family, deterministic output.
 
 Precedence for every parameter is defaults < config file < command-line
-flag. Outputs go to stdout or, with --out, to an atomically written file.
-Exit codes: 0 success, 1 validation or check failure, 2 usage or config
-error.
+flag. The flags are generated from `config.SCHEMA`, so a flag value passes
+the same parse-and-range check as a config line. Outputs go to stdout or,
+with --out, to an atomically written file. Exit codes: 0 success, 1 domain
+or check failure, 2 usage, flag or config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__, config, homodyne_trap, metrology, perturbation
 from . import fock_core, presets, qkd_model, qsl_bounds
@@ -26,21 +27,21 @@ def _seed_type(text: str) -> int:
     return value
 
 
-def _bool_flag(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+def _flag_type(spec: config.FieldSpec) -> Callable[[str], Any]:
+    """argparse type for one schema field; its message reaches the usage error."""
+
+    def parse(text: str) -> Any:
+        try:
+            return config.parse_value(spec, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _merged(section: str, args: argparse.Namespace) -> dict[str, Any]:
     """Section defaults, overlaid by the config file, overlaid by explicit flags."""
-    base = (
-        config.load_config(args.config)[section]
-        if getattr(args, "config", None)
-        else config.defaults()[section]
-    )
+    base = (config.load_config(args.config) if args.config else config.defaults())[section]
     for key in base:
         value = getattr(args, key, None)
         if value is not None:
@@ -202,34 +203,23 @@ def _cmd_qkd(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.preset is not None:
-        spec = presets.PRESETS[args.preset]
-    else:
-        section = _merged("sweep", args)
-        if section["preset"] is not None:
-            if section["preset"] not in presets.PRESETS:
-                raise ConfigError(
-                    f"unknown sweep preset {section['preset']!r}; "
-                    f"known presets: {', '.join(sorted(presets.PRESETS))}"
-                )
-            spec = presets.PRESETS[section["preset"]]
-        elif section["target"] is not None:
-            try:
-                spec = presets.sweep_from_config(section)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        else:
-            raise ConfigError(
-                "no sweep selected: pass --preset or a [sweep] section with "
-                "a preset or a target and axes"
-            )
-    header, rows = presets.run_sweep(spec, threads=args.threads or 1)
+    section = _merged("sweep", args)
+    if section["preset"] is None and section["target"] is None:
+        raise ConfigError(
+            "no sweep selected: pass --preset or a [sweep] section with "
+            "a preset or a target and axes"
+        )
+    try:
+        spec = presets.sweep_from_config(section)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    header, rows = presets.run_sweep(spec)
     emit(args.out, args.format or "csv", header, rows)
     return 0
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    report = run_selfcheck(args.seed if args.seed is not None else 42)
+    report = run_selfcheck(args.seed)
     sys.stdout.write(report.render_text())
     if args.out is not None:
         write_text(args.out, render_json(report.to_json_obj()))
@@ -242,69 +232,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="relativistic corrections for Gaussian-state benchmarks",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--seed", type=_seed_type, help="seed for Monte-Carlo checks")
-    common.add_argument("--threads", type=int, help="worker threads for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="low-lying corrected spectrum")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--dim", type=int)
-    p.set_defaults(handler=_cmd_spectrum)
+    # handlers are looked up per call, so a wrapper set on the module is used
+    schema_commands = (
+        ("spectrum", "low-lying corrected spectrum", _cmd_spectrum),
+        ("qsl", "speed-limit bounds at one point", _cmd_qsl),
+        ("metrology", "energy moments, QFI, squeeze factor", _cmd_metrology),
+        ("trap", "trap Allan-deviation budget", _cmd_trap),
+        ("qkd", "key-rate budget with noise addendum", _cmd_qkd),
+        ("sweep", "evaluate a preset or configured grid", _cmd_sweep),
+    )
+    for name, help_text, handler in schema_commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="path to a key = value config file")
+        p.add_argument("--out", help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        if name == "trap":
+            p.add_argument("--preset", choices=sorted(presets.TRAP_PRESETS))
+        fields = config.SCHEMA[name]
+        if name == "sweep":
+            # the grid itself is only read from a config file
+            fields = {"preset": fields["preset"]}
+        for key, spec in fields.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(spec))
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("qsl", parents=[common], help="speed-limit bounds at one point")
-    p.add_argument("--state", choices=("coherent", "squeezed"))
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.set_defaults(handler=_cmd_qsl)
-
-    p = sub.add_parser("metrology", parents=[common], help="energy moments, QFI, squeeze factor")
-    p.add_argument("--state", choices=("coherent", "squeezed"))
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.set_defaults(handler=_cmd_metrology)
-
-    p = sub.add_parser("trap", parents=[common], help="trap Allan-deviation budget")
-    p.add_argument("--preset", choices=sorted(presets.TRAP_PRESETS))
-    p.add_argument("--nu", type=float)
-    p.add_argument("--p-lo", dest="p_lo", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--mass", type=float)
-    p.add_argument("--tau", type=float)
-    p.set_defaults(handler=_cmd_trap)
-
-    p = sub.add_parser("qkd", parents=[common], help="key-rate budget with noise addendum")
-    p.add_argument("--transmissivity", type=float)
-    p.add_argument("--v-a", dest="v_a", type=float)
-    p.add_argument("--xi-base", dest="xi_base", type=float)
-    p.add_argument("--chi-det", dest="chi_det", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--detection", choices=sorted(qkd_model.DETECTION_KINDS))
-    p.add_argument("--trusted-detection", dest="trusted_detection", type=_bool_flag)
-    p.add_argument("--sigma-phi0-sq", dest="sigma_phi0_sq", type=float)
-    p.add_argument("--c-factor", dest="c_factor", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--t-window", dest="t_window", type=float)
-    p.add_argument("--t-pilot", dest="t_pilot", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--predictor", choices=sorted(qkd_model.PREDICTOR_KINDS))
-    p.set_defaults(handler=_cmd_qkd)
-
-    p = sub.add_parser("sweep", parents=[common], help="evaluate a preset or configured grid")
-    p.add_argument("--preset", choices=sorted(presets.PRESETS))
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("selfcheck", parents=[common], help="run the cross-validation battery")
+    p = sub.add_parser("selfcheck", help="run the cross-validation battery")
+    p.add_argument("--out", help="JSON report file (the table goes to stdout)")
+    p.add_argument("--seed", type=_seed_type, default=42, help="seed for Monte-Carlo checks")
     p.set_defaults(handler=_cmd_selfcheck)
 
     return parser

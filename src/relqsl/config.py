@@ -5,6 +5,10 @@ comment. Every key is validated against a fixed schema (type, range and
 spelling), and violations are reported with the offending line number.
 Unknown keys are rejected by name rather than ignored, so a typo cannot
 silently fall back to a default.
+
+`SCHEMA` is also the only description of the command-line flags: the CLI
+generates one flag per key and passes its value through the same
+`parse_value` check, so a flag and a config line are rejected alike.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .homodyne_trap import ELECTRON_MASS
+from .presets import PRESETS, SWEEP_PARAM_NAMES, TARGETS
+from .qkd_model import DETECTION_KINDS, PREDICTOR_KINDS
 
 
 class ConfigError(Exception):
@@ -81,10 +87,6 @@ def _unit_interval(v: float) -> bool:
     return 0 < v <= 1
 
 
-# Axis and fixed-parameter names a sweep may use; the sweep engine checks
-# that the chosen target consumes exactly these.
-SWEEP_PARAM_NAMES = ("t", "alpha0_sq", "r", "epsilon", "alpha_sq", "theta")
-
 _AXIS_FIELDS: dict[str, FieldSpec] = {}
 for _i in (1, 2, 3):
     _AXIS_FIELDS[f"axis{_i}_name"] = FieldSpec(
@@ -128,7 +130,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "xi_base": FieldSpec(_parse_float, 0.01, _nonneg, "xi_base >= 0"),
         "chi_det": FieldSpec(_parse_float, 0.0, _nonneg, "chi_det >= 0"),
         "beta": FieldSpec(_parse_float, 0.95, _unit_interval, "0 < beta <= 1"),
-        "detection": FieldSpec(_choice("homodyne", "heterodyne"), "homodyne"),
+        "detection": FieldSpec(_choice(*DETECTION_KINDS), "homodyne"),
         "trusted_detection": FieldSpec(_parse_bool, True),
         "sigma_phi0_sq": FieldSpec(_parse_float, 0.0, _nonneg, "sigma_phi0_sq >= 0"),
         "c_factor": FieldSpec(_parse_float, 0.0, _nonneg, "c_factor >= 0"),
@@ -137,13 +139,11 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "t_window": FieldSpec(_parse_float, 0.0, _nonneg, "t_window >= 0"),
         "t_pilot": FieldSpec(_parse_float, 0.0, _nonneg, "t_pilot >= 0"),
         "dt": FieldSpec(_parse_float, 0.0, _nonneg, "dt >= 0"),
-        "predictor": FieldSpec(_choice("zoh", "linear"), "zoh"),
+        "predictor": FieldSpec(_choice(*PREDICTOR_KINDS), "zoh"),
     },
     "sweep": {
-        "preset": FieldSpec(_choice("fig1", "fig2", "fig4"), None),
-        "target": FieldSpec(
-            _choice("qsl_coherent", "qsl_squeezed", "squeeze_factor"), None
-        ),
+        "preset": FieldSpec(_choice(*PRESETS), None),
+        "target": FieldSpec(_choice(*TARGETS), None),
         **_AXIS_FIELDS,
         # fixed values for parameters not swept over
         **{name: FieldSpec(_parse_float, None) for name in SWEEP_PARAM_NAMES},
@@ -156,6 +156,14 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_]+)\]$")
 def defaults() -> dict[str, dict[str, Any]]:
     """Fresh copy of every section populated with its documented defaults."""
     return {section: {key: spec.default for key, spec in fields.items()} for section, fields in SCHEMA.items()}
+
+
+def parse_value(spec: FieldSpec, text: str) -> Any:
+    """Parse one value and check its range; ValueError says what is wrong."""
+    value = spec.parse(text)
+    if not spec.check(value):
+        raise ValueError(f"{text} violates {spec.describe}")
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
@@ -190,16 +198,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
                 f"line {lineno}: unknown key {key!r} in section [{section}]; "
                 f"known keys: {', '.join(sorted(fields))}"
             )
-        spec = fields[key]
         try:
-            value = spec.parse(value_text)
+            result[section][key] = parse_value(fields[key], value_text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
-        if not spec.check(value):
-            raise ConfigError(
-                f"line {lineno}: key {key!r} = {value_text} violates {spec.describe}"
-            )
-        result[section][key] = value
     return result
 
 

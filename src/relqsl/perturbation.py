@@ -1,9 +1,8 @@
 """First-order perturbative spectrum and operators for the -eps*p^4/8 correction.
 
 Closed forms for the shifted levels, the eigenstate mixing across n+-2 and
-n+-4, the corrected ladder and quadrature operators, and the Hamiltonian as a
-polynomial in the number operator. All of it is validated elsewhere against
-the dense matrices in fock_core.
+n+-4, and the corrected ladder and quadrature operators. All of it is
+validated elsewhere against the dense matrices in fock_core.
 """
 
 from __future__ import annotations
@@ -14,22 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import SpectralDecomposition, StateVector, TruncatedOperator, build_ladder, build_number
-
-
-@dataclass(frozen=True)
-class PerturbedLevel:
-    """Level n split into its unperturbed part and the coefficient of -epsilon."""
-
-    n: int
-    e0: float
-    e1: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("level index must be non-negative")
-
-    def at(self, epsilon: float) -> float:
-        return self.e0 - epsilon * self.e1
 
 
 @dataclass(frozen=True)
@@ -46,22 +29,9 @@ class MixingCoefficients:
     bm4: float
 
 
-def level(n: int) -> PerturbedLevel:
-    return PerturbedLevel(n=n, e0=n + 0.5, e1=(6 * n * n + 6 * n + 3) / 32.0)
-
-
 def energy(n: int, epsilon: float) -> float:
     """First-order level energy n + 1/2 - epsilon*(6n^2 + 6n + 3)/32."""
     return n + 0.5 - epsilon * (6 * n * n + 6 * n + 3) / 32.0
-
-
-def hamiltonian_in_number_operator(n_value: float, epsilon: float) -> float:
-    """H written as N + 1/2 - (eps/32)(6N^2 + 6N + 3), evaluated at N = n_value.
-
-    For integer n_value this is the same polynomial as ``energy``; the real
-    argument form is kept for symbolic-substitution style checks.
-    """
-    return n_value + 0.5 - epsilon / 32.0 * (6.0 * n_value * n_value + 6.0 * n_value + 3.0)
 
 
 def mixing_coefficients(n: int) -> MixingCoefficients:

@@ -11,17 +11,19 @@ full domain) without any preset-specific code.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from . import metrology, qsl_bounds
-from .config import SWEEP_PARAM_NAMES
 from .homodyne_trap import ELECTRON_MASS, epsilon_from_trap
 
 MAX_AXES = 3
+
+# Axis and fixed-parameter names a sweep may use; SweepSpec checks that the
+# chosen target consumes exactly these.
+SWEEP_PARAM_NAMES = ("t", "alpha0_sq", "r", "epsilon", "alpha_sq", "theta")
 
 
 @dataclass(frozen=True)
@@ -227,24 +229,14 @@ def sweep_from_config(section: dict[str, Any]) -> SweepSpec:
         for name in SWEEP_PARAM_NAMES
         if section.get(name) is not None
     }
-    columns_by_target = {
-        "qsl_coherent": PRESETS["fig1"].columns,
-        "qsl_squeezed": PRESETS["fig2"].columns,
-        "squeeze_factor": PRESETS["fig4"].columns,
-    }
+    columns_by_target = {s.target: s.columns for s in PRESETS.values()}
     return SweepSpec(
         target=target, axes=tuple(axes), fixed=fixed, columns=columns_by_target[target]
     )
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[tuple[str, ...], list[list[Any]]]:
-    """Evaluate the grid in axis-major order and project the column set.
-
-    Points may be evaluated concurrently; the row order is fixed by the grid
-    alone, so output is deterministic regardless of thread count.
-    """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[Any]]]:
+    """Evaluate the grid in axis-major order and project the column set."""
     evaluate = TARGETS[spec.target].evaluate
     names = [axis.name for axis in spec.axes]
     grids = np.meshgrid(*[axis.values() for axis in spec.axes], indexing="ij")
@@ -252,10 +244,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> tuple[tuple[str, ...], list[
         dict(spec.fixed, **dict(zip(names, combo)))
         for combo in zip(*(g.ravel() for g in grids))
     ]
-    if threads == 1:
-        results = [evaluate(point) for point in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, points))
+    results = [evaluate(point) for point in points]
     rows = [[row[column] for column in spec.columns] for row in results]
     return spec.columns, rows

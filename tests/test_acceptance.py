@@ -6,13 +6,12 @@ passing criteria too.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from relqsl import fock_core, homodyne_trap, metrology, perturbation
-from relqsl import presets, qkd_model, qsl_bounds, states
+from relqsl import presets, qsl_bounds, states
 from relqsl.selfcheck import run_selfcheck
 
 SPECTRUM_DIM = 512
@@ -162,91 +161,49 @@ def test_criterion_4_moment_oracle(spectra512):
     )
 
 
-def _fig_rows(name: str):
-    with warnings.catch_warnings():
-        # the preset grids probe epsilon ~ 0.08 where the first-order
-        # validity warning fires by design
-        warnings.simplefilter("ignore")
-        return presets.run_sweep(presets.PRESETS[name])
+@pytest.fixture(scope="module")
+def selfcheck42():
+    """One selfcheck run: criteria 5-7 read its checks, criterion 9 its discrepancies."""
+    return run_selfcheck(42)
 
 
-def test_criterion_5_squeezed_gaps_positive_and_monotone():
-    header, rows = _fig_rows("fig2")
-    idx = {name: i for i, name in enumerate(header)}
-    by_r: dict[float, list[tuple[float, float]]] = {}
-    for row in rows:
-        by_r.setdefault(row[idx["r"]], []).append(
-            (row[idx["t_mt"]] - row[idx["t_mt0"]], row[idx["t_ml"]] - row[idx["t_ml0"]])
-        )
-    rs = sorted(by_r)
-    avg_mt = [float(np.mean([g[0] for g in by_r[r]])) for r in rs]
-    avg_ml = [float(np.mean([g[1] for g in by_r[r]])) for r in rs]
-    min_gap = min(min(avg_mt), min(avg_ml))
-    min_step = min(float(np.min(np.diff(avg_mt))), float(np.min(np.diff(avg_ml))))
-    ok = min_gap > 0.0 and min_step > 0.0
+def _checks(report, *names):
+    by_name = {c.name: c for c in report.checks}
+    return [by_name[name] for name in names]
+
+
+def test_criterion_5_squeezed_gaps_positive_and_monotone(selfcheck42):
+    (gaps,) = _checks(selfcheck42, "squeezed_bound_gap_monotone")
     assert _verdict(
         5,
-        ok,
-        f"t-averaged corrected-minus-zeroth gaps: min {min_gap:.6e}, "
-        f"min increment over r {min_step:.6e}",
+        gaps.passed,
+        f"t-averaged corrected-minus-zeroth gaps: min {gaps.measured['min_gap']:.6e}, "
+        f"min increment over r {gaps.measured['min_step']:.6e}",
     )
 
 
-def test_criterion_6_squeeze_factor_never_drops():
-    header, rows = _fig_rows("fig4")
-    idx = {name: i for i, name in enumerate(header)}
-    lifts = [row[idx["sf_db"]] - row[idx["sf_db0"]] for row in rows]
-    ok = min(lifts) >= 0.0
+def test_criterion_6_squeeze_factor_never_drops(selfcheck42):
+    (lift,) = _checks(selfcheck42, "squeeze_factor_lift")
+    points = math.prod(axis.values().size for axis in presets.PRESETS["fig4"].axes)
     assert _verdict(
         6,
-        ok,
-        f"squeeze-factor lift on {len(rows)} grid points: "
-        f"min {min(lifts):.4f} dB, max {max(lifts):.4f} dB",
+        lift.passed,
+        f"squeeze-factor lift on {points} grid points: "
+        f"min {lift.measured['min_lift_db']:.4f} dB, max {lift.measured['max_lift_db']:.4f} dB",
     )
 
 
-def test_criterion_7_qkd_addendum_properties():
-    h = 1e-6
-    worst_slope = -math.inf
-    for t in np.linspace(0.2, 0.9, 5):
-        for v_a in np.linspace(2.0, 10.0, 5):
-            for xi in (0.005, 0.01, 0.02, 0.04, 0.08):
-                up = qkd_model.key_rate(
-                    qkd_model.QkdLinkParams(
-                        transmissivity=float(t), v_a=float(v_a), xi_base=xi + h
-                    )
-                ).key_rate
-                down = qkd_model.key_rate(
-                    qkd_model.QkdLinkParams(
-                        transmissivity=float(t), v_a=float(v_a), xi_base=xi - h
-                    )
-                ).key_rate
-                worst_slope = max(worst_slope, (up - down) / (2.0 * h))
-
-    link = qkd_model.QkdLinkParams(transmissivity=0.5, v_a=4.0, xi_base=0.01)
-    min_margin = math.inf
-    for t_pilot, dt in ((1.0, 0.01), (5.0, 0.1), (0.5, 0.5)):
-        rates = {}
-        for predictor in ("zoh", "linear"):
-            p = qkd_model.PhaseNoiseParams(
-                sigma_phi0_sq=1e-5, c_factor=100.0, gamma=1e-4, epsilon=1e-3,
-                t_window=10.0, t_pilot=t_pilot, dt=dt, predictor=predictor,
-            )
-            rates[predictor] = qkd_model.key_rate(link, p).key_rate
-        min_margin = min(min_margin, rates["linear"] - rates["zoh"])
-
-    off = qkd_model.PhaseNoiseParams(
-        sigma_phi0_sq=1e-4, c_factor=100.0, gamma=0.0, epsilon=0.0,
-        t_window=10.0, t_pilot=1.0, dt=0.01,
+def test_criterion_7_qkd_addendum_properties(selfcheck42):
+    slope, margin, zero = _checks(
+        selfcheck42,
+        "qkd_noise_monotonicity", "qkd_predictor_dominance", "qkd_zero_epsilon_addendum",
     )
-    addendum = qkd_model.delta_xi_rel(off, link)
-
-    ok = worst_slope < 0.0 and min_margin >= 0.0 and addendum == 0.0
     assert _verdict(
         7,
-        ok,
-        f"max dK/dxi = {worst_slope:.4f} on the 5x5x5 grid; linear-vs-zoh "
-        f"min margin {min_margin:.3e}; addendum at eps=gamma=0 is {addendum!r}",
+        slope.passed and margin.passed and zero.passed,
+        f"max dK/dxi = {slope.measured['max_dk_dxi']:.4f} on the 5x5x5 grid; linear-vs-zoh "
+        f"min margin {margin.measured['min_margin']:.3e}; "
+        f"addendum at eps=gamma=0 is {zero.measured['addendum']!r}",
     )
 
 
@@ -278,9 +235,8 @@ def test_criterion_8_counting_statistics_and_identity():
     )
 
 
-def test_criterion_9_selfcheck_reports_known_discrepancies():
-    report = run_selfcheck(42)
-    by_name = {d.name: d.values for d in report.discrepancies}
+def test_criterion_9_selfcheck_reports_known_discrepancies(selfcheck42):
+    by_name = {d.name: d.values for d in selfcheck42.discrepancies}
     spacing_ok = (
         "level_spacing_rules" in by_name
         and by_name["level_spacing_rules"]["first_order"]

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: precedence, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 
 import pytest
 
-from relqsl.cli import run_subcommand
+from relqsl import config
+from relqsl.cli import build_parser, run_subcommand
 
 # coherent alpha0 = 1 at t = 3.14159 (epsilon = 0): repr of the zeroth bound
 EXPECTED_QSL_T_MT0 = "1.4350444756094283"
@@ -78,6 +80,50 @@ def test_bad_config_reports_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["qsl", "--epsilon", "-1"], "argument --epsilon: -1 violates epsilon >= 0"),
+        (["qsl", "--epsilon", "inf"], "argument --epsilon: expected a finite number"),
+        (["qsl", "--t", "nan"], "argument --t: expected a finite number"),
+        (["metrology", "--epsilon", "nan"], "argument --epsilon: expected a finite number"),
+        (["trap", "--tau", "nan"], "argument --tau: expected a finite number"),
+        (["qkd", "--transmissivity", "2"], "argument --transmissivity: 2 violates"),
+        (["spectrum", "--dim", "5"], "argument --dim: 5 violates dim >= 8"),
+        # flags a subcommand does not read are not accepted either
+        (["qsl", "--threads", "2"], "unrecognized arguments: --threads"),
+        (["qsl", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["selfcheck", "--config", "x"], "unrecognized arguments: --config"),
+    ],
+)
+def test_bad_flag_value_is_a_usage_error(argv, fragment, capsys):
+    assert run_subcommand(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fragment in captured.err
+
+
+def test_flags_are_generated_from_the_schema():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    io_dests = {"help", "config", "out", "format"}
+    for name, sub in subparsers.choices.items():
+        dests = {action.dest for action in sub._actions} - io_dests
+        if name == "selfcheck":
+            assert dests == {"seed"}
+        elif name == "sweep":
+            assert dests == {"preset"}
+        elif name == "trap":
+            assert dests == set(config.SCHEMA["trap"]) | {"preset"}
+        else:
+            assert dests == set(config.SCHEMA[name])
+        for action in sub._actions:
+            if action.dest in config.SCHEMA.get(name, {}):
+                assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+
+
 def test_domain_error_exits_one(capsys):
     assert run_subcommand(["spectrum", "--nmax", "100", "--dim", "256"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -119,15 +165,10 @@ def test_sweep_needs_a_selection(capsys):
 
 
 @pytest.mark.filterwarnings("ignore:mt_squeezed", "ignore:ml_squeezed")
-def test_sweep_output_independent_of_threads(tmp_path, capsys):
+def test_sweep_out_writes_whole_file_atomically(tmp_path, capsys):
     one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
     assert run_subcommand(["sweep", "--preset", "fig2", "--out", str(one)]) == 0
-    assert run_subcommand(
-        ["sweep", "--preset", "fig2", "--out", str(four), "--threads", "4"]
-    ) == 0
     assert capsys.readouterr().out == ""
-    assert one.read_bytes() == four.read_bytes()
     assert len(one.read_text(encoding="utf-8").splitlines()) == 1 + 8 * 30
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".partial-")]
     assert leftovers == []

