@@ -278,7 +278,8 @@ def run_subcommand(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: overflow in a closed form, a failed eigen-verification
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 PLANCK_H = 6.62607015e-34  # J s, exact by definition
 SPEED_OF_LIGHT = 299792458.0  # m / s, exact by definition
@@ -185,6 +184,7 @@ def crossover_numeric(trap: TrapConfig) -> float:
     tau. The ratio of the two sides is a pure tau^(5/2) power law, so the
     root is unique whenever the bracket changes sign.
     """
+    from scipy.optimize import bisect
 
     def gap(log10_tau: float) -> float:
         tau = 10.0**log10_tau

@@ -12,6 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Any
+
+import numpy as np
+
+from .arrays import Grid, as_arrays, first, first_point, libm, native
 
 X_C_VARIANCE = 0.25  # fixed benchmark quadrature variance
 
@@ -107,42 +112,60 @@ def qcrb(qfi: float) -> float:
 
 @dataclass(frozen=True)
 class SqueezeFactorPoint:
-    """Quadrature-variance ratio against the 1/4 benchmark and its decibel form."""
+    """Quadrature-variance ratio against the 1/4 benchmark and its decibel form.
 
-    ratio: float
-    sf_db: float = field(init=False)
+    Python floats for a scalar evaluation, equal-shape arrays for a grid.
+    """
+
+    ratio: Any
+    sf_db: Any = field(init=False)
 
     def __post_init__(self):
-        if self.ratio <= 0:
-            raise ValueError(f"variance ratio must be positive, got {self.ratio}")
-        object.__setattr__(self, "sf_db", -10.0 * math.log10(self.ratio))
+        ratio = native(self.ratio)
+        bad = np.less_equal(ratio, 0)
+        if np.any(bad):
+            raise ValueError(f"variance ratio must be positive, got {first(ratio, bad)}")
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "sf_db", native(-10.0 * libm(math.log10, ratio)))
 
 
-def squeeze_ratio(r: float, alpha0: float, theta: float, epsilon: float) -> SqueezeFactorPoint:
-    """Corrected squeezed-to-benchmark variance ratio.
+def squeeze_ratio(r: Grid, alpha0: Grid, theta: Grid, epsilon: Grid) -> SqueezeFactorPoint:
+    """Corrected squeezed-to-benchmark variance ratio, at a point or over a grid.
 
     ratio = e^{-2r} - (3/64) eps (5 + 3 e^{-4r} - 4 a0^2 e^{-2r} (cos 2 theta - 4)).
     A non-positive ratio means the correction has left first-order validity
-    and is rejected.
+    and is rejected; the error names the first such point in axis-major order.
     """
-    if r < 0 or alpha0 < 0:
+    r, alpha0, theta, epsilon = as_arrays(r, alpha0, theta, epsilon)
+    if np.any(r < 0) or np.any(alpha0 < 0):
         raise ValueError("r and alpha0 must be non-negative")
-    base = math.exp(-2.0 * r)
-    corr = -3.0 / 64.0 * epsilon * (
-        5.0
-        + 3.0 * math.exp(-4.0 * r)
-        - 4.0 * alpha0 * alpha0 * base * (math.cos(2.0 * theta) - 4.0)
-    )
-    ratio = base + corr
-    if ratio <= 0:
+    with np.errstate(all="ignore"):
+        base = libm(math.exp, -2.0 * r)
+        corr = -3.0 / 64.0 * epsilon * (
+            5.0
+            + 3.0 * libm(math.exp, -4.0 * r)
+            - 4.0 * alpha0 * alpha0 * base * (libm(math.cos, 2.0 * theta) - 4.0)
+        )
+        ratio = base + corr
+    non_positive = ratio <= 0
+    if np.any(non_positive):
         raise ValueError(
-            f"corrected variance ratio {ratio:.3e} is non-positive; "
+            f"corrected variance ratio {first(ratio, non_positive):.3e} is non-positive; "
             "epsilon is too large for the first-order squeeze formula"
         )
-    if base > 0 and abs(corr) > 0.5 * base:
+    infinite = ~np.isfinite(ratio)
+    if np.any(infinite):
+        inputs = {"r": r, "alpha0": alpha0, "theta": theta, "epsilon": epsilon}
+        raise ValueError(
+            f"squeeze_ratio: ratio {first(ratio, infinite)!r} is not finite "
+            f"at {first_point(inputs, infinite)}"
+        )
+    doubtful = np.count_nonzero((base > 0) & (np.abs(corr) > 0.5 * base))
+    if doubtful:
         warnings.warn(
             "squeeze_ratio: epsilon correction exceeds half the zeroth-order ratio "
-            "at one or more evaluation points; first-order validity is doubtful there",
+            f"at {doubtful} of {ratio.size} evaluation points; "
+            "first-order validity is doubtful there",
             stacklevel=2,
         )
     return SqueezeFactorPoint(ratio=ratio)

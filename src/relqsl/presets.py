@@ -1,11 +1,11 @@
 """Sweep grids, their evaluators, and the named presets.
 
 A sweep is data: up to three axes (name, start, stop, step), a map of fixed
-parameters, a target that turns one parameter point into a row of results,
-and the column selection for the output file. The named presets reproduce
-the standard surfaces (speed-limit times over time and coherent amplitude,
-squeezed bounds over time and squeeze parameter, squeeze factor over its
-full domain) without any preset-specific code.
+parameters, a target that turns parameter columns over the whole grid into
+result columns, and the column selection for the output file. The named
+presets reproduce the standard surfaces (speed-limit times over time and
+coherent amplitude, squeezed bounds over time and squeeze parameter, squeeze
+factor over its full domain) without any preset-specific code.
 """
 
 from __future__ import annotations
@@ -79,75 +79,52 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Target:
+    """Parameters a target consumes, and its evaluation of whole parameter columns."""
+
     required: frozenset[str]
-    evaluate: Callable[[dict[str, float]], dict[str, Any]]
+    evaluate: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
 
 
-def _eval_qsl_coherent(params: dict[str, float]) -> dict[str, Any]:
-    alpha0 = math.sqrt(params["alpha0_sq"])
-    t = params["t"]
-    epsilon = params["epsilon"]
-    mt = qsl_bounds.mt_coherent(alpha0, t, epsilon)
-    ml = qsl_bounds.ml_coherent(alpha0, t, epsilon)
-    best = qsl_bounds.t_qsl(mt, ml)
-    return {
-        "t": t,
-        "alpha0_sq": params["alpha0_sq"],
-        "epsilon": epsilon,
-        "t_mt0": mt.zeroth,
-        "t_mt": mt.total,
-        "t_ml0": ml.zeroth,
-        "t_ml": ml.total,
-        "t_qsl": best.total,
-        "near_revival": mt.near_revival,
-    }
+def _speed_limits(params: dict[str, np.ndarray], mt: qsl_bounds.BoundReport,
+                  ml: qsl_bounds.BoundReport) -> dict[str, np.ndarray]:
+    return dict(
+        params,
+        t_mt0=mt.zeroth,
+        t_mt=mt.total,
+        t_ml0=ml.zeroth,
+        t_ml=ml.total,
+        t_qsl=qsl_bounds.t_qsl(mt, ml).total,
+        near_revival=mt.near_revival,
+    )
 
 
-def _eval_qsl_squeezed(params: dict[str, float]) -> dict[str, Any]:
-    r = params["r"]
-    t = params["t"]
-    epsilon = params["epsilon"]
-    mt = qsl_bounds.mt_squeezed(r, t, epsilon)
-    ml = qsl_bounds.ml_squeezed(r, t, epsilon)
-    best = qsl_bounds.t_qsl(mt, ml)
-    return {
-        "r": r,
-        "t": t,
-        "epsilon": epsilon,
-        "t_mt0": mt.zeroth,
-        "t_mt": mt.total,
-        "t_ml0": ml.zeroth,
-        "t_ml": ml.total,
-        "t_qsl": best.total,
-        "near_revival": mt.near_revival,
-    }
+def _qsl_coherent(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    args = (np.sqrt(params["alpha0_sq"]), params["t"], params["epsilon"])
+    return _speed_limits(params, qsl_bounds.mt_coherent(*args), qsl_bounds.ml_coherent(*args))
 
 
-def _eval_squeeze_factor(params: dict[str, float]) -> dict[str, Any]:
-    r = params["r"]
-    alpha0 = math.sqrt(params["alpha_sq"])
-    theta = params["theta"]
-    epsilon = params["epsilon"]
-    baseline = metrology.squeeze_ratio(r, alpha0, theta, 0.0)
-    corrected = metrology.squeeze_ratio(r, alpha0, theta, epsilon)
-    return {
-        "r": r,
-        "alpha_sq": params["alpha_sq"],
-        "theta": theta,
-        "epsilon": epsilon,
-        "ratio0": baseline.ratio,
-        "sf_db0": baseline.sf_db,
-        "ratio": corrected.ratio,
-        "sf_db": corrected.sf_db,
-    }
+def _qsl_squeezed(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    args = (params["r"], params["t"], params["epsilon"])
+    return _speed_limits(params, qsl_bounds.mt_squeezed(*args), qsl_bounds.ml_squeezed(*args))
+
+
+def _squeeze_factor(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    alpha0 = np.sqrt(params["alpha_sq"])
+    baseline = metrology.squeeze_ratio(params["r"], alpha0, params["theta"], 0.0)
+    corrected = metrology.squeeze_ratio(params["r"], alpha0, params["theta"], params["epsilon"])
+    return dict(
+        params,
+        ratio0=baseline.ratio,
+        sf_db0=baseline.sf_db,
+        ratio=corrected.ratio,
+        sf_db=corrected.sf_db,
+    )
 
 
 TARGETS: dict[str, Target] = {
-    "qsl_coherent": Target(frozenset({"t", "alpha0_sq", "epsilon"}), _eval_qsl_coherent),
-    "qsl_squeezed": Target(frozenset({"r", "t", "epsilon"}), _eval_qsl_squeezed),
-    "squeeze_factor": Target(
-        frozenset({"r", "alpha_sq", "theta", "epsilon"}), _eval_squeeze_factor
-    ),
+    "qsl_coherent": Target(frozenset({"t", "alpha0_sq", "epsilon"}), _qsl_coherent),
+    "qsl_squeezed": Target(frozenset({"r", "t", "epsilon"}), _qsl_squeezed),
+    "squeeze_factor": Target(frozenset({"r", "alpha_sq", "theta", "epsilon"}), _squeeze_factor),
 }
 
 # The r and alpha0_sq lower corners skip the degenerate points: squeezed
@@ -236,14 +213,16 @@ def sweep_from_config(section: dict[str, Any]) -> SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[Any]]]:
-    """Evaluate the grid in axis-major order and project the column set."""
-    evaluate = TARGETS[spec.target].evaluate
-    names = [axis.name for axis in spec.axes]
+    """Evaluate the grid in axis-major order and project the column set.
+
+    The target sees every parameter as one column over the whole grid (the
+    fixed ones repeated) and is called once; the rows hold Python values.
+    """
     grids = np.meshgrid(*[axis.values() for axis in spec.axes], indexing="ij")
-    points = [
-        dict(spec.fixed, **dict(zip(names, combo)))
-        for combo in zip(*(g.ravel() for g in grids))
-    ]
-    results = [evaluate(point) for point in points]
-    rows = [[row[column] for column in spec.columns] for row in results]
-    return spec.columns, rows
+    params = {axis.name: grid.ravel() for axis, grid in zip(spec.axes, grids)}
+    params.update(
+        {name: np.full(grids[0].size, value, dtype=float) for name, value in spec.fixed.items()}
+    )
+    results = TARGETS[spec.target].evaluate(params)
+    columns = [np.asarray(results[name]).tolist() for name in spec.columns]
+    return spec.columns, list(map(list, zip(*columns)))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 DETECTION_KINDS = frozenset({"homodyne", "heterodyne"})
@@ -327,6 +326,8 @@ def holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> float
     """
     if chi_tot < 0:
         raise ValueError("chi_tot must be non-negative")
+    import mpmath
+
     with mpmath.workdps(dps):
         one = mpmath.mpf(1)
         t = mpmath.mpf(link.transmissivity)

@@ -5,7 +5,8 @@ squeezed oscillator states, each reported as zeroth order plus an
 epsilon-scaled correction. The unified speed limit is the pointwise maximum.
 The correction terms diverge like 1/sqrt(1 - F0^2) at state revivals; such
 points are flagged and the divergent part suppressed instead of returned as
-infinities.
+infinities. Each bound takes floats or equal-shape arrays, so a whole sweep
+grid is one call; a result that is not finite is rejected.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Any
+
+import numpy as np
+
+from .arrays import Grid, as_arrays, first, first_point, libm, native
 
 NEAR_REVIVAL_LIMIT = 1e-9
 VALIDITY_FRACTION = 0.5
@@ -32,35 +38,56 @@ class BoundReport:
 
     ``coefficient`` is the correction divided by epsilon, exposed for
     epsilon sweeps; ``total`` is always the exact float sum of ``zeroth``
-    and ``correction``.
+    and ``correction``. Fields are Python floats (a bool for
+    ``near_revival``) for a scalar evaluation and equal-shape arrays for a
+    grid.
     """
 
-    t: float
-    zeroth: float
-    correction: float
-    coefficient: float
-    near_revival: bool
-    total: float = field(init=False)
+    t: Any
+    zeroth: Any
+    correction: Any
+    coefficient: Any
+    near_revival: Any
+    total: Any = field(init=False)
 
     def __post_init__(self):
-        if self.zeroth < 0:
-            raise ValueError(f"zeroth-order bound must be non-negative, got {self.zeroth}")
+        for name in ("t", "zeroth", "correction", "coefficient", "near_revival"):
+            object.__setattr__(self, name, native(getattr(self, name)))
+        negative = np.less(self.zeroth, 0)
+        if np.any(negative):
+            raise ValueError(
+                f"zeroth-order bound must be non-negative, got {first(self.zeroth, negative)}"
+            )
         object.__setattr__(self, "total", self.zeroth + self.correction)
 
 
-def _clamp_unit(x: float) -> float:
-    return min(1.0, max(-1.0, x))
+def _clamp_unit(x: np.ndarray) -> np.ndarray:
+    return np.minimum(1.0, np.maximum(-1.0, x))
 
 
-def _warn_validity(name: str, zeroth: float, correction: float) -> None:
-    # Static message text so the default warning filter collapses repeats
-    # during grid sweeps.
-    if zeroth > 0 and abs(correction) > VALIDITY_FRACTION * zeroth:
+def _report(name: str, inputs: dict[str, np.ndarray], coefficient: np.ndarray,
+            zeroth: np.ndarray, near: np.ndarray) -> BoundReport:
+    """The bound at every point, after the validity warning and the finiteness check."""
+    with np.errstate(all="ignore"):
+        correction = inputs["epsilon"] * coefficient
+        report = BoundReport(t=inputs["t"], zeroth=zeroth, correction=correction,
+                             coefficient=coefficient, near_revival=near)
+    doubtful = (zeroth > 0) & (np.abs(correction) > VALIDITY_FRACTION * zeroth)
+    count = np.count_nonzero(doubtful)
+    if count:
         warnings.warn(
             f"{name}: epsilon correction exceeds half the zeroth-order value "
-            "at one or more evaluation points; first-order validity is doubtful there",
+            f"at {count} of {np.size(doubtful)} evaluation points; "
+            "first-order validity is doubtful there",
             stacklevel=3,
         )
+    infinite = ~np.isfinite(report.total)
+    if np.any(infinite):
+        raise ValueError(
+            f"{name}: bound {first(report.total, infinite)!r} is not finite "
+            f"at {first_point(inputs, infinite)}"
+        )
+    return report
 
 
 # ---------------------------------------------------------------- coherent
@@ -97,69 +124,90 @@ def coherent_angle(alpha0: float, t: float, epsilon: float) -> AngleResult:
     return AngleResult(value=s0 - shift, near_revival=False)
 
 
-def mt_coherent(alpha0: float, t: float, epsilon: float) -> BoundReport:
+def mt_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     """Energy-variance bound for a coherent state.
 
     zeroth = arccos(F0) / a0; the correction combines the angular shift with
     the first-order drop of the energy spread.
     """
-    if alpha0 <= 0:
+    alpha0, t, epsilon = as_arrays(alpha0, t, epsilon)
+    if np.any(alpha0 <= 0):
         raise ValueError("alpha0 must be positive: the vacuum does not evolve under this family")
-    f0 = math.exp(alpha0 * alpha0 * (math.cos(t) - 1.0))
-    w1 = math.acos(_clamp_unit(f0))
-    zeroth = w1 / alpha0
-    gap = 1.0 - f0 * f0
-    near = gap < NEAR_REVIVAL_LIMIT
-    coefficient = 3.0 / 8.0 * (1.0 + alpha0 * alpha0) / alpha0 * w1
-    if not near:
-        coefficient -= (
-            3.0 / 8.0 * alpha0 * t * (1.0 + alpha0 * alpha0 * math.cos(t)) * math.sin(t)
-            * f0 / math.sqrt(gap)
+    cos_t = libm(math.cos, t)
+    with np.errstate(all="ignore"):
+        f0 = libm(math.exp, alpha0 * alpha0 * (cos_t - 1.0))
+        w1 = libm(math.acos, _clamp_unit(f0))
+        zeroth = w1 / alpha0
+        gap = 1.0 - f0 * f0
+        near = gap < NEAR_REVIVAL_LIMIT
+        coefficient = 3.0 / 8.0 * (1.0 + alpha0 * alpha0) / alpha0 * w1
+        shift = (
+            3.0 / 8.0 * alpha0 * t * (1.0 + alpha0 * alpha0 * cos_t) * libm(math.sin, t)
+            * f0 / np.sqrt(gap)
         )
-    correction = epsilon * coefficient
-    _warn_validity("mt_coherent", zeroth, correction)
-    return BoundReport(t=t, zeroth=zeroth, correction=correction,
-                       coefficient=coefficient, near_revival=near)
+        coefficient = np.where(near, coefficient, coefficient - shift)
+    return _report("mt_coherent", {"alpha0": alpha0, "t": t, "epsilon": epsilon},
+                   coefficient, zeroth, near)
 
 
-def ml_coherent(alpha0: float, t: float, epsilon: float) -> BoundReport:
+def ml_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     """Mean-energy bound for a coherent state.
 
     zeroth = 2 arccos(F0)^2 / (pi (1/2 + a0^2)); the correction combines the
     angular shift with the first-order drop of the mean energy.
     """
-    if alpha0 <= 0:
+    alpha0, t, epsilon = as_arrays(alpha0, t, epsilon)
+    if np.any(alpha0 <= 0):
         raise ValueError("alpha0 must be positive: the vacuum does not evolve under this family")
-    a2 = alpha0 * alpha0
-    f0 = math.exp(a2 * (math.cos(t) - 1.0))
-    w1 = math.acos(_clamp_unit(f0))
-    w2 = 0.5 + a2
-    zeroth = 2.0 * w1 * w1 / (w2 * math.pi)
-    w3 = (1.0 + 2.0 * a2) ** 2
-    w4 = 1.0 + 4.0 * a2 + 2.0 * a2 * a2
-    w5 = 4.0 * a2 * (1.0 + 2.0 * a2)
-    gap = 1.0 - f0 * f0
-    near = gap < NEAR_REVIVAL_LIMIT
-    bracket = w4 * w1
-    if not near:
-        bracket -= w5 * f0 * t * (1.0 + a2 * math.cos(t)) * math.sin(t) / math.sqrt(gap)
-    coefficient = 3.0 * w1 / (4.0 * w3 * math.pi) * bracket
-    correction = epsilon * coefficient
-    _warn_validity("ml_coherent", zeroth, correction)
-    return BoundReport(t=t, zeroth=zeroth, correction=correction,
-                       coefficient=coefficient, near_revival=near)
+    cos_t = libm(math.cos, t)
+    with np.errstate(all="ignore"):
+        a2 = alpha0 * alpha0
+        f0 = libm(math.exp, a2 * (cos_t - 1.0))
+        w1 = libm(math.acos, _clamp_unit(f0))
+        w2 = 0.5 + a2
+        zeroth = 2.0 * w1 * w1 / (w2 * math.pi)
+        w3 = libm(math.pow, 1.0 + 2.0 * a2, 2.0)
+        w4 = 1.0 + 4.0 * a2 + 2.0 * a2 * a2
+        w5 = 4.0 * a2 * (1.0 + 2.0 * a2)
+        gap = 1.0 - f0 * f0
+        near = gap < NEAR_REVIVAL_LIMIT
+        bracket = w4 * w1
+        shift = w5 * f0 * t * (1.0 + a2 * cos_t) * libm(math.sin, t) / np.sqrt(gap)
+        bracket = np.where(near, bracket, bracket - shift)
+        coefficient = 3.0 * w1 / (4.0 * w3 * math.pi) * bracket
+    return _report("ml_coherent", {"alpha0": alpha0, "t": t, "epsilon": epsilon},
+                   coefficient, zeroth, near)
 
 
 # ---------------------------------------------------------------- squeezed
 
-def _squeezed_core(r: float, t: float) -> tuple[float, float, float, float]:
+def _squeezed_core(r: Grid, t: Grid) -> tuple[np.ndarray, ...]:
     """Shared building blocks: (y2, y6, y7, F0) of the squeezed overlap."""
-    y2 = 3.0 + math.cosh(4.0 * r) - 2.0 * math.cos(t) * math.sinh(2.0 * r) ** 2
-    th2 = math.tanh(r) ** 2
-    y6 = -4.0 * math.sin(t) + math.sin(2.0 * t) * th2 + 2.0 * math.sin(t) * th2 * th2
-    y7 = 1.0 - 2.0 * math.cos(t) * th2 + th2 * th2
-    f0 = math.sqrt(2.0) / y2 ** 0.25
+    cos_t, sin_t = libm(math.cos, t), libm(math.sin, t)
+    sinh2_2r = libm(math.pow, libm(math.sinh, 2.0 * r), 2.0)
+    y2 = 3.0 + libm(math.cosh, 4.0 * r) - 2.0 * cos_t * sinh2_2r
+    th2 = libm(math.pow, libm(math.tanh, r), 2.0)
+    y6 = -4.0 * sin_t + libm(math.sin, 2.0 * t) * th2 + 2.0 * sin_t * th2 * th2
+    y7 = 1.0 - 2.0 * cos_t * th2 + th2 * th2
+    f0 = math.sqrt(2.0) / libm(math.pow, y2, 0.25)
     return y2, y6, y7, f0
+
+
+def _squeezed_shift(scale: float, r: np.ndarray, t: np.ndarray, y2: np.ndarray,
+                    y6: np.ndarray, y7: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Where ``keep`` holds, scale t cosh^5 r sinh^2 r y6 / (y2^{7/4} y7^{1/4} y8).
+
+    The term diverges at revivals. Inputs at the other points are replaced
+    by 1.0, so that the math calls cannot overflow or leave their domain
+    where the result is discarded.
+    """
+    r, t, y2, y6, y7 = (np.where(keep, a, 1.0) for a in (r, t, y2, y6, y7))
+    y8 = np.sqrt(np.sqrt(y2) - 2.0)
+    y5 = (
+        scale * t * libm(math.pow, libm(math.cosh, r), 5.0)
+        * libm(math.pow, libm(math.sinh, r), 2.0) / libm(math.pow, y2, 1.75)
+    )
+    return y5 * y6 / (libm(math.pow, y7, 0.25) * y8)
 
 
 def squeezed_fidelity_closed(r: float, t: float, epsilon: float) -> float:
@@ -172,7 +220,7 @@ def squeezed_fidelity_closed(r: float, t: float, epsilon: float) -> float:
         raise ValueError("r must be non-negative")
     if r == 0.0:
         return 1.0
-    y2, y6, y7, f0 = _squeezed_core(r, t)
+    y2, y6, y7, f0 = map(float, _squeezed_core(r, t))
     corr = 0.0
     if y7 > 0.0:
         corr = (
@@ -188,7 +236,7 @@ def squeezed_angle(r: float, t: float, epsilon: float) -> AngleResult:
         raise ValueError("r must be non-negative")
     if r == 0.0:
         return AngleResult(value=0.0, near_revival=True)
-    y2, y6, y7, f0 = _squeezed_core(r, t)
+    y2, y6, y7, f0 = map(float, _squeezed_core(r, t))
     s0 = math.acos(_clamp_unit(f0))
     gap = 1.0 - f0 * f0
     if gap < NEAR_REVIVAL_LIMIT or y7 <= 0.0:
@@ -201,65 +249,74 @@ def squeezed_angle(r: float, t: float, epsilon: float) -> AngleResult:
     return AngleResult(value=s0 + epsilon * shift, near_revival=False)
 
 
-def mt_squeezed(r: float, t: float, epsilon: float) -> BoundReport:
+def mt_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     """Energy-variance bound for the squeezed vacuum.
 
     zeroth = sqrt(2) csch(2r) arccos(sqrt2 / y2^{1/4}); the correction carries
     the angular shift plus the first-order drop of the energy spread.
     """
-    if r <= 0:
+    r, t, epsilon = as_arrays(r, t, epsilon)
+    if np.any(r <= 0):
         raise ValueError("r must be positive: the unsqueezed vacuum has zero energy spread")
-    y2, y6, y7, f0 = _squeezed_core(r, t)
-    y1 = math.acos(_clamp_unit(f0))
-    y3 = math.sqrt(2.0) / math.sinh(2.0 * r)
-    y4 = math.cosh(2.0 * r)
-    zeroth = y3 * y1
-    gap = 1.0 - f0 * f0
-    near = gap < NEAR_REVIVAL_LIMIT
-    bracket = 6.0 * y4 * y1
-    if not near and y7 > 0.0:
-        y8 = math.sqrt(math.sqrt(y2) - 2.0)
-        y5 = 8.0 * t * math.cosh(r) ** 5 * math.sinh(r) ** 2 / y2 ** 1.75
-        bracket += y5 * y6 / (y7 ** 0.25 * y8)
-    coefficient = 3.0 * y3 / 32.0 * bracket
-    correction = epsilon * coefficient
-    _warn_validity("mt_squeezed", zeroth, correction)
-    return BoundReport(t=t, zeroth=zeroth, correction=correction,
-                       coefficient=coefficient, near_revival=near)
+    with np.errstate(all="ignore"):
+        y2, y6, y7, f0 = _squeezed_core(r, t)
+        y1 = libm(math.acos, _clamp_unit(f0))
+        y3 = math.sqrt(2.0) / libm(math.sinh, 2.0 * r)
+        y4 = libm(math.cosh, 2.0 * r)
+        zeroth = y3 * y1
+        gap = 1.0 - f0 * f0
+        near = gap < NEAR_REVIVAL_LIMIT
+        keep = ~near & (y7 > 0.0)
+        bracket = 6.0 * y4 * y1
+        shift = _squeezed_shift(8.0, r, t, y2, y6, y7, keep)
+        bracket = np.where(keep, bracket + shift, bracket)
+        coefficient = 3.0 * y3 / 32.0 * bracket
+    return _report("mt_squeezed", {"r": r, "t": t, "epsilon": epsilon},
+                   coefficient, zeroth, near)
 
 
-def ml_squeezed(r: float, t: float, epsilon: float) -> BoundReport:
+def ml_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     """Mean-energy bound for the squeezed vacuum.
 
     zeroth = (4 sech 2r / pi) arccos(sqrt2 / y2^{1/4})^2; the correction
     carries the angular shift plus the first-order drop of the mean energy.
     """
-    if r <= 0:
+    r, t, epsilon = as_arrays(r, t, epsilon)
+    if np.any(r <= 0):
         raise ValueError("r must be positive: the unsqueezed vacuum does not evolve")
-    x2, x6, x7, f0 = _squeezed_core(r, t)
-    x1 = math.acos(_clamp_unit(f0))
-    x3 = 1.0 / math.cosh(2.0 * r)
-    x4 = 1.0 + 3.0 * math.cosh(4.0 * r)
-    zeroth = 4.0 * x3 / math.pi * x1 * x1
-    gap = 1.0 - f0 * f0
-    near = gap < NEAR_REVIVAL_LIMIT
-    bracket = x4 * x3 * x1
-    if not near and x7 > 0.0:
-        x8 = math.sqrt(math.sqrt(x2) - 2.0)
-        x5 = 32.0 * t * math.cosh(r) ** 5 * math.sinh(r) ** 2 / x2 ** 1.75
-        bracket += x5 * x6 / (x7 ** 0.25 * x8)
-    coefficient = 3.0 * x3 / (16.0 * math.pi) * x1 * bracket
-    correction = epsilon * coefficient
-    _warn_validity("ml_squeezed", zeroth, correction)
-    return BoundReport(t=t, zeroth=zeroth, correction=correction,
-                       coefficient=coefficient, near_revival=near)
+    with np.errstate(all="ignore"):
+        x2, x6, x7, f0 = _squeezed_core(r, t)
+        x1 = libm(math.acos, _clamp_unit(f0))
+        x3 = 1.0 / libm(math.cosh, 2.0 * r)
+        x4 = 1.0 + 3.0 * libm(math.cosh, 4.0 * r)
+        zeroth = 4.0 * x3 / math.pi * x1 * x1
+        gap = 1.0 - f0 * f0
+        near = gap < NEAR_REVIVAL_LIMIT
+        keep = ~near & (x7 > 0.0)
+        bracket = x4 * x3 * x1
+        shift = _squeezed_shift(32.0, r, t, x2, x6, x7, keep)
+        bracket = np.where(keep, bracket + shift, bracket)
+        coefficient = 3.0 * x3 / (16.0 * math.pi) * x1 * bracket
+    return _report("ml_squeezed", {"r": r, "t": t, "epsilon": epsilon},
+                   coefficient, zeroth, near)
 
 
 def t_qsl(mt: BoundReport, ml: BoundReport) -> BoundReport:
     """Unified speed limit: the larger of the two bounds; ties go to the first argument.
 
-    Both reports must refer to the same evolution time.
+    Both reports must refer to the same evolution times. Where one bound
+    wins at every point, that report is returned as it is.
     """
-    if mt.t != ml.t:
-        raise ValueError(f"bound reports refer to different times: {mt.t} vs {ml.t}")
-    return mt if mt.total >= ml.total else ml
+    differ = np.not_equal(mt.t, ml.t)
+    if np.any(differ):
+        raise ValueError(f"bound reports refer to different times: "
+                         f"{first(mt.t, differ)} vs {first(ml.t, differ)}")
+    take_mt = np.greater_equal(mt.total, ml.total)
+    if np.all(take_mt):
+        return mt
+    if not np.any(take_mt):
+        return ml
+    return BoundReport(**{
+        name: np.where(take_mt, getattr(mt, name), getattr(ml, name))
+        for name in ("t", "zeroth", "correction", "coefficient", "near_revival")
+    })

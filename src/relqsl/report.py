@@ -3,7 +3,9 @@
 CSV cells use the shortest decimal representation that round-trips the
 float exactly (Python's repr), '.' as the decimal mark, comma delimiters,
 Unix newlines, and true/false for booleans, so identical inputs always
-produce byte-identical files. Files are written to a temporary sibling and
+produce byte-identical files. Tables are formatted one column at a time,
+and a JSON table is the same text json.dumps(..., indent=2) gives for its
+list of row objects. Files are written to a temporary sibling and
 atomically renamed into place; a failed run never leaves a partial file.
 """
 
@@ -39,21 +41,58 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
+_FLOAT_TYPES = frozenset({float, np.float64})
+_BOOL_TYPES = frozenset({bool, np.bool_})
+_BOOL_TEXT = {True: "true", False: "false"}
+# json spells the non-finite floats differently from repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a JSON table cell sits two levels deep, inside its row object
+_JSON_CELL_INDENT = "\n    "
+
+
+def _json_default(value: Any) -> Any:
+    converted = plain(value)
+    if converted is value:
+        raise TypeError(f"not JSON serializable: {type(value).__name__}")
+    return converted
+
+
+def _json_cell(value: Any) -> str:
+    return json.dumps(value, indent=2, default=_json_default).replace("\n", _JSON_CELL_INDENT)
+
+
+def _column_text(column: tuple[Any, ...], json_cells: bool) -> list[str]:
+    """Every cell of one column as CSV or JSON text, one formatting pass per column."""
+    kinds = set(map(type, column))
+    if kinds <= _FLOAT_TYPES:
+        text = list(map(float.__repr__, column))
+        return [_JSON_NONFINITE.get(cell, cell) for cell in text] if json_cells else text
+    if kinds <= _BOOL_TYPES:
+        return list(map(_BOOL_TEXT.__getitem__, column))
+    return list(map(_json_cell if json_cells else format_cell, column))
+
+
 def render_csv(header: tuple[str, ...] | list[str], rows: list[list[Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    """CSV text of a table, formatted column by column."""
+    columns = [_column_text(column, json_cells=False) for column in zip(*rows)]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+
+
+def _render_json_table(header: tuple[str, ...] | list[str], rows: list[list[Any]]) -> str:
+    """The bytes of ``render_json([dict(zip(header, row)) for row in rows])``, built per column."""
+    if not rows:
+        return "[]\n"
+    named = list(zip(header, zip(*rows)))
+    columns = [_column_text(column, json_cells=True) for _, column in named]
+    # each object is '    "key": value' lines joined by ",\n" between "  {" and "  }"
+    keys = [json.dumps(name).replace("%", "%%") for name, _ in named]
+    template = ",\n".join(f"    {key}: %s" for key in keys)
+    objects = map(template.__mod__, zip(*columns))
+    return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
 
 
 def render_json(obj: Any) -> str:
-    def default(value: Any) -> Any:
-        converted = plain(value)
-        if converted is value:
-            raise TypeError(f"not JSON serializable: {type(value).__name__}")
-        return converted
-
-    return json.dumps(obj, indent=2, default=default) + "\n"
+    return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -80,10 +119,7 @@ def emit(path: str | None, fmt: str, header: tuple[str, ...] | list[str], rows: 
     if fmt == "csv":
         write_text(path, render_csv(header, rows))
     else:
-        objs = [
-            {name: plain(cell) for name, cell in zip(header, row)} for row in rows
-        ]
-        write_text(path, render_json(objs))
+        write_text(path, _render_json_table(header, rows))
 
 
 @dataclass(frozen=True)

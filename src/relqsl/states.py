@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .fock_core import StateVector
 from .perturbation import energy
@@ -49,6 +48,8 @@ def coherent_tail(alpha0: float, dim: int) -> float:
     """Poisson weight beyond the cutoff, P(N >= dim) for mean alpha0^2."""
     if alpha0 == 0.0:
         return 0.0
+    from scipy.special import gammainc
+
     return float(gammainc(dim, alpha0 * alpha0))
 
 
@@ -72,6 +73,8 @@ def coherent_amplitudes(spec: CoherentSpec, dim: int) -> StateVector:
     if spec.alpha0 == 0.0:
         amps[0] = 1.0
         return StateVector(dim, amps)
+    from scipy.special import gammaln
+
     ns = np.arange(dim)
     logmag = -spec.alpha0 * spec.alpha0 / 2.0 + ns * math.log(spec.alpha0) - gammaln(ns + 1) / 2.0
     amps = np.exp(logmag) * np.exp(1j * spec.theta * ns)
@@ -119,6 +122,8 @@ def squeezed_coeffs_closed(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
         raise ValueError("closed-form pair coefficients are defined for theta = 0")
     if spec.r >= 5.0:
         raise ValueError(f"r={spec.r} is beyond the supported range (r < 5)")
+    from scipy.special import gammaln
+
     ns = np.arange(n_pairs)
     th = math.tanh(spec.r)
     if th == 0.0:

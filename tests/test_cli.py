@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -142,6 +144,47 @@ def test_spectrum_dim_over_memory_budget_refused(monkeypatch, capsys):
     assert captured.err.startswith("error: dim=100000 ")
     assert "80000000000 bytes" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trap", "--nu", "1e300"],
+        ["trap", "--tau", "1e-300"],
+        ["metrology", "--state", "squeezed", "--r", "1e3", "--epsilon", "0.01"],
+        ["qsl", "--state", "squeezed", "--r", "1e3"],
+    ],
+)
+def test_overflow_exits_one_without_traceback(argv, capsys):
+    assert run_subcommand(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_non_finite_bound_exits_one(capsys):
+    # alpha0^2 overflows, so the first-order terms become inf - inf
+    assert run_subcommand(["qsl", "--alpha0", "1e200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mt_coherent: ")
+    assert "not finite at alpha0=1e+200" in captured.err
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    """scipy and mpmath load on first use, so a cold start does not pay for them."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import relqsl.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'mpmath')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_metrology_squeezed_appends_squeeze_columns(capsys):

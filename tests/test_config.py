@@ -161,7 +161,7 @@ def test_sweep_from_config_rejections():
         sweep_from_config(bare)
 
 
-def test_run_sweep_order_and_thread_invariance():
+def test_run_sweep_axis_major_order():
     spec = SweepSpec(
         target="qsl_coherent",
         axes=(Axis("t", 1.0, 2.0, 0.5), Axis("alpha0_sq", 1.0, 2.0, 1.0)),

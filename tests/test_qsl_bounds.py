@@ -7,9 +7,12 @@ the cross-module consistency of qsl_bounds and metrology.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqsl import metrology
 from relqsl.qsl_bounds import (
@@ -129,6 +132,29 @@ def test_validity_warning_fires_deep_in_epsilon():
         ml_squeezed(0.05, 5.8, 0.08)
 
 
+def test_validity_warning_counts_points_once_per_call():
+    r = np.array([0.05, 0.05, 0.4])
+    t = np.array([5.8, 5.8, 1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ml_squeezed(r, t, 0.08)
+    assert [str(w.message) for w in caught] == [
+        "ml_squeezed: epsilon correction exceeds half the zeroth-order value "
+        "at 2 of 3 evaluation points; first-order validity is doubtful there"
+    ]
+
+
+def test_non_finite_bound_names_function_and_first_point():
+    with pytest.raises(ValueError, match=r"^mt_coherent: bound nan is not finite "
+                       r"at alpha0=1e\+200, t=1.0, epsilon=0.0$"):
+        mt_coherent(1e200, 1.0, 0.0)
+    alpha0 = np.array([[1.0, 1e200], [1e200, 1.0]])
+    t = np.array([[1.0, 2.0], [3.0, 4.0]])
+    first_point = r"^ml_coherent: .* at alpha0=1e\+200, t=2.0, epsilon=0.0$"
+    with pytest.raises(ValueError, match=first_point):
+        ml_coherent(alpha0, t, 0.0)
+
+
 def _mt_coherent_composed(alpha0: float, t: float, eps: float) -> float:
     f = min(1.0, coherent_fidelity_closed(alpha0, t, eps))
     return math.acos(f) / math.sqrt(metrology.coherent_energy(alpha0, eps).variance)
@@ -186,3 +212,117 @@ def test_zeroth_matches_composed_value():
         assert ml_squeezed(par, t, 0.0).zeroth == pytest.approx(
             _ml_squeezed_composed(par, t, 0.0), rel=1e-13
         )
+
+
+# ------------------------------------------------ array call vs 0-d calls
+
+BOUNDS = (mt_coherent, ml_coherent, mt_squeezed, ml_squeezed)
+REPORT_FIELDS = ("t", "zeroth", "correction", "coefficient", "near_revival", "total")
+# 2 pi k are exact revivals (cos t == 1.0), where the divergent term is dropped
+TIE_TIMES = (0.0, 0.3, 2.0, 2.0 * math.pi, 3.5, 4.0 * math.pi, 5.9, 6.0 * math.pi)
+TIE_PARAMETERS = (1e-3, 0.05, 0.5, 1.3)
+TIE_EPSILONS = (0.0, 1e-4, 0.03)
+
+
+def _grid(*axes):
+    return [g.ravel() for g in np.meshgrid(*map(np.asarray, axes), indexing="ij")]
+
+
+def _assert_report_ties(grid, point_at, size):
+    """Every field of the array report equals, by repr, the 0-d call at that point."""
+    for i in range(size):
+        point = point_at(i)
+        assert type(point.total) is float and type(point.near_revival) is bool
+        for name in REPORT_FIELDS:
+            assert repr(getattr(point, name)) == repr(getattr(grid, name)[i].item()), (name, i)
+
+
+@pytest.mark.filterwarnings("ignore:m[tl]_(coherent|squeezed)")
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_array_call_equals_pointwise_calls(bound):
+    par, t, eps = _grid(TIE_PARAMETERS, TIE_TIMES, TIE_EPSILONS)
+    grid = bound(par, t, eps)
+    assert grid.near_revival.any() and not grid.near_revival.all()
+    _assert_report_ties(grid, lambda i: bound(float(par[i]), float(t[i]), float(eps[i])), par.size)
+
+
+@pytest.mark.filterwarnings("ignore:m[tl]_(coherent|squeezed)")
+@pytest.mark.parametrize("family", ("coherent", "squeezed"))
+def test_t_qsl_array_call_equals_pointwise_calls(family):
+    mt, ml = (mt_coherent, ml_coherent) if family == "coherent" else (mt_squeezed, ml_squeezed)
+    par, t, eps = _grid(TIE_PARAMETERS, TIE_TIMES, TIE_EPSILONS)
+    mt_grid, ml_grid = mt(par, t, eps), ml(par, t, eps)
+    grid = t_qsl(mt_grid, ml_grid)
+    if family == "coherent":
+        # the energy-spread bound wins everywhere here, so its report comes back whole
+        assert grid is mt_grid
+    else:
+        # each bound wins somewhere, so the result is assembled point by point
+        assert grid is not mt_grid and grid is not ml_grid
+
+    def point_at(i):
+        args = (float(par[i]), float(t[i]), float(eps[i]))
+        return t_qsl(mt(*args), ml(*args))
+
+    _assert_report_ties(grid, point_at, par.size)
+
+
+@pytest.mark.filterwarnings("ignore:squeeze_ratio")
+def test_squeeze_ratio_array_call_equals_pointwise_calls():
+    r, alpha0, theta, eps = _grid(
+        (0.0, 1e-3, 0.4, 1.8), (0.0, 0.3, 1.7), (0.0, 0.9, math.pi / 2), (0.0, 0.08)
+    )
+    grid = metrology.squeeze_ratio(r, alpha0, theta, eps)
+    for i in range(r.size):
+        args = (float(r[i]), float(alpha0[i]), float(theta[i]), float(eps[i]))
+        point = metrology.squeeze_ratio(*args)
+        assert type(point.ratio) is float and type(point.sf_db) is float
+        assert repr(point.ratio) == repr(grid.ratio[i].item())
+        assert repr(point.sf_db) == repr(grid.sf_db[i].item())
+
+
+def test_squeeze_ratio_error_names_first_point_in_axis_major_order():
+    # at alpha0 = 0, ratio = e^{-2r} - (3/64) eps (5 + 3 e^{-4r}); with eps = 0.5
+    # it is positive at r = 1 and negative at r = 1.5 and 2, so r = 2 comes first
+    r = np.array([[1.0, 2.0], [1.5, 1.0]])
+    with pytest.raises(ValueError) as scalar:
+        metrology.squeeze_ratio(2.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError) as grid:
+        metrology.squeeze_ratio(r, 0.0, 0.0, 0.5)
+    assert str(grid.value) == str(scalar.value)
+    assert str(grid.value).startswith("corrected variance ratio -")
+    assert str(grid.value).endswith(
+        "is non-positive; epsilon is too large for the first-order squeeze formula"
+    )
+
+
+_times = st.one_of(st.floats(0.0, 10.0), st.sampled_from([2.0 * math.pi * k for k in range(4)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.floats(1e-3, 2.5), _times, st.one_of(st.just(0.0), st.floats(0.0, 0.05))),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_drawn_grid_array_call_equals_pointwise_calls(points):
+    par, t, eps = (np.array(column) for column in zip(*points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for bound in BOUNDS:
+            _assert_report_ties(bound(par, t, eps), lambda i: bound(*points[i]), len(points))
+        for mt, ml in ((mt_coherent, ml_coherent), (mt_squeezed, ml_squeezed)):
+            _assert_report_ties(
+                t_qsl(mt(par, t, eps), ml(par, t, eps)),
+                lambda i: t_qsl(mt(*points[i]), ml(*points[i])),
+                len(points),
+            )
+        theta = t / 2.0
+        grid = metrology.squeeze_ratio(par, par, theta, eps / 10.0)
+        for i, (p, _, e) in enumerate(points):
+            point = metrology.squeeze_ratio(p, p, theta[i], e / 10.0)
+            assert (repr(point.ratio), repr(point.sf_db)) == (
+                repr(grid.ratio[i].item()), repr(grid.sf_db[i].item())
+            )

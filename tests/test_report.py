@@ -1,6 +1,7 @@
 """Deterministic table emission and the selfcheck report container."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -75,6 +76,44 @@ def test_emit_both_formats(tmp_path):
         {"n": 0, "value": 0.5},
         {"n": 1, "value": 1.5},
     ]
+
+
+# every cell kind a table may carry; the column-wise renderers must spell each
+# exactly as the row-by-row reference does
+MIXED_CELLS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 7, True,
+    np.float64(0.1), np.bool_(False), np.int64(-3), 'quote " and unicode \u00e9',
+]
+FLOAT_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, np.float64(-2.5)]
+
+
+def _reference_tables(header, rows):
+    csv_text = "\n".join([",".join(header)] + [",".join(map(format_cell, row)) for row in rows])
+    objs = [{name: plain(cell) for name, cell in zip(header, row)} for row in rows]
+    return csv_text + "\n", json.dumps(objs, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, len(MIXED_CELLS)])
+def test_column_wise_rendering_matches_row_wise_reference(size, tmp_path):
+    header = ("mixed", "float", "flag", "count", "label")
+    rows = [
+        [
+            MIXED_CELLS[i],
+            FLOAT_CELLS[i % len(FLOAT_CELLS)],
+            (True, np.bool_(False), np.bool_(True))[i % 3],
+            (np.int64(4), 5)[i % 2],
+            f"row {i}",
+        ]
+        for i in range(size)
+    ]
+    want_csv, want_json = _reference_tables(header, rows)
+    assert render_csv(header, rows) == want_csv
+    emit(str(tmp_path / "t.csv"), "csv", header, rows)
+    emit(str(tmp_path / "t.json"), "json", header, rows)
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want_csv
+    assert (tmp_path / "t.json").read_text(encoding="utf-8") == want_json
+    if size == len(MIXED_CELLS):
+        assert "-0.0" in want_csv and "NaN" in want_json and "-Infinity" in want_json
 
 
 def _sample_report(ok: bool) -> RunReport:
