@@ -60,10 +60,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _choice(*options: str) -> Callable[[str], str]:
     allowed = frozenset(options)
 

@@ -12,8 +12,10 @@ where dimensions can go wrong.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +33,9 @@ MIN_SIN_DELTA_PSI = 1e-9
 
 _LOG10_TAU_LO = -6.0
 _LOG10_TAU_HI = 12.0
+# scipy.optimize.bisect's defaults: rtol = 4 machine epsilons, 100 iterations
+_BISECT_RTOL = 4 * np.finfo(float).eps
+_BISECT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -147,10 +152,32 @@ def time_resolution(cfg: BhdConfig, t: float, epsilon: float) -> float:
     return phase_sensitivity(cfg, t, epsilon) / beat
 
 
-def allan_shot_noise(trap: TrapConfig, tau: float) -> float:
-    """Shot-noise Allan deviation sqrt(h nu / (4 P_lo)) / (2 pi nu) * tau^-3/2."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+def _finite_or_named(fn: Callable[..., float]) -> Callable[..., float]:
+    """Wrap a trap closed form so an overflow or a non-finite result names it.
+
+    The ValueError carries the function's name and its inputs, in the style
+    of the non-finite bound errors of qsl_bounds.
+    """
+
+    @functools.wraps(fn)
+    def checked(trap: TrapConfig, *tau: float) -> float:
+        try:
+            value = fn(trap, *tau)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            keys = ("nu", "p_lo", "kappa", "epsilon")
+            inputs = [f"{key}={getattr(trap, key)!r}" for key in keys]
+            inputs += [f"tau={t!r}" for t in tau]
+            raise ValueError(
+                f"{fn.__name__}: result {value!r} is not finite at {', '.join(inputs)}"
+            )
+        return value
+
+    return checked
+
+
+def _shot_noise(trap: TrapConfig, tau: float) -> float:
     return (
         math.sqrt(trap.planck_h * trap.nu / (4.0 * trap.p_lo))
         / (2.0 * math.pi * trap.nu)
@@ -158,13 +185,27 @@ def allan_shot_noise(trap: TrapConfig, tau: float) -> float:
     )
 
 
+def _drift(trap: TrapConfig, tau: float) -> float:
+    return trap.kappa * trap.epsilon**2 / 2.0 * tau
+
+
+@_finite_or_named
+def allan_shot_noise(trap: TrapConfig, tau: float) -> float:
+    """Shot-noise Allan deviation sqrt(h nu / (4 P_lo)) / (2 pi nu) * tau^-3/2."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    return _shot_noise(trap, tau)
+
+
+@_finite_or_named
 def allan_relativistic(trap: TrapConfig, tau: float) -> float:
     """Relativistic-drift Allan deviation (kappa epsilon^2 / 2) tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return trap.kappa * trap.epsilon**2 / 2.0 * tau
+    return _drift(trap, tau)
 
 
+@_finite_or_named
 def crossover_closed(trap: TrapConfig) -> float:
     """Closed-form crossover time [h nu / (pi^2 P_lo)]^(1/5) (kappa eps^2)^(-2/5).
 
@@ -177,6 +218,24 @@ def crossover_closed(trap: TrapConfig) -> float:
     ) ** -0.4
 
 
+def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:
+    """Root of f in [a, b] given fa = f(a), step for step as scipy.optimize.bisect.
+
+    Like scipy's C loop, fa is never updated: only its sign is read.
+    """
+    dm = b - a
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise ArithmeticError(f"bisection did not converge in {_BISECT_MAXITER} steps")
+
+
+@_finite_or_named
 def crossover_numeric(trap: TrapConfig) -> float:
     """Bisection root of allan_shot_noise(tau) = allan_relativistic(tau).
 
@@ -184,11 +243,13 @@ def crossover_numeric(trap: TrapConfig) -> float:
     tau. The ratio of the two sides is a pure tau^(5/2) power law, so the
     root is unique whenever the bracket changes sign.
     """
-    from scipy.optimize import bisect
 
     def gap(log10_tau: float) -> float:
         tau = 10.0**log10_tau
-        return allan_shot_noise(trap, tau) - allan_relativistic(trap, tau)
+        value = _shot_noise(trap, tau) - _drift(trap, tau)
+        if math.isnan(value):  # both branches overflow to inf at this tau
+            raise OverflowError
+        return value
 
     lo, hi = gap(_LOG10_TAU_LO), gap(_LOG10_TAU_HI)
     if lo == 0.0:
@@ -202,8 +263,7 @@ def crossover_numeric(trap: TrapConfig) -> float:
         )
     # xtol 2e-11 in log10 space bounds the relative error in tau by
     # ln(10) * 2e-11 < 1e-10.
-    root = bisect(gap, _LOG10_TAU_LO, _LOG10_TAU_HI, xtol=2e-11)
-    return 10.0**root
+    return 10.0 ** _bisect(gap, _LOG10_TAU_LO, _LOG10_TAU_HI, lo, xtol=2e-11)
 
 
 def epsilon_from_trap(nu: float, mass: float) -> float:

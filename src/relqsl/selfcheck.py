@@ -38,11 +38,24 @@ def _ratio_ok(ratio: float) -> bool:
     return RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1]
 
 
-def _check_energy_order() -> CheckEntry:
+# H(ORACLE_DIM, eps) with its dense decomposition, keyed by eps
+Oracles = dict[float, tuple[fock_core.TruncatedOperator, fock_core.SpectralDecomposition]]
+
+
+def _dense_oracles() -> Oracles:
+    """H(ORACLE_DIM, eps) and its verified dense decomposition for each eps of EPS_PAIR."""
+    oracles = {}
+    for eps in EPS_PAIR:
+        h = fock_core.build_hamiltonian(ORACLE_DIM, eps)
+        oracles[eps] = (h, fock_core.diagonalize(h))
+    return oracles
+
+
+def _check_energy_order(oracles: Oracles) -> CheckEntry:
     """Eigenvalue residuals against the first-order spectrum must quarter."""
     residuals = {}
     for eps in EPS_PAIR:
-        spec = fock_core.diagonalize(fock_core.build_hamiltonian(ORACLE_DIM, eps))
+        spec = oracles[eps][1]
         residuals[eps] = np.array(
             [abs(spec.eigenvalues[n] - perturbation.energy(n, eps)) for n in range(11)]
         )
@@ -92,15 +105,15 @@ def _check_fidelity(kind: str) -> CheckEntry:
     )
 
 
-def _eigenbasis_moments(bare: fock_core.StateVector, eps: float) -> tuple[float, float]:
+def _eigenbasis_moments(bare: fock_core.StateVector, oracles: Oracles,
+                        eps: float) -> tuple[float, float]:
     """Exact <H> and Var(H) for the bare amplitudes carried into the eigenbasis."""
-    h = fock_core.build_hamiltonian(bare.dim, eps)
-    spec = fock_core.diagonalize(h)
+    h, spec = oracles[eps]
     state = fock_core.StateVector(bare.dim, spec.eigenvectors @ bare.amps)
     return fock_core.expectation(h, state).real, fock_core.variance(h, state)
 
 
-def _check_moments(kind: str) -> CheckEntry:
+def _check_moments(kind: str, oracles: Oracles) -> CheckEntry:
     if kind == "coherent":
         bare = states.coherent_amplitudes(states.CoherentSpec(1.0), ORACLE_DIM)
         closed = lambda e: metrology.coherent_energy(1.0, e)
@@ -110,7 +123,7 @@ def _check_moments(kind: str) -> CheckEntry:
     dmean, dvar = {}, {}
     passed = True
     for eps in EPS_PAIR:
-        mean, var = _eigenbasis_moments(bare, eps)
+        mean, var = _eigenbasis_moments(bare, oracles, eps)
         moments = closed(eps)
         dmean[eps] = abs(mean - moments.mean)
         dvar[eps] = abs(var - moments.variance)
@@ -427,12 +440,13 @@ def run_selfcheck(seed: int = 42) -> RunReport:
     fresh generator seeded from ``seed`` so reruns reproduce bit-identical
     reports.
     """
+    oracles = _dense_oracles()
     checks = [
-        _check_energy_order(),
+        _check_energy_order(oracles),
         _check_fidelity("coherent"),
         _check_fidelity("squeezed"),
-        _check_moments("coherent"),
-        _check_moments("squeezed"),
+        _check_moments("coherent", oracles),
+        _check_moments("squeezed", oracles),
         _check_bound_gaps(),
         _check_squeeze_lift(),
         _check_qkd_monotonicity(),

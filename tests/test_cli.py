@@ -172,19 +172,53 @@ def test_non_finite_bound_exits_one(capsys):
     assert "not finite at alpha0=1e+200" in captured.err
 
 
-def test_cli_import_loads_neither_scipy_nor_mpmath():
-    """scipy and mpmath load on first use, so a cold start does not pay for them."""
+def _heavy_modules_after(code: str) -> str:
+    """scipy and mpmath modules loaded by a fresh interpreter that runs ``code``."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import relqsl.cli, sys; "
+    code += (
+        "; import sys; "
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'mpmath')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    """scipy and mpmath load on first use, so a cold start does not pay for them."""
+    assert _heavy_modules_after("import relqsl.cli") == "[]"
+
+
+@pytest.mark.parametrize("argv", [["selfcheck", "--seed", "42"], ["trap", "--preset", "hanneke"]])
+def test_selfcheck_and_trap_load_neither_scipy_nor_mpmath(argv, tmp_path):
+    if argv[0] == "selfcheck":
+        argv = argv + ["--out", str(tmp_path / "selfcheck.json")]
+    code = f"from relqsl.cli import run_subcommand; assert run_subcommand({argv!r}) == 0"
+    assert _heavy_modules_after(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trap", "--nu", "1e300"],
+         "error: allan_relativistic: result inf is not finite at nu=1e+300, p_lo=0.001, "
+         "kappa=200.0, epsilon=1.0116624742954226e+279, tau=1.0\n"),
+        (["trap", "--tau", "1e-300"],
+         "error: allan_shot_noise: result inf is not finite at nu=149000000000.0, "
+         "p_lo=0.001, kappa=200.0, epsilon=1.5073770867001796e-10, tau=1e-300\n"),
+        (["trap", "--epsilon", "1e-200"],
+         "error: crossover_closed: result inf is not finite at nu=149000000000.0, "
+         "p_lo=0.001, kappa=200.0, epsilon=1e-200\n"),
+    ],
+)
+def test_trap_overflow_names_the_function_and_its_inputs(argv, message, capsys):
+    assert run_subcommand(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_metrology_squeezed_appends_squeeze_columns(capsys):

@@ -1,6 +1,7 @@
 """Balanced-homodyne statistics and the trap Allan-deviation budget."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,65 @@ def test_crossover_sits_between_the_branches():
     # shot noise dominates before the crossover, drift after
     assert allan_shot_noise(trap, tau / 10) > allan_relativistic(trap, tau / 10)
     assert allan_shot_noise(trap, tau * 10) < allan_relativistic(trap, tau * 10)
+
+
+def _scipy_crossover(trap: TrapConfig) -> float:
+    """crossover_numeric as it was solved with scipy.optimize.bisect."""
+    from scipy.optimize import bisect
+
+    def gap(log10_tau: float) -> float:
+        tau = 10.0**log10_tau
+        return allan_shot_noise(trap, tau) - allan_relativistic(trap, tau)
+
+    return 10.0 ** bisect(gap, -6.0, 12.0, xtol=2e-11)
+
+
+def test_inline_bisection_equals_scipy_bisect_bit_for_bit():
+    trap = _reference_trap()
+    assert crossover_numeric(trap) == EXPECTED_TRAP["crossover_numeric_s"]
+    assert crossover_numeric(trap) == _scipy_crossover(trap)
+    rng = np.random.default_rng(20240611)
+    compared = 0
+    while compared < 1000:
+        # log-uniform nu, p_lo, kappa, epsilon; keep brackets that change sign
+        nu, p_lo, kappa, epsilon = 10.0 ** rng.uniform([3, -9, -3, -16], [13, 1, 6, -2])
+        trap = TrapConfig(nu=nu, p_lo=p_lo, kappa=kappa, epsilon=epsilon)
+        try:
+            got = crossover_numeric(trap)
+        except ValueError as exc:
+            assert "no crossover" in str(exc)
+            continue
+        assert got == _scipy_crossover(trap), trap
+        compared += 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda trap: allan_shot_noise(trap, 1e-300),
+         "allan_shot_noise: result inf is not finite at nu=149000000000.0, p_lo=0.001, "
+         "kappa=200.0, epsilon=1e-10, tau=1e-300"),
+        (lambda trap: allan_relativistic(replace(trap, epsilon=1e200), 1.0),
+         "allan_relativistic: result inf is not finite at nu=149000000000.0, p_lo=0.001, "
+         "kappa=200.0, epsilon=1e+200, tau=1.0"),
+        (lambda trap: crossover_closed(replace(trap, epsilon=1e-200)),
+         "crossover_closed: result inf is not finite at nu=149000000000.0, p_lo=0.001, "
+         "kappa=200.0, epsilon=1e-200"),
+        (lambda trap: crossover_numeric(replace(trap, epsilon=1e200)),
+         "crossover_numeric: result inf is not finite at nu=149000000000.0, p_lo=0.001, "
+         "kappa=200.0, epsilon=1e+200"),
+        # both branches overflow, so the gap is inf - inf
+        (lambda trap: crossover_numeric(replace(trap, nu=1e300, p_lo=5e-324, kappa=1e300,
+                                                epsilon=1e5)),
+         "crossover_numeric: result inf is not finite at nu=1e+300, p_lo=5e-324, "
+         "kappa=1e+300, epsilon=100000.0"),
+    ],
+)
+def test_overflow_names_the_function_and_its_inputs(call, message):
+    trap = TrapConfig(nu=149e9, p_lo=1e-3, kappa=200.0, epsilon=1e-10)
+    with pytest.raises(ValueError) as raised:
+        call(trap)
+    assert str(raised.value) == message
 
 
 def test_epsilon_from_trap():

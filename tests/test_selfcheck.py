@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relqsl import perturbation
+from relqsl import fock_core, perturbation
 from relqsl.selfcheck import run_selfcheck
 
 EXPECTED_CHECK_NAMES = {
@@ -113,3 +113,16 @@ def test_broken_spectrum_is_caught(monkeypatch):
     assert not report.passed
     # the oracle comparisons bind the unpatched closed forms at import time
     assert by_name["coherent_fidelity_oracle"].passed
+
+
+def test_one_dense_decomposition_per_epsilon(monkeypatch):
+    calls = []
+    diagonalize = fock_core.diagonalize
+
+    def counted(op):
+        calls.append(op.dim)
+        return diagonalize(op)
+
+    monkeypatch.setattr(fock_core, "diagonalize", counted)
+    assert run_selfcheck(42).passed
+    assert calls == [256, 256]

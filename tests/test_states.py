@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from relqsl.qsl_bounds import coherent_fidelity_closed, squeezed_fidelity_closed
 from relqsl.states import (
+    TAIL_LIMIT,
     CoherentSpec,
     SqueezeSpec,
     coherent_amplitudes,
@@ -19,6 +20,7 @@ from relqsl.states import (
     squeezed_pair_tail,
     squeezed_state,
 )
+from relqsl.states import _log_factorial
 
 DIM = 256
 
@@ -155,3 +157,41 @@ def test_mean_photon_squeezed():
 def test_overlap_modulus_never_exceeds_one(alpha0, t, epsilon):
     got = abs(coherent_overlap_numeric(CoherentSpec(alpha0), t, epsilon, DIM))
     assert got <= 1.0 + 1e-12
+
+
+def test_log_factorial_matches_gammaln():
+    from scipy.special import gammaln
+
+    ns = np.arange(16384)
+    expected = gammaln(ns + 1.0)
+    got = _log_factorial(ns)
+    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+    assert all(_log_factorial(n) == got[n] for n in (0, 1, 2, 255, 16383))
+
+
+def test_coherent_tail_matches_gammainc():
+    from scipy.special import gammainc
+
+    rng = np.random.default_rng(8)
+    pairs = list(zip(rng.uniform(0.0, 30.0, 2000), rng.integers(1, 2048, 2000).tolist()))
+    # deep tails down to ~1e-286, a mean far beyond the cutoff, and a tail of 1
+    pairs += [(1.0, 150), (1.0, 160), (2.0, 180), (30.0, 1800), (30.0, 8), (1e-3, 40)]
+    # the dims on both sides of where the tail crosses TAIL_LIMIT
+    for alpha0 in np.linspace(0.05, 30.0, 200):
+        crossing = int(np.argmax(gammainc(np.arange(1, 2048), alpha0 * alpha0) <= TAIL_LIMIT))
+        pairs += [(alpha0, dim) for dim in range(crossing, crossing + 3)]
+    compared = 0
+    for alpha0, dim in pairs:
+        expected = float(gammainc(dim, alpha0 * alpha0))
+        got = coherent_tail(alpha0, dim)
+        assert (got > TAIL_LIMIT) == (expected > TAIL_LIMIT), (alpha0, dim)
+        if expected >= 1e-300:
+            assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (alpha0, dim)
+            compared += 1
+    assert compared > 1000
+
+
+def test_coherent_tail_of_an_underflowing_mean_is_zero():
+    # alpha0^2 underflows to 0 although alpha0 > 0
+    assert coherent_tail(5e-324, DIM) == 0.0
+    assert abs(coherent_overlap_numeric(CoherentSpec(5e-324), 1.0, 1e-4, DIM)) <= 1.0
