@@ -13,6 +13,8 @@ array results bit-identical to the scalar formulas.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from itertools import repeat
 from typing import Any, Callable
 
@@ -28,10 +30,27 @@ def as_arrays(*values: Any) -> tuple[np.ndarray, ...]:
 
 
 def libm(fn: Callable[..., float], x: Any, *consts: float) -> np.ndarray:
-    """``fn(x_i, *consts)`` with a math-module function, elementwise over ``x``."""
+    """``fn(x_i, *consts)`` with a math-module function, elementwise over ``x``.
+
+    An element where ``fn`` overflows is nan instead of an OverflowError
+    that names nothing. Unlike an infinity (1/inf is 0), nan stays nan
+    through later arithmetic, so the caller's finiteness check rejects the
+    point and names it.
+    """
     x = np.asarray(x, dtype=float)
-    values = map(fn, x.ravel().tolist(), *map(repeat, consts))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
+    args = (x.ravel().tolist(), *map(repeat, consts))
+    try:
+        values = np.fromiter(map(fn, *args), float, x.size)
+    except OverflowError:
+        values = np.fromiter(map(partial(_nan_on_overflow, fn), *args), float, x.size)
+    return values.reshape(x.shape)
+
+
+def _nan_on_overflow(fn: Callable[..., float], *args: float) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.nan
 
 
 def native(x: Any) -> Any:

@@ -122,22 +122,11 @@ def _cmd_metrology(args: argparse.Namespace) -> int:
 def _cmd_trap(args: argparse.Namespace) -> int:
     params = _merged("trap", args)
     if args.preset is not None:
-        preset = dict(presets.TRAP_PRESETS[args.preset])
-        for key, value in preset.items():
+        # a preset value replaces the config file's, but not an explicit flag's
+        for key, value in presets.TRAP_PRESETS[args.preset].items():
             if getattr(args, key, None) is None:
                 params[key] = value
-    epsilon_source = "config"
-    eps = params["epsilon"]
-    if eps == 0.0:
-        eps = homodyne_trap.epsilon_from_trap(params["nu"], params["mass"])
-        epsilon_source = "derived"
-    cfg = homodyne_trap.TrapConfig(
-        nu=params["nu"],
-        p_lo=params["p_lo"],
-        kappa=params["kappa"],
-        epsilon=eps,
-        mass=params["mass"],
-    )
+    cfg, epsilon_source = presets.trap_config(params)
     tau = params["tau"]
     shot_1s = homodyne_trap.allan_shot_noise(cfg, 1.0)
     values: dict[str, Any] = {

@@ -132,11 +132,6 @@ def build_quadratures(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     return TruncatedOperator(dim, x), TruncatedOperator(dim, p)
 
 
-def build_number(dim: int) -> TruncatedOperator:
-    """Return the number operator a0dag a0 (diagonal 0..dim-1)."""
-    return TruncatedOperator(dim, np.diag(np.arange(dim, dtype=np.complex128)))
-
-
 def _check_epsilon(epsilon: float) -> None:
     """Reject negative epsilon; warn above 0.1, where first order degrades.
 

@@ -1,9 +1,9 @@
 """Balanced-homodyne readout and the Penning-trap Allan-deviation budget.
 
-The homodyne half covers the difference-intensity observable, the
+The homodyne half covers the difference-intensity observable and the
 phase-sensitivity degradation picked up from quadratic local-oscillator
-decay, and the induced time resolution. The trap half budgets shot-noise
-against relativistic-drift Allan deviation and locates their crossover.
+decay. The trap half budgets shot-noise against relativistic-drift Allan
+deviation and locates their crossover.
 
 Everything upstream of this module works in natural units; SI constants and
 unit conversion live here and nowhere else, so there is a single boundary
@@ -42,15 +42,12 @@ _BISECT_MAXITER = 100
 class BhdConfig:
     """Balanced-homodyne operating point.
 
-    ``delta_psi`` defaults to pi/2, the maximum-slope operating point. The
-    angular frequencies only matter for :func:`time_resolution`.
+    ``delta_psi`` defaults to pi/2, the maximum-slope operating point.
     """
 
     alpha_s: float
     alpha_lo_mag: float
     delta_psi: float = math.pi / 2.0
-    omega_s: float = 0.0
-    omega_lo: float = 0.0
 
     def __post_init__(self):
         if self.alpha_s <= 0:
@@ -142,14 +139,6 @@ def phase_sensitivity(cfg: BhdConfig, t: float, epsilon: float) -> float:
         raise ValueError("t must be non-negative")
     base = math.sqrt(i_diff_variance(cfg)) / abs(i_diff_mean_slope(cfg))
     return base * (1.0 + sensitivity_bracket_c(cfg) * epsilon * epsilon * t * t)
-
-
-def time_resolution(cfg: BhdConfig, t: float, epsilon: float) -> float:
-    """Time uncertainty phase_sensitivity / |omega_s - omega_lo|."""
-    beat = abs(cfg.omega_s - cfg.omega_lo)
-    if beat == 0:
-        raise ValueError("omega_s and omega_lo are degenerate; no beat to time against")
-    return phase_sensitivity(cfg, t, epsilon) / beat
 
 
 def _finite_or_named(fn: Callable[..., float]) -> Callable[..., float]:

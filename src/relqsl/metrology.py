@@ -45,6 +45,22 @@ class EnergyMoments:
         object.__setattr__(self, "second", self.mean * self.mean + var)
 
 
+def _finite_moments(name: str, inputs: dict[str, float], mean: float,
+                    var: float) -> EnergyMoments:
+    """EnergyMoments of ``mean`` and ``var``, once both are finite.
+
+    A moment that is not finite is rejected with an error naming the
+    function and its inputs, before the negative-variance check can
+    misreport it.
+    """
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError(
+            f"{name}: energy moments (mean {mean!r}, variance {var!r}) are not "
+            f"finite at {first_point(inputs, True)}"
+        )
+    return EnergyMoments(mean=mean, variance=var)
+
+
 def coherent_energy(alpha0: float, epsilon: float) -> EnergyMoments:
     """First-order energy moments of a coherent state.
 
@@ -56,7 +72,7 @@ def coherent_energy(alpha0: float, epsilon: float) -> EnergyMoments:
     a2 = alpha0 * alpha0
     mean = 0.5 + a2 - 3.0 * epsilon / 32.0 * (1.0 + 4.0 * a2 + 2.0 * a2 * a2)
     var = a2 - 0.75 * epsilon * (a2 + a2 * a2)
-    return EnergyMoments(mean=mean, variance=var)
+    return _finite_moments("coherent_energy", {"alpha0": alpha0, "epsilon": epsilon}, mean, var)
 
 
 def coherent_second_moment_closed(alpha0: float, epsilon: float) -> float:
@@ -79,11 +95,15 @@ def squeezed_energy(r: float, epsilon: float) -> EnergyMoments:
     """
     if r < 0:
         raise ValueError("r must be non-negative")
-    mean = math.cosh(2.0 * r) / 2.0 - 3.0 * epsilon / 128.0 * (1.0 + 3.0 * math.cosh(4.0 * r))
-    var = 2.0 * math.cosh(r) ** 2 * math.sinh(r) ** 2 - 9.0 * epsilon / 32.0 * math.sinh(
-        2.0 * r
-    ) * math.sinh(4.0 * r)
-    return EnergyMoments(mean=mean, variance=var)
+    try:
+        mean = math.cosh(2.0 * r) / 2.0 - 3.0 * epsilon / 128.0 * (1.0 + 3.0 * math.cosh(4.0 * r))
+        var = 2.0 * math.cosh(r) ** 2 * math.sinh(r) ** 2 - 9.0 * epsilon / 32.0 * math.sinh(
+            2.0 * r
+        ) * math.sinh(4.0 * r)
+    except OverflowError:
+        # an overflowing math call leaves no usable value, as in arrays.libm
+        mean = var = math.nan
+    return _finite_moments("squeezed_energy", {"r": r, "epsilon": epsilon}, mean, var)
 
 
 def squeezed_second_moment_closed(r: float, epsilon: float) -> float:

@@ -1,8 +1,8 @@
-"""First-order perturbative spectrum and operators for the -eps*p^4/8 correction.
+"""First-order perturbative spectrum and eigenstates for the -eps*p^4/8 correction.
 
-Closed forms for the shifted levels, the eigenstate mixing across n+-2 and
-n+-4, and the corrected ladder and quadrature operators. All of it is
-validated elsewhere against the dense matrices in fock_core.
+Closed forms for the shifted levels, the level spacing and the eigenstate
+mixing across n+-2 and n+-4. All of it is validated elsewhere against the
+dense matrices in fock_core.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import SpectralDecomposition, StateVector, TruncatedOperator, build_ladder, build_number
+from .fock_core import SpectralDecomposition, StateVector
 
 
 @dataclass(frozen=True)
@@ -65,41 +65,6 @@ def perturbed_eigenstate(n: int, epsilon: float, dim: int) -> StateVector:
         amps[n - 4] -= epsilon / 32.0 * coef.bm4
     amps /= np.linalg.norm(amps)
     return StateVector(dim, amps)
-
-
-def corrected_operators(
-    epsilon: float, dim: int
-) -> tuple[TruncatedOperator, TruncatedOperator, TruncatedOperator, TruncatedOperator]:
-    """Corrected (a, adag, x, p) expressed through the bare ladder matrices.
-
-    a  = a0 + (eps/32)(-2 a0^3 + 6 N0 a0dag - a0dag^3)
-    x  = (a0dag + a0)/sqrt2 + (3 eps/(32 sqrt2)) (a0^3 + a0dag^3 - 2[a0 N0 + N0 a0dag])
-    p  = i (a0dag - a0)/sqrt2 - (3i eps/(32 sqrt2)) (a0^3 - a0dag^3)
-
-    adag is the conjugate transpose of a; x and p are Hermitian by
-    construction. Note that x and p here are independent first-order
-    expressions, not the quadrature recombination of a and adag.
-    """
-    if dim < 16:
-        raise ValueError(f"dim={dim} too small; corrected operators need at least 16 levels")
-    a0_op, adag0_op = build_ladder(dim)
-    a0 = a0_op.entries
-    ad0 = adag0_op.entries
-    n0 = build_number(dim).entries
-    a03 = np.linalg.matrix_power(a0, 3)
-    ad03 = np.linalg.matrix_power(ad0, 3)
-
-    a = a0 + epsilon / 32.0 * (-2.0 * a03 + 6.0 * n0 @ ad0 - ad03)
-    adag = a.conj().T
-    s2 = math.sqrt(2.0)
-    x = (ad0 + a0) / s2 + 3.0 * epsilon / (32.0 * s2) * (a03 + ad03 - 2.0 * (a0 @ n0 + n0 @ ad0))
-    p = 1j * (ad0 - a0) / s2 - 3j * epsilon / (32.0 * s2) * (a03 - ad03)
-    return (
-        TruncatedOperator(dim, a),
-        TruncatedOperator(dim, adag),
-        TruncatedOperator(dim, x),
-        TruncatedOperator(dim, p),
-    )
 
 
 def level_spacing(n: int, epsilon: float) -> float:

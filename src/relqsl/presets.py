@@ -17,7 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import metrology, qsl_bounds
-from .homodyne_trap import ELECTRON_MASS, epsilon_from_trap
+from .homodyne_trap import ELECTRON_MASS, TrapConfig, epsilon_from_trap
 
 MAX_AXES = 3
 
@@ -174,13 +174,19 @@ TRAP_PRESETS: dict[str, dict[str, float]] = {
 }
 
 
-def trap_config_kwargs(name: str) -> dict[str, float]:
-    """TrapConfig keywords for a named preset; epsilon = 0 means derive it."""
-    preset = dict(TRAP_PRESETS[name])
-    preset.pop("tau")
-    if preset["epsilon"] == 0.0:
-        preset["epsilon"] = epsilon_from_trap(preset["nu"], preset["mass"])
-    return preset
+def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
+    """The TrapConfig for trap parameters, and where its epsilon came from.
+
+    ``params`` is a TRAP_PRESETS entry or a resolved [trap] section; tau is
+    not part of the config and is ignored. epsilon = 0 means derive it from
+    nu and mass (source "derived"); any other value is used as given
+    (source "config").
+    """
+    epsilon, source = params["epsilon"], "config"
+    if epsilon == 0.0:
+        epsilon, source = epsilon_from_trap(params["nu"], params["mass"]), "derived"
+    given = {key: params[key] for key in ("nu", "p_lo", "kappa", "mass")}
+    return TrapConfig(epsilon=epsilon, **given), source
 
 
 def sweep_from_config(section: dict[str, Any]) -> SweepSpec:

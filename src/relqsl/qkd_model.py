@@ -9,8 +9,9 @@ The Holevo bound uses the standard entangling-cloner purification. Trusted
 detection noise is modelled by a beamsplitter in front of Bob's detector fed
 from one arm of an EPR pair; the bound is independent of how the
 transmission/port-variance pair is split (only their combination is fixed by
-chi_det), which doubles as a consistency check. An arbitrary-precision twin
-of the whole covariance algebra backs the floating-point path.
+chi_det), which doubles as a consistency check. The test suite checks the
+floating-point path against an arbitrary-precision twin of the whole
+covariance algebra.
 """
 
 from __future__ import annotations
@@ -82,13 +83,6 @@ class PhaseNoiseParams:
             raise ValueError(f"predictor must be one of {sorted(PREDICTOR_KINDS)}")
 
 
-def drift_curvature(kappa: float, epsilon: float) -> float:
-    """Deterministic phase-drift curvature gamma = kappa * epsilon^2."""
-    if kappa < 0 or epsilon < 0:
-        raise ValueError("kappa and epsilon must be non-negative")
-    return kappa * epsilon * epsilon
-
-
 def chi_line(transmissivity: float) -> float:
     """Input-referred channel loss noise (1 - T) / T."""
     if not 0.0 < transmissivity <= 1.0:
@@ -131,12 +125,6 @@ def delta_xi_rel(p: PhaseNoiseParams, link: QkdLinkParams) -> float:
     inflation = sigma_phi_est_sq(p) - p.sigma_phi0_sq
     drift = residual_drift(p)
     return (inflation + drift * drift) * (link.v_a + 1.0 / link.transmissivity)
-
-
-def chi_total(link: QkdLinkParams, p: PhaseNoiseParams | None = None) -> float:
-    """Input-referred total noise chi_line + xi_base + delta_xi_rel + chi_det."""
-    extra = delta_xi_rel(p, link) if p is not None else 0.0
-    return chi_line(link.transmissivity) + link.xi_base + extra + link.chi_det
 
 
 def mutual_information(link: QkdLinkParams, chi_tot: float) -> float:
@@ -317,127 +305,13 @@ def holevo_bound(
     return s_eve - s_cond
 
 
-def holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> float:
-    """Arbitrary-precision twin of holevo_bound.
-
-    Rebuilds the same covariance algebra in mpmath and takes every
-    symplectic eigenvalue from the full eigendecomposition instead of the
-    two-mode closed form, so the two routes share no numerics.
-    """
-    if chi_tot < 0:
-        raise ValueError("chi_tot must be non-negative")
-    import mpmath
-
-    with mpmath.workdps(dps):
-        one = mpmath.mpf(1)
-        t = mpmath.mpf(link.transmissivity)
-        v = mpmath.mpf(link.v_a) + 1
-        chi_det = mpmath.mpf(link.chi_det) if link.trusted_detection else mpmath.mpf(0)
-        chi_chan = mpmath.mpf(chi_tot) - chi_det
-        if chi_chan < 0:
-            if chi_chan < mpmath.mpf("-1e-12"):
-                raise ValueError("chi_tot is smaller than the trusted chi_det it must contain")
-            chi_chan = mpmath.mpf(0)
-
-        a = v
-        b = t * (v + chi_chan)
-        c = mpmath.sqrt(t * (v * v - 1))
-        t_chi_det = t * chi_det
-
-        def channel_cov() -> mpmath.matrix:
-            cov = mpmath.matrix(4)
-            for i in range(2):
-                cov[i, i] = a
-                cov[2 + i, 2 + i] = b
-            cov[0, 2] = cov[2, 0] = c
-            cov[1, 3] = cov[3, 1] = -c
-            return cov
-
-        def block_cov() -> tuple[mpmath.matrix, int]:
-            if t_chi_det == 0:
-                return channel_cov(), 1
-            if link.detection == "heterodyne":
-                if t_chi_det < 1 - mpmath.mpf("1e-12"):
-                    raise ValueError(
-                        "trusted heterodyne detection noise cannot be below the "
-                        "intrinsic vacuum unit: chi_det >= 1/T is required"
-                    )
-                if t_chi_det <= 1 + mpmath.mpf("1e-12"):
-                    return channel_cov(), 1
-                eta = 2 * one / (one + t_chi_det)
-            else:
-                eta = one / (one + t_chi_det)
-            d = one
-            rt, rr = mpmath.sqrt(eta), mpmath.sqrt(one - eta)
-            cov = mpmath.matrix(6)
-            vb = eta * b + (one - eta) * d
-            vf = (one - eta) * b + eta * d
-            for i in range(2):
-                cov[i, i] = a
-                cov[2 + i, 2 + i] = vb
-                cov[4 + i, 4 + i] = vf
-            cov[0, 2] = cov[2, 0] = rt * c
-            cov[1, 3] = cov[3, 1] = -rt * c
-            cov[0, 4] = cov[4, 0] = -rr * c
-            cov[1, 5] = cov[5, 1] = rr * c
-            cov[2, 4] = cov[4, 2] = rt * rr * (d - b)
-            cov[3, 5] = cov[5, 3] = rt * rr * (d - b)
-            return cov, 1
-
-        def symp_eigs(cov: mpmath.matrix) -> list:
-            m = cov.rows // 2
-            iomega = mpmath.matrix(2 * m)
-            for i in range(m):
-                iomega[2 * i, 2 * i + 1] = mpmath.mpc(0, 1)
-                iomega[2 * i + 1, 2 * i] = mpmath.mpc(0, -1)
-            eigvals, _ = mpmath.eig(iomega * cov)
-            moduli = sorted(abs(e) for e in eigvals)
-            return moduli[::2]
-
-        def g(x):
-            if x <= 0:
-                return mpmath.mpf(0)
-            return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2)
-
-        # Eve purifies the channel output before the trusted detector, so her
-        # entropy comes from the plain two-mode Alice-Bob covariance even when
-        # the conditional step below runs on the detector-extended matrix.
-        nus_eve = symp_eigs(channel_cov())
-        cov, bob = block_cov()
-        bx, bp = 2 * bob, 2 * bob + 1
-        rest = [i for i in range(cov.rows) if i not in (bx, bp)]
-        gamma_rest = mpmath.matrix(len(rest))
-        for i, ri in enumerate(rest):
-            for j, rj in enumerate(rest):
-                gamma_rest[i, j] = cov[ri, rj]
-        if link.detection == "homodyne":
-            for i, ri in enumerate(rest):
-                for j, rj in enumerate(rest):
-                    gamma_rest[i, j] -= cov[ri, bx] * cov[rj, bx] / cov[bx, bx]
-        else:
-            gb = mpmath.matrix(2)
-            gb[0, 0] = cov[bx, bx] + 1
-            gb[1, 1] = cov[bp, bp] + 1
-            gb[0, 1] = cov[bx, bp]
-            gb[1, 0] = cov[bp, bx]
-            gb_inv = gb**-1
-            for i, ri in enumerate(rest):
-                for j, rj in enumerate(rest):
-                    acc = mpmath.mpf(0)
-                    for u, bu in enumerate((bx, bp)):
-                        for w, bw in enumerate((bx, bp)):
-                            acc += cov[ri, bu] * gb_inv[u, w] * cov[rj, bw]
-                    gamma_rest[i, j] -= acc
-        nus_cond = symp_eigs(gamma_rest)
-
-        s_eve = sum(g((nu - 1) / 2) for nu in nus_eve)
-        s_cond = sum(g((nu - 1) / 2) for nu in nus_cond)
-        return float(s_eve - s_cond)
-
-
 @dataclass(frozen=True)
 class KeyRateBudget:
-    """Noise decomposition and asymptotic key rate for one operating point."""
+    """Noise decomposition and asymptotic key rate for one operating point.
+
+    chi_tot is the input-referred total noise
+    chi_line + xi_base + delta_xi_rel + chi_det.
+    """
 
     chi_line: float
     delta_xi_rel: float

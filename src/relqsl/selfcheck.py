@@ -371,7 +371,7 @@ def _discrepancies() -> list[DiscrepancyEntry]:
         )
     )
 
-    cfg = homodyne_trap.TrapConfig(**presets.trap_config_kwargs("hanneke"))
+    cfg, _ = presets.trap_config(presets.TRAP_PRESETS["hanneke"])
     computed = homodyne_trap.allan_shot_noise(cfg, 1.0)
     entries.append(
         DiscrepancyEntry(

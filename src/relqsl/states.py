@@ -202,8 +202,3 @@ def squeezed_overlap_numeric(spec: SqueezeSpec, t: float, epsilon: float, dim: i
     ks = np.arange(n_pairs)
     phases = np.exp(-1j * energy(ks, epsilon) * t)
     return complex(np.sum(weights * phases))
-
-
-def mean_photon_squeezed(r: float) -> float:
-    """sinh^2 r, the mean photon number of the squeezed vacuum."""
-    return math.sinh(r) ** 2

@@ -64,6 +64,16 @@ def test_trap_explicit_epsilon_not_derived(capsys):
     assert values["epsilon"] == 1e-10
 
 
+def test_trap_preset_sits_between_config_file_and_flags(tmp_path, capsys):
+    cfg = tmp_path / "trap.cfg"
+    cfg.write_text("[trap]\nnu = 1e11\nkappa = 5\n", encoding="utf-8")
+    argv = ["trap", "--config", str(cfg), "--preset", "hanneke", "--kappa", "7"]
+    assert run_subcommand(argv) == 0
+    values = json.loads(capsys.readouterr().out)
+    assert (values["nu"], values["kappa"]) == (149e9, 7.0)
+    assert values["epsilon_source"] == "derived"
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[qsl]\nalpha0 = 0.8\nt = 2.0\n", encoding="utf-8")
@@ -163,13 +173,32 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_non_finite_bound_exits_one(capsys):
-    # alpha0^2 overflows, so the first-order terms become inf - inf
-    assert run_subcommand(["qsl", "--alpha0", "1e200"]) == 1
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # alpha0^2 overflows, so the first-order terms become inf - inf
+        (["qsl", "--alpha0", "1e200"],
+         "error: mt_coherent: bound nan is not finite at alpha0=1e+200, t=1.0, epsilon=0.0\n"),
+        (["qsl", "--state", "squeezed", "--r", "1e3"],
+         "error: mt_squeezed: bound nan is not finite at r=1000.0, t=1.0, epsilon=0.0\n"),
+        (["metrology", "--alpha0", "1e200"],
+         "error: coherent_energy: energy moments (mean nan, variance nan) are not finite "
+         "at alpha0=1e+200, epsilon=0.0\n"),
+        (["metrology", "--alpha0", "1e100"],
+         "error: coherent_energy: energy moments (mean nan, variance nan) are not finite "
+         "at alpha0=1e+100, epsilon=0.0\n"),
+        (["metrology", "--state", "squeezed", "--r", "1e3", "--epsilon", "0.01"],
+         "error: squeezed_energy: energy moments (mean nan, variance nan) are not finite "
+         "at r=1000.0, epsilon=0.01\n"),
+    ],
+    ids=["qsl-alpha0-1e200", "qsl-squeezed-r-1e3", "metrology-alpha0-1e200",
+         "metrology-alpha0-1e100", "metrology-squeezed-r-1e3"],
+)
+def test_non_finite_bound_exits_one(argv, message, capsys):
+    assert run_subcommand(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: mt_coherent: ")
-    assert "not finite at alpha0=1e+200" in captured.err
+    assert captured.err == message
 
 
 def _heavy_modules_after(code: str) -> str:
@@ -192,7 +221,9 @@ def test_cli_import_loads_neither_scipy_nor_mpmath():
     assert _heavy_modules_after("import relqsl.cli") == "[]"
 
 
-@pytest.mark.parametrize("argv", [["selfcheck", "--seed", "42"], ["trap", "--preset", "hanneke"]])
+@pytest.mark.parametrize(
+    "argv", [["selfcheck", "--seed", "42"], ["trap", "--preset", "hanneke"], ["qkd"]]
+)
 def test_selfcheck_and_trap_load_neither_scipy_nor_mpmath(argv, tmp_path):
     if argv[0] == "selfcheck":
         argv = argv + ["--out", str(tmp_path / "selfcheck.json")]

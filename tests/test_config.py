@@ -13,7 +13,7 @@ from relqsl.presets import (
     SweepSpec,
     run_sweep,
     sweep_from_config,
-    trap_config_kwargs,
+    trap_config,
 )
 
 SAMPLE = """
@@ -187,10 +187,13 @@ def test_preset_shapes():
 
 
 def test_trap_preset_kwargs():
-    kwargs = trap_config_kwargs("hanneke")
-    assert "tau" not in kwargs
-    assert kwargs["epsilon"] == epsilon_from_trap(149e9, ELECTRON_MASS)
-    assert kwargs["nu"] == 149e9
+    cfg, source = trap_config(TRAP_PRESETS["hanneke"])
+    assert source == "derived"
+    assert cfg.epsilon == epsilon_from_trap(149e9, ELECTRON_MASS)
+    assert (cfg.nu, cfg.p_lo, cfg.kappa, cfg.mass) == (149e9, 1e-3, 200.0, ELECTRON_MASS)
+    given, source = trap_config(dict(TRAP_PRESETS["hanneke"], epsilon=1e-9))
+    assert source == "config"
+    assert given.epsilon == 1e-9
     # the stored preset keeps its sentinel and its tau
     assert TRAP_PRESETS["hanneke"]["epsilon"] == 0.0
     assert TRAP_PRESETS["hanneke"]["tau"] == 1.0

@@ -10,7 +10,6 @@ from relqsl.fock_core import (
     TruncatedOperator,
     build_hamiltonian,
     build_ladder,
-    build_number,
     build_quadratures,
     default_cutoff,
     diagonalize,
@@ -63,11 +62,6 @@ def test_quadratures_hermitian_and_canonical():
     assert p.is_hermitian()
     comm = x.entries @ p.entries - p.entries @ x.entries
     assert np.allclose(comm[: DIM - 1, : DIM - 1], 1j * np.eye(DIM - 1), atol=1e-12)
-
-
-def test_number_operator():
-    n = build_number(DIM)
-    assert np.array_equal(np.diag(n.entries).real, np.arange(DIM))
 
 
 def test_harmonic_spectrum_at_zero_epsilon():

@@ -24,7 +24,6 @@ from relqsl.homodyne_trap import (
     phase_sensitivity,
     sensitivity_bracket_c,
     simulate_i_diff,
-    time_resolution,
 )
 
 RNG = np.random.default_rng(42)
@@ -108,14 +107,6 @@ def test_sensitivity_rejects_zero_slope_point():
         phase_sensitivity(cfg, 1.0, 0.0)
     with pytest.raises(ValueError):
         phase_sensitivity(BhdConfig(alpha_s=1.0, alpha_lo_mag=1.0), -1.0, 0.0)
-
-
-def test_time_resolution():
-    cfg = BhdConfig(alpha_s=3.0, alpha_lo_mag=3.0, omega_s=1.0, omega_lo=0.5)
-    assert time_resolution(cfg, 2.0, 1e-3) == pytest.approx(0.47880368614936764, rel=1e-13)
-    degenerate = BhdConfig(alpha_s=3.0, alpha_lo_mag=3.0, omega_s=1.0, omega_lo=1.0)
-    with pytest.raises(ValueError, match="degenerate"):
-        time_resolution(degenerate, 2.0, 1e-3)
 
 
 def test_allan_power_laws_are_exact():

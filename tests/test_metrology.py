@@ -93,6 +93,13 @@ def test_moment_argument_validation():
         squeezed_energy(-0.1, 0.0)
 
 
+def test_non_finite_moments_name_function_and_inputs():
+    # sinh 2r sinh 4r overflows to inf first: the variance is -inf, not "negative"
+    with pytest.raises(ValueError, match=r"^squeezed_energy: energy moments \(mean "
+                       r".*, variance -inf\) are not finite at r=150.0, epsilon=0.01$"):
+        squeezed_energy(150.0, 0.01)
+
+
 def test_qfi_and_qcrb():
     assert qfi_time(1.0) == 4.0
     assert qfi_time(0.0) == 0.0

@@ -6,7 +6,6 @@ import pytest
 from relqsl import perturbation
 from relqsl.fock_core import build_hamiltonian, diagonalize
 from relqsl.perturbation import (
-    corrected_operators,
     energy,
     level_spacing,
     mixing_coefficients,
@@ -72,28 +71,6 @@ def test_perturbed_eigenstate_matches_exact_eigenvector():
 def test_perturbed_eigenstate_cutoff_guard():
     with pytest.raises(ValueError):
         perturbed_eigenstate(5, 1e-3, 8)
-
-
-def test_corrected_operators_structure():
-    eps = 2e-3
-    a, adag, x, p = corrected_operators(eps, 32)
-    assert np.array_equal(adag.entries, a.entries.conj().T)
-    assert x.is_hermitian()
-    assert p.is_hermitian()
-    # quartic correction never moves the diagonal of x at first order
-    assert np.allclose(np.diag(x.entries), 0.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        corrected_operators(eps, 8)
-
-
-def test_corrected_ladder_reduces_to_bare():
-    a, _, x, p = corrected_operators(0.0, 16)
-    bare = np.zeros((16, 16), dtype=complex)
-    ns = np.arange(1, 16)
-    bare[ns - 1, ns] = np.sqrt(ns)
-    assert np.array_equal(a.entries, bare)
-    assert np.allclose(x.entries, (bare.conj().T + bare) / math.sqrt(2.0), atol=1e-15)
-    assert np.allclose(p.entries, 1j * (bare.conj().T - bare) / math.sqrt(2.0), atol=1e-15)
 
 
 def test_level_spacing_slope():

@@ -12,12 +12,9 @@ from relqsl.qkd_model import (
     PhaseNoiseParams,
     QkdLinkParams,
     chi_line,
-    chi_total,
     delta_xi_phase,
     delta_xi_rel,
-    drift_curvature,
     holevo_bound,
-    holevo_bound_mp,
     key_rate,
     mutual_information,
     residual_drift,
@@ -45,6 +42,124 @@ def _detector_link(**overrides) -> QkdLinkParams:
     kwargs = dict(transmissivity=0.6, v_a=4.0, xi_base=0.02, chi_det=0.2)
     kwargs.update(overrides)
     return QkdLinkParams(**kwargs)
+
+
+def _holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> float:
+    """Arbitrary-precision twin of holevo_bound.
+
+    Rebuilds the same covariance algebra in mpmath and takes every
+    symplectic eigenvalue from the full eigendecomposition instead of the
+    two-mode closed form, so the two routes share no numerics.
+    """
+    if chi_tot < 0:
+        raise ValueError("chi_tot must be non-negative")
+    import mpmath
+
+    with mpmath.workdps(dps):
+        one = mpmath.mpf(1)
+        t = mpmath.mpf(link.transmissivity)
+        v = mpmath.mpf(link.v_a) + 1
+        chi_det = mpmath.mpf(link.chi_det) if link.trusted_detection else mpmath.mpf(0)
+        chi_chan = mpmath.mpf(chi_tot) - chi_det
+        if chi_chan < 0:
+            if chi_chan < mpmath.mpf("-1e-12"):
+                raise ValueError("chi_tot is smaller than the trusted chi_det it must contain")
+            chi_chan = mpmath.mpf(0)
+
+        a = v
+        b = t * (v + chi_chan)
+        c = mpmath.sqrt(t * (v * v - 1))
+        t_chi_det = t * chi_det
+
+        def channel_cov() -> mpmath.matrix:
+            cov = mpmath.matrix(4)
+            for i in range(2):
+                cov[i, i] = a
+                cov[2 + i, 2 + i] = b
+            cov[0, 2] = cov[2, 0] = c
+            cov[1, 3] = cov[3, 1] = -c
+            return cov
+
+        def block_cov() -> tuple[mpmath.matrix, int]:
+            if t_chi_det == 0:
+                return channel_cov(), 1
+            if link.detection == "heterodyne":
+                if t_chi_det < 1 - mpmath.mpf("1e-12"):
+                    raise ValueError(
+                        "trusted heterodyne detection noise cannot be below the "
+                        "intrinsic vacuum unit: chi_det >= 1/T is required"
+                    )
+                if t_chi_det <= 1 + mpmath.mpf("1e-12"):
+                    return channel_cov(), 1
+                eta = 2 * one / (one + t_chi_det)
+            else:
+                eta = one / (one + t_chi_det)
+            d = one
+            rt, rr = mpmath.sqrt(eta), mpmath.sqrt(one - eta)
+            cov = mpmath.matrix(6)
+            vb = eta * b + (one - eta) * d
+            vf = (one - eta) * b + eta * d
+            for i in range(2):
+                cov[i, i] = a
+                cov[2 + i, 2 + i] = vb
+                cov[4 + i, 4 + i] = vf
+            cov[0, 2] = cov[2, 0] = rt * c
+            cov[1, 3] = cov[3, 1] = -rt * c
+            cov[0, 4] = cov[4, 0] = -rr * c
+            cov[1, 5] = cov[5, 1] = rr * c
+            cov[2, 4] = cov[4, 2] = rt * rr * (d - b)
+            cov[3, 5] = cov[5, 3] = rt * rr * (d - b)
+            return cov, 1
+
+        def symp_eigs(cov: mpmath.matrix) -> list:
+            m = cov.rows // 2
+            iomega = mpmath.matrix(2 * m)
+            for i in range(m):
+                iomega[2 * i, 2 * i + 1] = mpmath.mpc(0, 1)
+                iomega[2 * i + 1, 2 * i] = mpmath.mpc(0, -1)
+            eigvals, _ = mpmath.eig(iomega * cov)
+            moduli = sorted(abs(e) for e in eigvals)
+            return moduli[::2]
+
+        def g(x):
+            if x <= 0:
+                return mpmath.mpf(0)
+            return (x + 1) * mpmath.log(x + 1, 2) - x * mpmath.log(x, 2)
+
+        # Eve purifies the channel output before the trusted detector, so her
+        # entropy comes from the plain two-mode Alice-Bob covariance even when
+        # the conditional step below runs on the detector-extended matrix.
+        nus_eve = symp_eigs(channel_cov())
+        cov, bob = block_cov()
+        bx, bp = 2 * bob, 2 * bob + 1
+        rest = [i for i in range(cov.rows) if i not in (bx, bp)]
+        gamma_rest = mpmath.matrix(len(rest))
+        for i, ri in enumerate(rest):
+            for j, rj in enumerate(rest):
+                gamma_rest[i, j] = cov[ri, rj]
+        if link.detection == "homodyne":
+            for i, ri in enumerate(rest):
+                for j, rj in enumerate(rest):
+                    gamma_rest[i, j] -= cov[ri, bx] * cov[rj, bx] / cov[bx, bx]
+        else:
+            gb = mpmath.matrix(2)
+            gb[0, 0] = cov[bx, bx] + 1
+            gb[1, 1] = cov[bp, bp] + 1
+            gb[0, 1] = cov[bx, bp]
+            gb[1, 0] = cov[bp, bx]
+            gb_inv = gb**-1
+            for i, ri in enumerate(rest):
+                for j, rj in enumerate(rest):
+                    acc = mpmath.mpf(0)
+                    for u, bu in enumerate((bx, bp)):
+                        for w, bw in enumerate((bx, bp)):
+                            acc += cov[ri, bu] * gb_inv[u, w] * cov[rj, bw]
+                    gamma_rest[i, j] -= acc
+        nus_cond = symp_eigs(gamma_rest)
+
+        s_eve = sum(g((nu - 1) / 2) for nu in nus_eve)
+        s_cond = sum(g((nu - 1) / 2) for nu in nus_cond)
+        return float(s_eve - s_cond)
 
 
 def test_chi_line_values():
@@ -93,21 +208,21 @@ def test_mutual_information_forms():
 def test_holevo_against_arbitrary_precision():
     points = [
         (_reference_link(), 1.01),
-        (_detector_link(), chi_total(_detector_link())),
+        (_detector_link(), key_rate(_detector_link()).chi_tot),
         (
             _detector_link(chi_det=2.5, detection="heterodyne"),
-            chi_total(_detector_link(chi_det=2.5, detection="heterodyne")),
+            key_rate(_detector_link(chi_det=2.5, detection="heterodyne")).chi_tot,
         ),
     ]
     for link, chi in points:
         assert holevo_bound(link, chi) == pytest.approx(
-            holevo_bound_mp(link, chi), abs=1e-12
+            _holevo_bound_mp(link, chi), abs=1e-12
         )
 
 
 def test_holevo_is_independent_of_detector_split():
     link = _detector_link()
-    chi = chi_total(link)
+    chi = key_rate(link).chi_tot
     default = holevo_bound(link, chi)
     assert default == pytest.approx(0.4848939581770295, rel=1e-12)
     for eta in (0.90, 0.95, 0.99):
@@ -117,7 +232,7 @@ def test_holevo_is_independent_of_detector_split():
 
 
 def test_untrusted_detection_gives_eve_more():
-    chi = chi_total(_detector_link())
+    chi = key_rate(_detector_link()).chi_tot
     trusted = holevo_bound(_detector_link(), chi)
     untrusted = holevo_bound(_detector_link(trusted_detection=False), chi)
     assert untrusted == pytest.approx(0.8508074696251673, rel=1e-12)
@@ -126,7 +241,7 @@ def test_untrusted_detection_gives_eve_more():
 
 def test_heterodyne_trusted_frozen_point():
     link = _detector_link(chi_det=2.5, detection="heterodyne")
-    assert holevo_bound(link, chi_total(link)) == pytest.approx(
+    assert holevo_bound(link, key_rate(link).chi_tot) == pytest.approx(
         0.6238773109679279, rel=1e-12
     )
 
@@ -136,20 +251,20 @@ def test_heterodyne_vacuum_unit_is_free_for_eve():
     # explicitly it leaves the bound exactly at the idealized chi_det = 0 value.
     unit = _detector_link(chi_det=1.0 / 0.6, detection="heterodyne")
     zero = _detector_link(chi_det=0.0, detection="heterodyne")
-    got_unit = holevo_bound(unit, chi_total(unit))
-    got_zero = holevo_bound(zero, chi_total(zero))
+    got_unit = holevo_bound(unit, key_rate(unit).chi_tot)
+    got_zero = holevo_bound(zero, key_rate(zero).chi_tot)
     assert got_unit == got_zero == pytest.approx(0.7200414394482488, rel=1e-12)
 
 
 def test_heterodyne_rejects_sub_vacuum_detector_noise():
     link = _detector_link(chi_det=0.5, detection="heterodyne")
     with pytest.raises(ValueError, match="chi_det >= 1/T"):
-        holevo_bound(link, chi_total(link))
+        holevo_bound(link, chi_line(0.6) + 0.02 + 0.5)
 
 
 def test_detector_split_feasibility_guard():
     link = _detector_link()
-    chi = chi_total(link)
+    chi = key_rate(link).chi_tot
     with pytest.raises(ValueError, match="increase eta"):
         holevo_bound(link, chi, detector_transmission=0.3)
     with pytest.raises(ValueError, match="must contain"):
@@ -161,9 +276,6 @@ def test_phase_noise_params_validation():
         PhaseNoiseParams(sigma_phi0_sq=-1e-4)
     with pytest.raises(ValueError):
         PhaseNoiseParams(predictor="quadratic")
-    assert drift_curvature(200.0, 1e-3) == 200.0 * 1e-3 * 1e-3
-    with pytest.raises(ValueError):
-        drift_curvature(-1.0, 1e-3)
 
 
 def test_estimator_inflation_and_drift_forms():
@@ -218,8 +330,13 @@ def test_chi_total_composition():
         sigma_phi0_sq=1e-4, c_factor=3924.0, gamma=1e-5, epsilon=1e-3,
         t_window=2.0, t_pilot=0.5, dt=0.1,
     )
-    assert chi_total(link) == chi_line(0.6) + 0.02 + 0.2
-    assert chi_total(link, p) == pytest.approx(
+    plain = key_rate(link)
+    assert plain.chi_line == chi_line(0.6)
+    assert plain.delta_xi_rel == 0.0
+    assert plain.chi_tot == chi_line(0.6) + 0.02 + 0.2
+    budget = key_rate(link, p)
+    assert budget.delta_xi_rel == delta_xi_rel(p, link)
+    assert budget.chi_tot == pytest.approx(
         chi_line(0.6) + 0.02 + 0.2 + delta_xi_rel(p, link), rel=1e-15
     )
 

@@ -153,6 +153,14 @@ def test_non_finite_bound_names_function_and_first_point():
     first_point = r"^ml_coherent: .* at alpha0=1e\+200, t=2.0, epsilon=0.0$"
     with pytest.raises(ValueError, match=first_point):
         ml_coherent(alpha0, t, 0.0)
+    # cosh(4r) and sinh(2r)^2 overflow in math; the point is named, not "math range error"
+    for bound in (mt_squeezed, ml_squeezed):
+        name = bound.__name__
+        with pytest.raises(ValueError, match=rf"^{name}: bound nan is not finite "
+                           r"at r=1000.0, t=1.0, epsilon=0.0$"):
+            bound(1e3, 1.0, 0.0)
+        with pytest.raises(ValueError, match=rf"^{name}: .* at r=1000.0, t=2.0, epsilon=0.01$"):
+            bound(np.array([0.5, 1e3]), np.array([1.0, 2.0]), 0.01)
 
 
 def _mt_coherent_composed(alpha0: float, t: float, eps: float) -> float:

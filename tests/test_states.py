@@ -13,7 +13,6 @@ from relqsl.states import (
     coherent_amplitudes,
     coherent_overlap_numeric,
     coherent_tail,
-    mean_photon_squeezed,
     squeezed_coeffs,
     squeezed_coeffs_closed,
     squeezed_overlap_numeric,
@@ -142,10 +141,6 @@ def test_overlap_periodicity_at_zero_epsilon():
 def test_squeezed_overlap_rejects_rotated_axis():
     with pytest.raises(ValueError):
         squeezed_overlap_numeric(SqueezeSpec(0.5, theta=0.1), 1.0, 0.0, DIM)
-
-
-def test_mean_photon_squeezed():
-    assert mean_photon_squeezed(0.5) == pytest.approx(math.sinh(0.5) ** 2, rel=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
