@@ -10,11 +10,12 @@ or check failure, 2 usage, flag or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Any, Callable
 
 from . import __version__, config, homodyne_trap, metrology, perturbation
-from . import fock_core, presets, qkd_model, qsl_bounds
+from . import fock_core, presets, qkd_model
 from .config import ConfigError
 from .report import emit, render_json, write_text
 from .selfcheck import run_selfcheck
@@ -67,27 +68,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_row(args: argparse.Namespace, row: dict[str, Any]) -> None:
+    """Write one row whose keys are the header, in the requested format (csv by default)."""
+    emit(args.out, args.format or "csv", list(row), [list(row.values())])
+
+
 def _cmd_qsl(args: argparse.Namespace) -> int:
     params = _merged("qsl", args)
     state, t, eps = params["state"], params["t"], params["epsilon"]
-    if state == "coherent":
-        mt = qsl_bounds.mt_coherent(params["alpha0"], t, eps)
-        ml = qsl_bounds.ml_coherent(params["alpha0"], t, eps)
-        label, value = "alpha0", params["alpha0"]
-    else:
-        mt = qsl_bounds.mt_squeezed(params["r"], t, eps)
-        ml = qsl_bounds.ml_squeezed(params["r"], t, eps)
-        label, value = "r", params["r"]
-    best = qsl_bounds.t_qsl(mt, ml)
-    header = (
-        "state", label, "t", "epsilon",
-        "t_mt0", "t_mt", "t_ml0", "t_ml", "t_qsl", "near_revival",
-    )
-    row = [
-        state, value, t, eps,
-        mt.zeroth, mt.total, ml.zeroth, ml.total, best.total, mt.near_revival,
-    ]
-    emit(args.out, args.format or "csv", header, [row])
+    label = "alpha0" if state == "coherent" else "r"
+    point = {"state": state, label: params[label], "t": t, "epsilon": eps}
+    _emit_row(args, {**point, **presets.speed_limit_columns(state, params[label], t, eps)})
     return 0
 
 
@@ -101,21 +92,20 @@ def _cmd_metrology(args: argparse.Namespace) -> int:
         moments = metrology.squeezed_energy(params["r"], eps)
         second_closed = metrology.squeezed_second_moment_closed(params["r"], eps)
     qfi = metrology.qfi_time(moments.variance)
-    header = [
-        "state", "alpha0", "r", "theta", "epsilon",
-        "energy_mean", "energy_variance", "energy_second", "second_moment_closed",
-        "qfi", "qcrb",
-    ]
-    row = [
-        state, params["alpha0"], params["r"], params["theta"], eps,
-        moments.mean, moments.variance, moments.second, second_closed,
-        qfi, metrology.qcrb(qfi),
-    ]
+    # the row repeats the whole [metrology] section, in schema order, then the results
+    row = {
+        **params,
+        "energy_mean": moments.mean,
+        "energy_variance": moments.variance,
+        "energy_second": moments.second,
+        "second_moment_closed": second_closed,
+        "qfi": qfi,
+        "qcrb": metrology.qcrb(qfi),
+    }
     if state == "squeezed":
         point = metrology.squeeze_ratio(params["r"], params["alpha0"], params["theta"], eps)
-        header += ["squeeze_ratio", "squeeze_factor_db"]
-        row += [point.ratio, point.sf_db]
-    emit(args.out, args.format or "csv", header, [row])
+        row.update(squeeze_ratio=point.ratio, squeeze_factor_db=point.sf_db)
+    _emit_row(args, row)
     return 0
 
 
@@ -149,45 +139,24 @@ def _cmd_trap(args: argparse.Namespace) -> int:
     if fmt == "json":
         write_text(args.out, render_json(values))
     else:
-        emit(args.out, "csv", list(values), [list(values.values())])
+        _emit_row(args, values)
     return 0
+
+
+# the phase-noise settings the qkd row repeats next to the link parameters
+_QKD_NOISE_COLUMNS = ("predictor", "epsilon")
 
 
 def _cmd_qkd(args: argparse.Namespace) -> int:
     params = _merged("qkd", args)
-    link = qkd_model.QkdLinkParams(
-        transmissivity=params["transmissivity"],
-        v_a=params["v_a"],
-        xi_base=params["xi_base"],
-        chi_det=params["chi_det"],
-        beta=params["beta"],
-        detection=params["detection"],
-        trusted_detection=params["trusted_detection"],
-    )
-    noise = qkd_model.PhaseNoiseParams(
-        sigma_phi0_sq=params["sigma_phi0_sq"],
-        c_factor=params["c_factor"],
-        gamma=params["gamma"],
-        epsilon=params["epsilon"],
-        t_window=params["t_window"],
-        t_pilot=params["t_pilot"],
-        dt=params["dt"],
-        predictor=params["predictor"],
+    # every dataclass field is read from the [qkd] key of the same name
+    link, noise = (
+        cls(**{f.name: params[f.name] for f in dataclasses.fields(cls)})
+        for cls in (qkd_model.QkdLinkParams, qkd_model.PhaseNoiseParams)
     )
     budget = qkd_model.key_rate(link, noise)
-    header = (
-        "transmissivity", "v_a", "xi_base", "chi_det", "beta",
-        "detection", "trusted_detection", "predictor", "epsilon",
-        "chi_line", "delta_xi_rel", "chi_tot", "i_ab", "holevo",
-        "key_rate", "key_rate_clamped",
-    )
-    row = [
-        link.transmissivity, link.v_a, link.xi_base, link.chi_det, link.beta,
-        link.detection, link.trusted_detection, noise.predictor, noise.epsilon,
-        budget.chi_line, budget.delta_xi_rel, budget.chi_tot, budget.i_ab,
-        budget.holevo, budget.key_rate, budget.key_rate_clamped,
-    ]
-    emit(args.out, args.format or "csv", header, [row])
+    echoed = {key: params[key] for key in _QKD_NOISE_COLUMNS}
+    _emit_row(args, {**dataclasses.asdict(link), **echoed, **dataclasses.asdict(budget)})
     return 0
 
 

@@ -45,6 +45,12 @@ class EnergyMoments:
         object.__setattr__(self, "second", self.mean * self.mean + var)
 
 
+def _finite(name: str, inputs: dict[str, float], what: str, *values: float) -> None:
+    """Reject ``values`` unless all are finite, naming the function, ``what`` and the inputs."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name}: {what} not finite at {first_point(inputs, True)}")
+
+
 def _finite_moments(name: str, inputs: dict[str, float], mean: float,
                     var: float) -> EnergyMoments:
     """EnergyMoments of ``mean`` and ``var``, once both are finite.
@@ -53,11 +59,7 @@ def _finite_moments(name: str, inputs: dict[str, float], mean: float,
     function and its inputs, before the negative-variance check can
     misreport it.
     """
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        raise ValueError(
-            f"{name}: energy moments (mean {mean!r}, variance {var!r}) are not "
-            f"finite at {first_point(inputs, True)}"
-        )
+    _finite(name, inputs, f"energy moments (mean {mean!r}, variance {var!r}) are", mean, var)
     return EnergyMoments(mean=mean, variance=var)
 
 
@@ -82,9 +84,15 @@ def coherent_second_moment_closed(alpha0: float, epsilon: float) -> float:
     consistency check.
     """
     a2 = alpha0 * alpha0
-    return (0.25 + 2.0 * a2 + a2 * a2) - 3.0 * epsilon / 32.0 * (
-        1.0 + 14.0 * a2 + 18.0 * a2 * a2 + 4.0 * a2 ** 3
-    )
+    try:
+        value = (0.25 + 2.0 * a2 + a2 * a2) - 3.0 * epsilon / 32.0 * (
+            1.0 + 14.0 * a2 + 18.0 * a2 * a2 + 4.0 * a2 ** 3
+        )
+    except OverflowError:
+        value = math.nan  # as in squeezed_energy
+    inputs = {"alpha0": alpha0, "epsilon": epsilon}
+    _finite("coherent_second_moment_closed", inputs, f"second moment {value!r} is", value)
+    return value
 
 
 def squeezed_energy(r: float, epsilon: float) -> EnergyMoments:
@@ -108,9 +116,15 @@ def squeezed_energy(r: float, epsilon: float) -> EnergyMoments:
 
 def squeezed_second_moment_closed(r: float, epsilon: float) -> float:
     """Printed first-order series for <H^2> in the squeezed vacuum."""
-    return (-1.0 + 3.0 * math.cosh(4.0 * r)) / 8.0 + 3.0 * epsilon / 256.0 * (
-        7.0 * math.cosh(2.0 * r) - 15.0 * math.cosh(6.0 * r)
-    )
+    try:
+        value = (-1.0 + 3.0 * math.cosh(4.0 * r)) / 8.0 + 3.0 * epsilon / 256.0 * (
+            7.0 * math.cosh(2.0 * r) - 15.0 * math.cosh(6.0 * r)
+        )
+    except OverflowError:
+        value = math.nan  # as in squeezed_energy
+    inputs = {"r": r, "epsilon": epsilon}
+    _finite("squeezed_second_moment_closed", inputs, f"second moment {value!r} is", value)
+    return value
 
 
 def qfi_time(variance: float) -> float:

@@ -17,6 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import metrology, qsl_bounds
+from .arrays import Grid
 from .homodyne_trap import ELECTRON_MASS, TrapConfig, epsilon_from_trap
 
 MAX_AXES = 3
@@ -85,27 +86,41 @@ class Target:
     evaluate: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
 
 
-def _speed_limits(params: dict[str, np.ndarray], mt: qsl_bounds.BoundReport,
-                  ml: qsl_bounds.BoundReport) -> dict[str, np.ndarray]:
-    return dict(
-        params,
-        t_mt0=mt.zeroth,
-        t_mt=mt.total,
-        t_ml0=ml.zeroth,
-        t_ml=ml.total,
-        t_qsl=qsl_bounds.t_qsl(mt, ml).total,
-        near_revival=mt.near_revival,
-    )
+# each state family's (energy-variance, mean-energy) bound pair
+_BOUND_PAIRS = {
+    "coherent": (qsl_bounds.mt_coherent, qsl_bounds.ml_coherent),
+    "squeezed": (qsl_bounds.mt_squeezed, qsl_bounds.ml_squeezed),
+}
+
+
+def speed_limit_columns(state: str, par: Grid, t: Grid, epsilon: Grid) -> dict[str, Any]:
+    """The speed-limit columns of one state family, at a point or over a grid.
+
+    ``par`` is alpha0 for "coherent" and r for "squeezed". The columns are
+    the zeroth-order and corrected energy-variance and mean-energy times,
+    the unified limit and the revival flag: the same builder serves the
+    single-point ``qsl`` command and the sweep targets.
+    """
+    mt_bound, ml_bound = _BOUND_PAIRS[state]
+    mt, ml = mt_bound(par, t, epsilon), ml_bound(par, t, epsilon)
+    return {
+        "t_mt0": mt.zeroth,
+        "t_mt": mt.total,
+        "t_ml0": ml.zeroth,
+        "t_ml": ml.total,
+        "t_qsl": qsl_bounds.t_qsl(mt, ml).total,
+        "near_revival": mt.near_revival,
+    }
 
 
 def _qsl_coherent(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    args = (np.sqrt(params["alpha0_sq"]), params["t"], params["epsilon"])
-    return _speed_limits(params, qsl_bounds.mt_coherent(*args), qsl_bounds.ml_coherent(*args))
+    alpha0 = np.sqrt(params["alpha0_sq"])
+    return dict(params, **speed_limit_columns("coherent", alpha0, params["t"], params["epsilon"]))
 
 
 def _qsl_squeezed(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    args = (params["r"], params["t"], params["epsilon"])
-    return _speed_limits(params, qsl_bounds.mt_squeezed(*args), qsl_bounds.ml_squeezed(*args))
+    return dict(params, **speed_limit_columns("squeezed", params["r"], params["t"],
+                                              params["epsilon"]))
 
 
 def _squeeze_factor(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

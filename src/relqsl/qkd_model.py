@@ -291,6 +291,13 @@ def holevo_bound(
     disc = math.sqrt(max(delta * delta - 4.0 * det_ab * det_ab, 0.0))
     nu1 = math.sqrt((delta + disc) / 2.0)
     nu2 = math.sqrt(max((delta - disc) / 2.0, 0.0))
+    if not all(map(math.isfinite, (a, b, c, nu1, nu2))):
+        # overflowed entries would reach numpy.linalg as inf or nan
+        raise ValueError(
+            f"holevo_bound: covariance entries (a {a!r}, b {b!r}, c {c!r}) or symplectic "
+            f"eigenvalues ({nu1!r}, {nu2!r}) are not finite at v_a={link.v_a!r}, "
+            f"transmissivity={t!r}, chi_tot={chi_tot!r}"
+        )
     _check_physical(np.array([nu1, nu2]))
 
     cov, bob = _budget_covariance(

@@ -5,8 +5,12 @@ squeezed oscillator states, each reported as zeroth order plus an
 epsilon-scaled correction. The unified speed limit is the pointwise maximum.
 The correction terms diverge like 1/sqrt(1 - F0^2) at state revivals; such
 points are flagged and the divergent part suppressed instead of returned as
-infinities. Each bound takes floats or equal-shape arrays, so a whole sweep
-grid is one call; a result that is not finite is rejected.
+infinities. Each bound and each closed fidelity takes floats or equal-shape
+arrays, so a whole sweep grid is one call; a bound that is not finite is
+rejected. The bounds and the fidelity of one state family share their
+zeroth-order pieces (one core per family); each keeps its own first-order
+term, so the fidelities stay an independent route to the bounds'
+coefficients.
 """
 
 from __future__ import annotations
@@ -22,14 +26,6 @@ from .arrays import Grid, as_arrays, first, first_point, libm, native
 
 NEAR_REVIVAL_LIMIT = 1e-9
 VALIDITY_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class AngleResult:
-    """Projective-space angle between initial and evolved state."""
-
-    value: float
-    near_revival: bool
 
 
 @dataclass(frozen=True)
@@ -65,6 +61,12 @@ def _clamp_unit(x: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.maximum(-1.0, x))
 
 
+def _clamp_fidelity(f: np.ndarray) -> np.ndarray:
+    """min(1, max(0, f)) elementwise as Python evaluates it: nan and -0.0 give 0.0."""
+    f = np.where(f > 0.0, f, 0.0)
+    return np.where(f < 1.0, f, 1.0)
+
+
 def _report(name: str, inputs: dict[str, np.ndarray], coefficient: np.ndarray,
             zeroth: np.ndarray, near: np.ndarray) -> BoundReport:
     """The bound at every point, after the validity warning and the finiteness check."""
@@ -92,36 +94,32 @@ def _report(name: str, inputs: dict[str, np.ndarray], coefficient: np.ndarray,
 
 # ---------------------------------------------------------------- coherent
 
-def coherent_fidelity_closed(alpha0: float, t: float, epsilon: float) -> float:
+def _coherent_core(alpha0: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Shared zeroth-order pieces: (cos t, sin t, F0, arccos F0, 1 - F0^2, revival mask).
+
+    F0 = exp(a0^2 (cos t - 1)) is the uncorrected coherent overlap.
+    """
+    cos_t, sin_t = libm(math.cos, t), libm(math.sin, t)
+    f0 = libm(math.exp, alpha0 * alpha0 * (cos_t - 1.0))
+    angle = libm(math.acos, _clamp_unit(f0))
+    gap = 1.0 - f0 * f0
+    return cos_t, sin_t, f0, angle, gap, gap < NEAR_REVIVAL_LIMIT
+
+
+def coherent_fidelity_closed(alpha0: Grid, t: Grid, epsilon: Grid) -> Any:
     """|<state(0)|state(t)>| for a coherent state, to first order in epsilon.
 
     F = F0 * [1 + (3 eps/8) a0^2 t (1 + a0^2 cos t) sin t] with
-    F0 = exp(a0^2 (cos t - 1)), clamped to [0, 1].
+    F0 = exp(a0^2 (cos t - 1)), clamped to [0, 1]. Takes floats (returning
+    a float) or equal-shape arrays.
     """
-    if alpha0 < 0:
+    alpha0, t, epsilon = as_arrays(alpha0, t, epsilon)
+    if np.any(alpha0 < 0):
         raise ValueError("alpha0 must be non-negative")
-    f0 = math.exp(alpha0 * alpha0 * (math.cos(t) - 1.0))
-    corr = 3.0 * epsilon / 8.0 * alpha0 * alpha0 * t * (1.0 + alpha0 * alpha0 * math.cos(t)) * math.sin(t)
-    return min(1.0, max(0.0, f0 * (1.0 + corr)))
-
-
-def coherent_angle(alpha0: float, t: float, epsilon: float) -> AngleResult:
-    """arccos of the coherent fidelity, with the first-order angular correction.
-
-    Near a revival (1 - F0^2 below 1e-9) the correction term diverges and is
-    suppressed; the flag reports it.
-    """
-    f0 = math.exp(alpha0 * alpha0 * (math.cos(t) - 1.0))
-    s0 = math.acos(_clamp_unit(f0))
-    gap = 1.0 - f0 * f0
-    if gap < NEAR_REVIVAL_LIMIT:
-        return AngleResult(value=s0, near_revival=True)
-    shift = (
-        3.0 * epsilon / 8.0
-        * alpha0 * alpha0 * t * (1.0 + alpha0 * alpha0 * math.cos(t)) * math.sin(t)
-        * f0 / math.sqrt(gap)
-    )
-    return AngleResult(value=s0 - shift, near_revival=False)
+    with np.errstate(all="ignore"):
+        cos_t, sin_t, f0 = _coherent_core(alpha0, t)[:3]
+        corr = 3.0 * epsilon / 8.0 * alpha0 * alpha0 * t * (1.0 + alpha0 * alpha0 * cos_t) * sin_t
+        return native(_clamp_fidelity(f0 * (1.0 + corr)))
 
 
 def mt_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
@@ -133,16 +131,12 @@ def mt_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     alpha0, t, epsilon = as_arrays(alpha0, t, epsilon)
     if np.any(alpha0 <= 0):
         raise ValueError("alpha0 must be positive: the vacuum does not evolve under this family")
-    cos_t = libm(math.cos, t)
     with np.errstate(all="ignore"):
-        f0 = libm(math.exp, alpha0 * alpha0 * (cos_t - 1.0))
-        w1 = libm(math.acos, _clamp_unit(f0))
+        cos_t, sin_t, f0, w1, gap, near = _coherent_core(alpha0, t)
         zeroth = w1 / alpha0
-        gap = 1.0 - f0 * f0
-        near = gap < NEAR_REVIVAL_LIMIT
         coefficient = 3.0 / 8.0 * (1.0 + alpha0 * alpha0) / alpha0 * w1
         shift = (
-            3.0 / 8.0 * alpha0 * t * (1.0 + alpha0 * alpha0 * cos_t) * libm(math.sin, t)
+            3.0 / 8.0 * alpha0 * t * (1.0 + alpha0 * alpha0 * cos_t) * sin_t
             * f0 / np.sqrt(gap)
         )
         coefficient = np.where(near, coefficient, coefficient - shift)
@@ -159,20 +153,15 @@ def ml_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     alpha0, t, epsilon = as_arrays(alpha0, t, epsilon)
     if np.any(alpha0 <= 0):
         raise ValueError("alpha0 must be positive: the vacuum does not evolve under this family")
-    cos_t = libm(math.cos, t)
     with np.errstate(all="ignore"):
+        cos_t, sin_t, f0, w1, gap, near = _coherent_core(alpha0, t)
         a2 = alpha0 * alpha0
-        f0 = libm(math.exp, a2 * (cos_t - 1.0))
-        w1 = libm(math.acos, _clamp_unit(f0))
-        w2 = 0.5 + a2
-        zeroth = 2.0 * w1 * w1 / (w2 * math.pi)
+        zeroth = 2.0 * w1 * w1 / ((0.5 + a2) * math.pi)
         w3 = libm(math.pow, 1.0 + 2.0 * a2, 2.0)
         w4 = 1.0 + 4.0 * a2 + 2.0 * a2 * a2
         w5 = 4.0 * a2 * (1.0 + 2.0 * a2)
-        gap = 1.0 - f0 * f0
-        near = gap < NEAR_REVIVAL_LIMIT
         bracket = w4 * w1
-        shift = w5 * f0 * t * (1.0 + a2 * cos_t) * libm(math.sin, t) / np.sqrt(gap)
+        shift = w5 * f0 * t * (1.0 + a2 * cos_t) * sin_t / np.sqrt(gap)
         bracket = np.where(near, bracket, bracket - shift)
         coefficient = 3.0 * w1 / (4.0 * w3 * math.pi) * bracket
     return _report("ml_coherent", {"alpha0": alpha0, "t": t, "epsilon": epsilon},
@@ -181,8 +170,11 @@ def ml_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
 
 # ---------------------------------------------------------------- squeezed
 
-def _squeezed_core(r: Grid, t: Grid) -> tuple[np.ndarray, ...]:
-    """Shared building blocks: (y2, y6, y7, F0) of the squeezed overlap."""
+def _squeezed_core(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Shared zeroth-order pieces: (y2, y6, y7, F0, arccos F0, revival mask).
+
+    F0 = sqrt2 / y2^{1/4} is the uncorrected squeezed-vacuum overlap.
+    """
     cos_t, sin_t = libm(math.cos, t), libm(math.sin, t)
     sinh2_2r = libm(math.pow, libm(math.sinh, 2.0 * r), 2.0)
     y2 = 3.0 + libm(math.cosh, 4.0 * r) - 2.0 * cos_t * sinh2_2r
@@ -190,7 +182,32 @@ def _squeezed_core(r: Grid, t: Grid) -> tuple[np.ndarray, ...]:
     y6 = -4.0 * sin_t + libm(math.sin, 2.0 * t) * th2 + 2.0 * sin_t * th2 * th2
     y7 = 1.0 - 2.0 * cos_t * th2 + th2 * th2
     f0 = math.sqrt(2.0) / libm(math.pow, y2, 0.25)
-    return y2, y6, y7, f0
+    angle = libm(math.acos, _clamp_unit(f0))
+    return y2, y6, y7, f0, angle, 1.0 - f0 * f0 < NEAR_REVIVAL_LIMIT
+
+
+def squeezed_fidelity_closed(r: Grid, t: Grid, epsilon: Grid) -> Any:
+    """|<state(0)|state(t)>| for the squeezed vacuum, to first order in epsilon.
+
+    F = sqrt(2) / y2^{1/4} - (3 eps t cosh^5 r sinh^2 r / (4 y2^2 y7^{1/4})) y6,
+    clamped to [0, 1]; the correction is dropped where y7 <= 0. At t = 0 the
+    leading term is exactly 1 for every r, and at r = 0 F is 1. Takes floats
+    (returning a float) or equal-shape arrays.
+    """
+    r, t, epsilon = as_arrays(r, t, epsilon)
+    if np.any(r < 0):
+        raise ValueError("r must be non-negative")
+    with np.errstate(all="ignore"):
+        y2, y6, y7, f0 = _squeezed_core(r, t)[:4]
+        # y7^{1/4} leaves the domain of pow where the correction is dropped
+        keep = y7 > 0.0
+        corr = (
+            3.0 * epsilon * t * libm(math.pow, libm(math.cosh, r), 5.0)
+            * libm(math.pow, libm(math.sinh, r), 2.0)
+            / (4.0 * y2 * y2 * libm(math.pow, np.where(keep, y7, 1.0), 0.25))
+        ) * y6
+        f = _clamp_fidelity(f0 - np.where(keep, corr, 0.0))
+        return native(np.where(r == 0.0, 1.0, f))
 
 
 def _squeezed_shift(scale: float, r: np.ndarray, t: np.ndarray, y2: np.ndarray,
@@ -210,45 +227,6 @@ def _squeezed_shift(scale: float, r: np.ndarray, t: np.ndarray, y2: np.ndarray,
     return y5 * y6 / (libm(math.pow, y7, 0.25) * y8)
 
 
-def squeezed_fidelity_closed(r: float, t: float, epsilon: float) -> float:
-    """|<state(0)|state(t)>| for the squeezed vacuum, to first order in epsilon.
-
-    F = sqrt(2) / y2^{1/4} - (3 eps t cosh^5 r sinh^2 r / (4 y2^2 y7^{1/4})) y6,
-    clamped to [0, 1]. At t = 0 the leading term is exactly 1 for every r.
-    """
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    if r == 0.0:
-        return 1.0
-    y2, y6, y7, f0 = map(float, _squeezed_core(r, t))
-    corr = 0.0
-    if y7 > 0.0:
-        corr = (
-            3.0 * epsilon * t * math.cosh(r) ** 5 * math.sinh(r) ** 2
-            / (4.0 * y2 * y2 * y7 ** 0.25)
-        ) * y6
-    return min(1.0, max(0.0, f0 - corr))
-
-
-def squeezed_angle(r: float, t: float, epsilon: float) -> AngleResult:
-    """arccos of the squeezed fidelity with its first-order correction."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    if r == 0.0:
-        return AngleResult(value=0.0, near_revival=True)
-    y2, y6, y7, f0 = map(float, _squeezed_core(r, t))
-    s0 = math.acos(_clamp_unit(f0))
-    gap = 1.0 - f0 * f0
-    if gap < NEAR_REVIVAL_LIMIT or y7 <= 0.0:
-        return AngleResult(value=s0, near_revival=True)
-    y8 = math.sqrt(math.sqrt(y2) - 2.0)
-    shift = (
-        3.0 * t * math.cosh(r) ** 5 * math.sinh(r) ** 2
-        / (4.0 * y2 ** 1.75)
-    ) * y6 / (y8 * y7 ** 0.25)
-    return AngleResult(value=s0 + epsilon * shift, near_revival=False)
-
-
 def mt_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     """Energy-variance bound for the squeezed vacuum.
 
@@ -259,13 +237,10 @@ def mt_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     if np.any(r <= 0):
         raise ValueError("r must be positive: the unsqueezed vacuum has zero energy spread")
     with np.errstate(all="ignore"):
-        y2, y6, y7, f0 = _squeezed_core(r, t)
-        y1 = libm(math.acos, _clamp_unit(f0))
+        y2, y6, y7, _, y1, near = _squeezed_core(r, t)
         y3 = math.sqrt(2.0) / libm(math.sinh, 2.0 * r)
         y4 = libm(math.cosh, 2.0 * r)
         zeroth = y3 * y1
-        gap = 1.0 - f0 * f0
-        near = gap < NEAR_REVIVAL_LIMIT
         keep = ~near & (y7 > 0.0)
         bracket = 6.0 * y4 * y1
         shift = _squeezed_shift(8.0, r, t, y2, y6, y7, keep)
@@ -285,13 +260,10 @@ def ml_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     if np.any(r <= 0):
         raise ValueError("r must be positive: the unsqueezed vacuum does not evolve")
     with np.errstate(all="ignore"):
-        x2, x6, x7, f0 = _squeezed_core(r, t)
-        x1 = libm(math.acos, _clamp_unit(f0))
+        x2, x6, x7, _, x1, near = _squeezed_core(r, t)
         x3 = 1.0 / libm(math.cosh, 2.0 * r)
         x4 = 1.0 + 3.0 * libm(math.cosh, 4.0 * r)
         zeroth = 4.0 * x3 / math.pi * x1 * x1
-        gap = 1.0 - f0 * f0
-        near = gap < NEAR_REVIVAL_LIMIT
         keep = ~near & (x7 > 0.0)
         bracket = x4 * x3 * x1
         shift = _squeezed_shift(32.0, r, t, x2, x6, x7, keep)

@@ -408,8 +408,8 @@ def _discrepancies() -> list[DiscrepancyEntry]:
         )
     )
 
-    spread = qsl_bounds.coherent_angle(1.0, math.pi, 0.0)
-    s_angle = spread.value
+    # at alpha0 = 1 the zeroth-order energy-variance bound is the angle arccos F0 itself
+    s_angle = qsl_bounds.mt_coherent(1.0, math.pi, 0.0).zeroth
     mean_energy = metrology.coherent_energy(1.0, 0.0).mean
     adopted = 2.0 * s_angle * s_angle / (math.pi * mean_energy)
     entries.append(

@@ -88,13 +88,13 @@ def _fidelity_scan(kind: str):
             spec = states.CoherentSpec(par)
             closed = lambda t, e: qsl_bounds.coherent_fidelity_closed(par, t, e)
             numeric = lambda t, e: abs(states.coherent_overlap_numeric(spec, t, e, dim))
-            flagged = lambda t: qsl_bounds.coherent_angle(par, t, 0.0).near_revival
+            flagged = lambda t: qsl_bounds.mt_coherent(par, t, 0.0).near_revival
         else:
             dim = fock_core.default_cutoff(r=par)
             spec = states.SqueezeSpec(par)
             closed = lambda t, e: qsl_bounds.squeezed_fidelity_closed(par, t, e)
             numeric = lambda t, e: abs(states.squeezed_overlap_numeric(spec, t, e, dim))
-            flagged = lambda t: qsl_bounds.squeezed_angle(par, t, 0.0).near_revival
+            flagged = lambda t: qsl_bounds.mt_squeezed(par, t, 0.0).near_revival
         for t in FIDELITY_TIMES:
             t = float(t)
             if flagged(t):

@@ -16,7 +16,6 @@ ENTRY_POINTS = {("cli", "main")}
 
 KEPT = {
     "squeezed_coeffs_closed": "closed-form reference that tests hold the amplitude recursion to",
-    "squeezed_angle": "acceptance criterion 3 uses it, and that criterion stays literal",
     "default_cutoff": "acceptance criterion 3 uses it, and that criterion stays literal",
     "evolve": "planned for the dense-evolution fidelity oracle and the exact speed-limit "
               "surfaces (ROADMAP items 3(b) and 7)",

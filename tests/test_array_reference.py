@@ -99,6 +99,42 @@ def ref_squeeze_ratio(r, a, theta, eps):
     return ratio, -10.0 * math.log10(ratio)
 
 
+# The scalar fidelities as they stood before they took arrays, verbatim except
+# that the squeezed one reads its core from the math reference above.
+
+def _ref_coherent_fidelity_closed(alpha0: float, t: float, epsilon: float) -> float:
+    """|<state(0)|state(t)>| for a coherent state, to first order in epsilon.
+
+    F = F0 * [1 + (3 eps/8) a0^2 t (1 + a0^2 cos t) sin t] with
+    F0 = exp(a0^2 (cos t - 1)), clamped to [0, 1].
+    """
+    if alpha0 < 0:
+        raise ValueError("alpha0 must be non-negative")
+    f0 = math.exp(alpha0 * alpha0 * (math.cos(t) - 1.0))
+    corr = 3.0 * epsilon / 8.0 * alpha0 * alpha0 * t * (1.0 + alpha0 * alpha0 * math.cos(t)) * math.sin(t)
+    return min(1.0, max(0.0, f0 * (1.0 + corr)))
+
+
+def _ref_squeezed_fidelity_closed(r: float, t: float, epsilon: float) -> float:
+    """|<state(0)|state(t)>| for the squeezed vacuum, to first order in epsilon.
+
+    F = sqrt(2) / y2^{1/4} - (3 eps t cosh^5 r sinh^2 r / (4 y2^2 y7^{1/4})) y6,
+    clamped to [0, 1]. At t = 0 the leading term is exactly 1 for every r.
+    """
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    if r == 0.0:
+        return 1.0
+    y2, y6, y7, f0 = _ref_squeezed_core(r, t)
+    corr = 0.0
+    if y7 > 0.0:
+        corr = (
+            3.0 * epsilon * t * math.cosh(r) ** 5 * math.sinh(r) ** 2
+            / (4.0 * y2 * y2 * y7 ** 0.25)
+        ) * y6
+    return min(1.0, max(0.0, f0 - corr))
+
+
 def _random_points(seed):
     rng = np.random.default_rng(seed)
     revival = 2.0 * math.pi * rng.integers(0, 4, POINTS)
@@ -143,3 +179,21 @@ def test_squeeze_ratio_matches_pointwise_reference():
     ratio, sf_db = (np.array(column) for column in zip(*want))
     np.testing.assert_array_equal(grid.ratio, ratio)
     np.testing.assert_array_equal(grid.sf_db, sf_db)
+
+
+@pytest.mark.parametrize(
+    "fidelity, reference, par_scale",
+    [
+        (qsl_bounds.coherent_fidelity_closed, _ref_coherent_fidelity_closed, 1.0),
+        (qsl_bounds.squeezed_fidelity_closed, _ref_squeezed_fidelity_closed, 0.7),
+    ],
+)
+def test_fidelities_match_pointwise_reference(fidelity, reference, par_scale):
+    par, t, eps = _random_points(9)
+    par = par * par_scale
+    # the amplitude or squeeze parameter 0 (a stationary state) at 5 % of the points
+    par[np.random.default_rng(10).random(POINTS) < 0.05] = 0.0
+    assert (par == 0.0).any() and (t == 0.0).any() and (t == 2.0 * math.pi).any()
+    grid = fidelity(par, t, eps)
+    want = [reference(*point) for point in zip(par.tolist(), t.tolist(), eps.tolist())]
+    assert list(map(repr, grid.tolist())) == list(map(repr, want))

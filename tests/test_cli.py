@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -163,6 +164,8 @@ def test_spectrum_dim_over_memory_budget_refused(monkeypatch, capsys):
         ["trap", "--tau", "1e-300"],
         ["metrology", "--state", "squeezed", "--r", "1e3", "--epsilon", "0.01"],
         ["qsl", "--state", "squeezed", "--r", "1e3"],
+        ["metrology", "--alpha0", "1e60"],
+        ["metrology", "--state", "squeezed", "--r", "118.45"],
     ],
 )
 def test_overflow_exits_one_without_traceback(argv, capsys):
@@ -190,12 +193,44 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
         (["metrology", "--state", "squeezed", "--r", "1e3", "--epsilon", "0.01"],
          "error: squeezed_energy: energy moments (mean nan, variance nan) are not finite "
          "at r=1000.0, epsilon=0.01\n"),
+        # the moments are finite here; a2 ** 3 and cosh(6r) of the printed series overflow
+        (["metrology", "--alpha0", "1e60"],
+         "error: coherent_second_moment_closed: second moment nan is not finite "
+         "at alpha0=1e+60, epsilon=0.0\n"),
+        (["metrology", "--state", "squeezed", "--r", "118.45"],
+         "error: squeezed_second_moment_closed: second moment nan is not finite "
+         "at r=118.45, epsilon=0.0\n"),
     ],
     ids=["qsl-alpha0-1e200", "qsl-squeezed-r-1e3", "metrology-alpha0-1e200",
-         "metrology-alpha0-1e100", "metrology-squeezed-r-1e3"],
+         "metrology-alpha0-1e100", "metrology-squeezed-r-1e3", "metrology-alpha0-1e60",
+         "metrology-squeezed-r-118.45"],
 )
 def test_non_finite_bound_exits_one(argv, message, capsys):
     assert run_subcommand(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # V^2 overflows, so c = sqrt(T (V^2 - 1)) is inf
+        (["qkd", "--v-a", "1e300"],
+         "error: holevo_bound: covariance entries (a 1e+300, b 5e+299, c inf) or symplectic "
+         "eigenvalues (nan, nan) are not finite at v_a=1e+300, transmissivity=0.5, "
+         "chi_tot=1.01\n"),
+        # the entries are finite, but b^2 overflows; this printed a nan row with exit 0
+        (["qkd", "--xi-base", "1e200"],
+         "error: holevo_bound: covariance entries (a 5.0, b 5e+199, c 3.4641016151377544) "
+         "or symplectic eigenvalues (nan, nan) are not finite at v_a=4.0, "
+         "transmissivity=0.5, chi_tot=1e+200\n"),
+    ],
+)
+def test_qkd_overflow_names_holevo_bound_before_numpy_sees_it(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would now raise
+        assert run_subcommand(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message

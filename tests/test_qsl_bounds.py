@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 from relqsl import metrology
 from relqsl.qsl_bounds import (
     BoundReport,
-    coherent_angle,
     coherent_fidelity_closed,
     ml_coherent,
     ml_squeezed,
     mt_coherent,
     mt_squeezed,
-    squeezed_angle,
     squeezed_fidelity_closed,
     t_qsl,
 )
@@ -80,16 +78,6 @@ def test_fidelity_bounds_and_t_zero():
 
 def test_squeezed_fidelity_r_zero_is_stationary():
     assert squeezed_fidelity_closed(0.0, 3.0, 1e-3) == 1.0
-    res = squeezed_angle(0.0, 3.0, 1e-3)
-    assert res.value == 0.0
-    assert res.near_revival
-
-
-def test_angle_reduces_to_arccos_at_zero_epsilon():
-    got = coherent_angle(1.0, 2.0, 0.0)
-    f0 = math.exp(math.cos(2.0) - 1.0)
-    assert got.value == pytest.approx(math.acos(f0), rel=1e-14)
-    assert not got.near_revival
 
 
 def test_near_revival_flag_and_suppression():
@@ -97,7 +85,6 @@ def test_near_revival_flag_and_suppression():
     rep = mt_coherent(1.0, 2.0 * math.pi, 1e-4)
     assert rep.near_revival
     assert math.isfinite(rep.total)
-    assert coherent_angle(1.0, 2.0 * math.pi, 1e-4).near_revival
     off = mt_coherent(1.0, 2.0 * math.pi + 0.5, 1e-4)
     assert not off.near_revival
 
@@ -113,6 +100,8 @@ def test_argument_validation():
         ml_squeezed(-0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         coherent_fidelity_closed(-1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        squeezed_fidelity_closed(np.array([0.5, -0.5]), 1.0, 0.0)
     with pytest.raises(ValueError):
         BoundReport(t=1.0, zeroth=-0.1, correction=0.0, coefficient=0.0, near_revival=False)
 
@@ -252,6 +241,17 @@ def test_array_call_equals_pointwise_calls(bound):
     grid = bound(par, t, eps)
     assert grid.near_revival.any() and not grid.near_revival.all()
     _assert_report_ties(grid, lambda i: bound(float(par[i]), float(t[i]), float(eps[i])), par.size)
+
+
+@pytest.mark.parametrize("fidelity", (coherent_fidelity_closed, squeezed_fidelity_closed))
+def test_fidelity_array_call_equals_pointwise_calls(fidelity):
+    # a stationary state (parameter 0) is in the fidelities' domain, not the bounds'
+    par, t, eps = _grid((0.0, *TIE_PARAMETERS), TIE_TIMES, TIE_EPSILONS)
+    grid = fidelity(par, t, eps)
+    for i in range(par.size):
+        point = fidelity(float(par[i]), float(t[i]), float(eps[i]))
+        assert type(point) is float
+        assert repr(point) == repr(grid[i].item()), i
 
 
 @pytest.mark.filterwarnings("ignore:m[tl]_(coherent|squeezed)")
