@@ -32,24 +32,24 @@ def as_arrays(*values: Any) -> tuple[np.ndarray, ...]:
 def libm(fn: Callable[..., float], x: Any, *consts: float) -> np.ndarray:
     """``fn(x_i, *consts)`` with a math-module function, elementwise over ``x``.
 
-    An element where ``fn`` overflows is nan instead of an OverflowError
-    that names nothing. Unlike an infinity (1/inf is 0), nan stays nan
-    through later arithmetic, so the caller's finiteness check rejects the
-    point and names it.
+    An element where ``fn`` overflows or leaves its domain is nan instead of
+    an OverflowError or "math domain error" that names nothing. Unlike an
+    infinity (1/inf is 0), nan stays nan through later arithmetic, so the
+    caller's finiteness check rejects the point and names it.
     """
     x = np.asarray(x, dtype=float)
     args = (x.ravel().tolist(), *map(repeat, consts))
     try:
         values = np.fromiter(map(fn, *args), float, x.size)
-    except OverflowError:
-        values = np.fromiter(map(partial(_nan_on_overflow, fn), *args), float, x.size)
+    except (OverflowError, ValueError):
+        values = np.fromiter(map(partial(_nan_on_error, fn), *args), float, x.size)
     return values.reshape(x.shape)
 
 
-def _nan_on_overflow(fn: Callable[..., float], *args: float) -> float:
+def _nan_on_error(fn: Callable[..., float], *args: float) -> float:
     try:
         return fn(*args)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return math.nan
 
 

@@ -14,6 +14,8 @@ import dataclasses
 import sys
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__, config, homodyne_trap, metrology, perturbation
 from . import fock_core, presets, qkd_model
 from .config import ConfigError
@@ -58,19 +60,19 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             f"nmax={nmax} is outside the trustworthy interior n <= dim/4 = {dim // 4}; "
             "raise --dim or lower --nmax"
         )
-    levels = fock_core.lowest_levels(dim, eps, nmax + 1)
-    rows = []
-    for n in range(nmax + 1):
-        closed = float(perturbation.energy(n, eps))
-        exact = float(levels[n])
-        rows.append([n, closed, exact, exact - closed])
-    emit(args.out, args.format or "csv", ("n", "energy_closed", "energy_exact", "residual"), rows)
+    exact = fock_core.lowest_levels(dim, eps, nmax + 1)
+    n = np.arange(nmax + 1)
+    closed = perturbation.energy(n, eps)
+    header = ("n", "energy_closed", "energy_exact", "residual")
+    table = np.rec.fromarrays([n, closed, exact, exact - closed], names=header)
+    emit(args.out, args.format or "csv", header, table)
     return 0
 
 
 def _emit_row(args: argparse.Namespace, row: dict[str, Any]) -> None:
     """Write one row whose keys are the header, in the requested format (csv by default)."""
-    emit(args.out, args.format or "csv", list(row), [list(row.values())])
+    table = np.rec.fromarrays([[value] for value in row.values()], names=list(row))
+    emit(args.out, args.format or "csv", list(row), table)
 
 
 def _cmd_qsl(args: argparse.Namespace) -> int:

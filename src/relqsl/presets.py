@@ -233,11 +233,12 @@ def sweep_from_config(section: dict[str, Any]) -> SweepSpec:
     )
 
 
-def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[Any]]]:
+def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], np.ndarray]:
     """Evaluate the grid in axis-major order and project the column set.
 
     The target sees every parameter as one column over the whole grid (the
-    fixed ones repeated) and is called once; the rows hold Python values.
+    fixed ones repeated) and is called once; the table is a structured
+    array with one field per output column.
     """
     grids = np.meshgrid(*[axis.values() for axis in spec.axes], indexing="ij")
     params = {axis.name: grid.ravel() for axis, grid in zip(spec.axes, grids)}
@@ -245,5 +246,5 @@ def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], list[list[Any]]]:
         {name: np.full(grids[0].size, value, dtype=float) for name, value in spec.fixed.items()}
     )
     results = TARGETS[spec.target].evaluate(params)
-    columns = [np.asarray(results[name]).tolist() for name in spec.columns]
-    return spec.columns, list(map(list, zip(*columns)))
+    return spec.columns, np.rec.fromarrays([results[name] for name in spec.columns],
+                                           names=spec.columns)

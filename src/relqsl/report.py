@@ -3,10 +3,12 @@
 CSV cells use the shortest decimal representation that round-trips the
 float exactly (Python's repr), '.' as the decimal mark, comma delimiters,
 Unix newlines, and true/false for booleans, so identical inputs always
-produce byte-identical files. Tables are formatted one column at a time,
-and a JSON table is the same text json.dumps(..., indent=2) gives for its
-list of row objects. Files are written to a temporary sibling and
-atomically renamed into place; a failed run never leaves a partial file.
+produce byte-identical files. A table is a numpy structured array with one
+field per column; it is formatted one column at a time, with one repr per
+distinct float64 bit pattern in the table, and a JSON table is the same
+text json.dumps(..., indent=2) gives for its list of row objects. Files
+are written to a temporary sibling and atomically renamed into place; a
+failed run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -41,8 +43,6 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
-_FLOAT_TYPES = frozenset({float, np.float64})
-_BOOL_TYPES = frozenset({bool, np.bool_})
 _BOOL_TEXT = {True: "true", False: "false"}
 # json spells the non-finite floats differently from repr
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -61,31 +61,43 @@ def _json_cell(value: Any) -> str:
     return json.dumps(value, indent=2, default=_json_default).replace("\n", _JSON_CELL_INDENT)
 
 
-def _column_text(column: tuple[Any, ...], json_cells: bool) -> list[str]:
-    """Every cell of one column as CSV or JSON text, one formatting pass per column."""
-    kinds = set(map(type, column))
-    if kinds <= _FLOAT_TYPES:
-        text = list(map(float.__repr__, column))
-        return [_JSON_NONFINITE.get(cell, cell) for cell in text] if json_cells else text
-    if kinds <= _BOOL_TYPES:
-        return list(map(_BOOL_TEXT.__getitem__, column))
-    return list(map(_json_cell if json_cells else format_cell, column))
+def _column_texts(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> list[list[str]]:
+    """Every cell of each named field as CSV or JSON text, formatted column by column.
+
+    The float64 fields are formatted together, one repr per distinct bit
+    pattern (so -0.0 and 0.0, or two nan payloads, stay separate patterns).
+    """
+    floats = [name for name in header if rows.dtype[name] == np.float64]
+    bits = np.concatenate([rows[name] for name in floats] or [np.empty(0)]).view(np.uint64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    values = patterns.view(np.float64)
+    text = list(map(float.__repr__, values.tolist()))
+    if json_cells:
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            text[i] = _JSON_NONFINITE[text[i]]
+    cells = np.array(text, dtype=object)[inverse].reshape(len(floats), len(rows))
+    columns = dict(zip(floats, map(np.ndarray.tolist, cells)))
+    for name in header:
+        if name not in columns:
+            spell = _BOOL_TEXT.__getitem__ if rows.dtype[name] == bool else (
+                _json_cell if json_cells else format_cell)
+            columns[name] = list(map(spell, rows[name].tolist()))
+    return [columns[name] for name in header]
 
 
-def render_csv(header: tuple[str, ...] | list[str], rows: list[list[Any]]) -> str:
-    """CSV text of a table, formatted column by column."""
-    columns = [_column_text(column, json_cells=False) for column in zip(*rows)]
+def render_csv(header: Sequence[str], rows: np.ndarray) -> str:
+    """CSV text of a table: a structured array with one field per header name."""
+    columns = _column_texts(header, rows, json_cells=False)
     return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
-def _render_json_table(header: tuple[str, ...] | list[str], rows: list[list[Any]]) -> str:
-    """The bytes of ``render_json([dict(zip(header, row)) for row in rows])``, built per column."""
-    if not rows:
+def _render_json_table(header: Sequence[str], rows: np.ndarray) -> str:
+    """The bytes of ``render_json`` for the table's list of row objects, built per column."""
+    if not len(rows):
         return "[]\n"
-    named = list(zip(header, zip(*rows)))
-    columns = [_column_text(column, json_cells=True) for _, column in named]
+    columns = _column_texts(header, rows, json_cells=True)
     # each object is '    "key": value' lines joined by ",\n" between "  {" and "  }"
-    keys = [json.dumps(name).replace("%", "%%") for name, _ in named]
+    keys = [json.dumps(name).replace("%", "%%") for name in header]
     template = ",\n".join(f"    {key}: %s" for key in keys)
     objects = map(template.__mod__, zip(*columns))
     return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
@@ -114,8 +126,8 @@ def write_text(path: str | None, text: str) -> None:
         raise
 
 
-def emit(path: str | None, fmt: str, header: tuple[str, ...] | list[str], rows: list[list[Any]]) -> None:
-    """Write a table as CSV, or as a JSON list of row objects."""
+def emit(path: str | None, fmt: str, header: Sequence[str], rows: np.ndarray) -> None:
+    """Write a table (a structured array, one field per header name) as CSV or JSON rows."""
     if fmt == "csv":
         write_text(path, render_csv(header, rows))
     else:

@@ -153,16 +153,11 @@ def _check_bound_gaps() -> CheckEntry:
         # first-order validity warning fires; the monotonicity of the
         # correction is what is under test here
         warnings.simplefilter("ignore")
-        header, rows = presets.run_sweep(presets.PRESETS["fig2"])
-    idx = {name: i for i, name in enumerate(header)}
-    by_r: dict[float, list[tuple[float, float]]] = {}
-    for row in rows:
-        by_r.setdefault(row[idx["r"]], []).append(
-            (row[idx["t_mt"]] - row[idx["t_mt0"]], row[idx["t_ml"]] - row[idx["t_ml0"]])
-        )
-    rs = sorted(by_r)
-    avg_mt = [float(np.mean([g[0] for g in by_r[r]])) for r in rs]
-    avg_ml = [float(np.mean([g[1] for g in by_r[r]])) for r in rs]
+        _, rows = presets.run_sweep(presets.PRESETS["fig2"])
+    gap_mt, gap_ml = rows["t_mt"] - rows["t_mt0"], rows["t_ml"] - rows["t_ml0"]
+    rs = sorted(set(rows["r"].tolist()))
+    avg_mt = [float(np.mean(gap_mt[rows["r"] == r])) for r in rs]
+    avg_ml = [float(np.mean(gap_ml[rows["r"] == r])) for r in rs]
     min_gap = min(min(avg_mt), min(avg_ml))
     min_step = min(float(np.min(np.diff(avg_mt))), float(np.min(np.diff(avg_ml))))
     return CheckEntry(
@@ -176,9 +171,8 @@ def _check_bound_gaps() -> CheckEntry:
 def _check_squeeze_lift() -> CheckEntry:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        header, rows = presets.run_sweep(presets.PRESETS["fig4"])
-    idx = {name: i for i, name in enumerate(header)}
-    lifts = [row[idx["sf_db"]] - row[idx["sf_db0"]] for row in rows]
+        _, rows = presets.run_sweep(presets.PRESETS["fig4"])
+    lifts = (rows["sf_db"] - rows["sf_db0"]).tolist()
     min_lift = min(lifts)
     return CheckEntry(
         name="squeeze_factor_lift",

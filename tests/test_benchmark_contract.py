@@ -1,0 +1,41 @@
+"""What the benchmark relies on: the preset goldens and the traced call signatures.
+
+``perfbench/golden.json`` holds the sha256 of every preset sweep in both
+formats; the benchmark fails a job whose output differs, so the same check
+runs here. The traced benchmark binds ``presets.run_sweep(spec)`` and
+``report.emit(..., rows)`` by parameter name and counts points and rows with
+``len`` of the table.
+"""
+
+import hashlib
+import inspect
+import json
+import os
+
+import pytest
+
+from relqsl import presets, report
+from relqsl.cli import run_subcommand
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
+
+
+def _golden_sha256() -> dict[str, str]:
+    with open(GOLDEN, encoding="utf-8") as handle:
+        return json.load(handle)["sha256"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("preset", ["fig1", "fig2", "fig4"])
+def test_preset_sweep_matches_golden_digest(preset, fmt, tmp_path):
+    out = tmp_path / f"{preset}.{fmt}"
+    assert run_subcommand(["sweep", "--preset", preset, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _golden_sha256()[f"{preset}.{fmt}"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_traced_names_and_table_length():
+    assert len(presets.run_sweep(presets.PRESETS["fig2"])[1]) == 240
+    assert "spec" in inspect.signature(presets.run_sweep).parameters
+    assert "rows" in inspect.signature(report.emit).parameters

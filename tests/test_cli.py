@@ -184,6 +184,10 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
          "error: mt_coherent: bound nan is not finite at alpha0=1e+200, t=1.0, epsilon=0.0\n"),
         (["qsl", "--state", "squeezed", "--r", "1e3"],
          "error: mt_squeezed: bound nan is not finite at r=1000.0, t=1.0, epsilon=0.0\n"),
+        # y2 = 3 + cosh 4r - 2 cos t sinh^2 2r cancels to <= 0, so y2 ** 0.25 leaves
+        # the domain of pow; this printed "error: math domain error"
+        (["qsl", "--state", "squeezed", "--r", "50", "--t", "1e-30"],
+         "error: mt_squeezed: bound nan is not finite at r=50.0, t=1e-30, epsilon=0.0\n"),
         (["metrology", "--alpha0", "1e200"],
          "error: coherent_energy: energy moments (mean nan, variance nan) are not finite "
          "at alpha0=1e+200, epsilon=0.0\n"),
@@ -201,7 +205,8 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
          "error: squeezed_second_moment_closed: second moment nan is not finite "
          "at r=118.45, epsilon=0.0\n"),
     ],
-    ids=["qsl-alpha0-1e200", "qsl-squeezed-r-1e3", "metrology-alpha0-1e200",
+    ids=["qsl-alpha0-1e200", "qsl-squeezed-r-1e3", "qsl-squeezed-r-50-t-1e-30",
+         "metrology-alpha0-1e200",
          "metrology-alpha0-1e100", "metrology-squeezed-r-1e3", "metrology-alpha0-1e60",
          "metrology-squeezed-r-118.45"],
 )

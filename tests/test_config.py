@@ -145,7 +145,7 @@ def test_sweep_from_config_preset_and_custom():
     header, rows = run_sweep(spec)
     header_p, rows_p = run_sweep(PRESETS["fig2"])
     assert header == header_p
-    assert rows == rows_p
+    assert rows.dtype == rows_p.dtype and rows.tobytes() == rows_p.tobytes()
 
 
 def test_sweep_from_config_rejections():
@@ -171,7 +171,7 @@ def test_run_sweep_axis_major_order():
     header, rows = run_sweep(spec)
     assert header == ("t", "alpha0_sq", "t_qsl")
     # axis-major: first axis varies slowest
-    assert [(row[0], row[1]) for row in rows] == [
+    assert list(zip(rows["t"].tolist(), rows["alpha0_sq"].tolist())) == [
         (1.0, 1.0), (1.0, 2.0), (1.5, 1.0), (1.5, 2.0), (2.0, 1.0), (2.0, 2.0),
     ]
 

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
 
+from relqsl.presets import PRESETS, Axis, SweepSpec, run_sweep
 from relqsl.report import (
     CheckEntry,
     DiscrepancyEntry,
@@ -40,7 +42,7 @@ def test_format_cell_round_trips_floats():
 
 
 def test_render_csv_layout():
-    text = render_csv(("a", "b"), [[1.0, True], [0.5, False]])
+    text = render_csv(("a", "b"), np.rec.fromarrays([[1.0, 0.5], [True, False]], names="a,b"))
     assert text == "a,b\n1.0,true\n0.5,false\n"
 
 
@@ -66,7 +68,7 @@ def test_write_text_stdout(capsys):
 
 def test_emit_both_formats(tmp_path):
     header = ("n", "value")
-    rows = [[0, 0.5], [1, np.float64(1.5)]]
+    rows = np.rec.fromarrays([[0, 1], [0.5, np.float64(1.5)]], names=header)
     csv_path = tmp_path / "table.csv"
     emit(str(csv_path), "csv", header, rows)
     assert csv_path.read_text(encoding="utf-8") == "n,value\n0,0.5\n1,1.5\n"
@@ -84,7 +86,14 @@ MIXED_CELLS = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 7, True,
     np.float64(0.1), np.bool_(False), np.int64(-3), 'quote " and unicode \u00e9',
 ]
-FLOAT_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, np.float64(-2.5)]
+# nan with two more payloads (another mantissa, the sign bit) beside the default one
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+FLOAT_CELLS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, np.float64(-2.5),
+    *NAN_PAYLOADS.view(np.float64).tolist(),
+]
+# one field per column of the test table; the mixed-type column is an object field
+TABLE_DTYPES = (object, float, float, bool, np.int64, str)
 
 
 def _reference_tables(header, rows):
@@ -95,25 +104,56 @@ def _reference_tables(header, rows):
 
 @pytest.mark.parametrize("size", [0, 1, len(MIXED_CELLS)])
 def test_column_wise_rendering_matches_row_wise_reference(size, tmp_path):
-    header = ("mixed", "float", "flag", "count", "label")
+    header = ("mixed", "float", "float_again", "flag", "count", "label")
     rows = [
         [
             MIXED_CELLS[i],
             FLOAT_CELLS[i % len(FLOAT_CELLS)],
+            # the same bit patterns again, in another column and other rows
+            FLOAT_CELLS[(i + 3) % len(FLOAT_CELLS)],
             (True, np.bool_(False), np.bool_(True))[i % 3],
             (np.int64(4), 5)[i % 2],
             f"row {i}",
         ]
         for i in range(size)
     ]
+    table = np.rec.fromarrays(
+        [np.array([row[j] for row in rows], dtype=dtype) for j, dtype in enumerate(TABLE_DTYPES)],
+        names=header,
+    )
     want_csv, want_json = _reference_tables(header, rows)
-    assert render_csv(header, rows) == want_csv
-    emit(str(tmp_path / "t.csv"), "csv", header, rows)
-    emit(str(tmp_path / "t.json"), "json", header, rows)
+    assert render_csv(header, table) == want_csv
+    emit(str(tmp_path / "t.csv"), "csv", header, table)
+    emit(str(tmp_path / "t.json"), "json", header, table)
     assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want_csv
     assert (tmp_path / "t.json").read_text(encoding="utf-8") == want_json
     if size == len(MIXED_CELLS):
         assert "-0.0" in want_csv and "NaN" in want_json and "-Infinity" in want_json
+        # the three nan payloads reach the table as distinct bit patterns
+        float_bits = set(table["float"].view(np.uint64).tolist())
+        assert set(NAN_PAYLOADS.tolist()) < float_bits
+        assert np.float64(math.nan).view(np.uint64) in float_bits
+
+
+@pytest.mark.filterwarnings("ignore:mt_coherent", "ignore:ml_coherent")
+@pytest.mark.parametrize("seed", [3, 29])
+def test_seeded_sweep_table_matches_row_wise_reference(seed, tmp_path):
+    rng = random.Random(seed)
+    spec = SweepSpec(
+        target="qsl_coherent",
+        axes=(
+            Axis("t", rng.uniform(0.0, 0.1), 6.0, rng.uniform(0.3, 0.7)),
+            Axis("alpha0_sq", rng.uniform(0.05, 0.15), 3.0, rng.uniform(0.2, 0.5)),
+            Axis("epsilon", 0.0, rng.uniform(0.01, 0.1), rng.uniform(0.005, 0.02)),
+        ),
+        columns=PRESETS["fig1"].columns,
+    )
+    header, table = run_sweep(spec)
+    want_csv, want_json = _reference_tables(header, table.tolist())
+    emit(str(tmp_path / "grid.csv"), "csv", header, table)
+    emit(str(tmp_path / "grid.json"), "json", header, table)
+    assert (tmp_path / "grid.csv").read_text(encoding="utf-8") == want_csv
+    assert (tmp_path / "grid.json").read_text(encoding="utf-8") == want_json
 
 
 def _sample_report(ok: bool) -> RunReport:
