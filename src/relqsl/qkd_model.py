@@ -108,10 +108,11 @@ def residual_drift(p: PhaseNoiseParams) -> float:
     """Uncompensated deterministic drift after pilot correction.
 
     Zero-order hold leaves gamma (2 t_p dt + dt^2); a linear predictor
-    cancels the slope and leaves gamma dt^2 regardless of t_p.
+    cancels the slope and leaves gamma dt^2 regardless of t_p. Both multiply
+    gamma last, so the linear residual never exceeds the zero-order one.
     """
     if p.predictor == "linear":
-        return p.gamma * p.dt * p.dt
+        return p.gamma * (p.dt * p.dt)
     return p.gamma * (2.0 * p.t_pilot * p.dt + p.dt * p.dt)
 
 

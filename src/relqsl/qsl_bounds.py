@@ -191,8 +191,9 @@ def squeezed_fidelity_closed(r: Grid, t: Grid, epsilon: Grid) -> Any:
 
     F = sqrt(2) / y2^{1/4} - (3 eps t cosh^5 r sinh^2 r / (4 y2^2 y7^{1/4})) y6,
     clamped to [0, 1]; the correction is dropped where y7 <= 0. At t = 0 the
-    leading term is exactly 1 for every r, and at r = 0 F is 1. Takes floats
-    (returning a float) or equal-shape arrays.
+    leading term is exactly 1 for every r, and at r = 0 F is 1. A value that
+    is not finite before the clamp (y2 cancels for r >~ 9) raises ValueError
+    naming the point. Takes floats (returning a float) or equal-shape arrays.
     """
     r, t, epsilon = as_arrays(r, t, epsilon)
     if np.any(r < 0):
@@ -206,8 +207,15 @@ def squeezed_fidelity_closed(r: Grid, t: Grid, epsilon: Grid) -> Any:
             * libm(math.pow, libm(math.sinh, r), 2.0)
             / (4.0 * y2 * y2 * libm(math.pow, np.where(keep, y7, 1.0), 0.25))
         ) * y6
-        f = _clamp_fidelity(f0 - np.where(keep, corr, 0.0))
-        return native(np.where(r == 0.0, 1.0, f))
+        f = f0 - np.where(keep, corr, 0.0)
+    # the clamp would turn a nan into 0.0, so a non-finite value stops here
+    bad = ~np.isfinite(f)
+    if np.any(bad):
+        raise ValueError(
+            f"squeezed_fidelity_closed: fidelity {first(f, bad)!r} is not finite at "
+            f"{first_point({'r': r, 't': t, 'epsilon': epsilon}, bad)}"
+        )
+    return native(np.where(r == 0.0, 1.0, _clamp_fidelity(f)))
 
 
 def _squeezed_shift(scale: float, r: np.ndarray, t: np.ndarray, y2: np.ndarray,

@@ -9,6 +9,7 @@ attribute accesses), so a mention in a docstring or a string does not count.
 
 import ast
 import pathlib
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "relqsl"
 
@@ -73,3 +74,30 @@ def test_scan_ignores_docstring_mentions_and_self_references(tmp_path):
         encoding="utf-8",
     )
     assert _unreferenced_public_names(tmp_path) == {"helper", "caller"}
+
+
+def _imported_top_levels(package: pathlib.Path) -> set[str]:
+    """Top-level modules of every absolute import in the package, nested imports included."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    """numpy is the one runtime dependency; scipy and mpmath serve the tests only."""
+    foreign = sorted(_imported_top_levels(PACKAGE) - set(sys.stdlib_module_names) - {"numpy"})
+    assert foreign == []
+
+
+def test_import_scan_sees_nested_imports(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os.path\nfrom . import sibling\n\n\n"
+        "def solve():\n    import scipy.linalg\n    from mpmath import mp\n",
+        encoding="utf-8",
+    )
+    assert _imported_top_levels(tmp_path) == {"os", "scipy", "mpmath"}

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from relqsl import config
+from relqsl import config, fock_core
 from relqsl.cli import build_parser, run_subcommand
 
 # coherent alpha0 = 1 at t = 3.14159 (epsilon = 0): repr of the zeroth bound
@@ -143,17 +143,15 @@ def test_domain_error_exits_one(capsys):
 
 
 def test_spectrum_dim_over_memory_budget_refused(monkeypatch, capsys):
-    import scipy.linalg
-
     def unreachable(*args, **kwargs):
         raise AssertionError("the solver must not be reached")
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", unreachable)
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", unreachable)
     assert run_subcommand(["spectrum", "--dim", "100000", "--nmax", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: dim=100000 ")
-    assert "80000000000 bytes" in captured.err
+    assert "120000000000 bytes" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -262,11 +260,19 @@ def test_cli_import_loads_neither_scipy_nor_mpmath():
 
 
 @pytest.mark.parametrize(
-    "argv", [["selfcheck", "--seed", "42"], ["trap", "--preset", "hanneke"], ["qkd"]]
+    "argv",
+    [
+        ["selfcheck", "--seed", "42"],
+        ["trap", "--preset", "hanneke"],
+        ["qkd"],
+        ["spectrum"],
+        ["qsl"],
+        ["metrology"],
+        ["sweep", "--preset", "fig1"],
+    ],
 )
-def test_selfcheck_and_trap_load_neither_scipy_nor_mpmath(argv, tmp_path):
-    if argv[0] == "selfcheck":
-        argv = argv + ["--out", str(tmp_path / "selfcheck.json")]
+def test_no_subcommand_loads_scipy_or_mpmath(argv, tmp_path):
+    argv = argv + ["--out", str(tmp_path / "out")]
     code = f"from relqsl.cli import run_subcommand; assert run_subcommand({argv!r}) == 0"
     assert _heavy_modules_after(code) == "[]"
 

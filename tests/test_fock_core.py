@@ -186,10 +186,30 @@ def test_banded_levels_tie_to_dense_reference(dim, eps):
         assert lowest_levels(dim, eps, 1)[0] == pytest.approx(-2093.42, abs=5e-3)
 
 
-def test_banded_levels_verification_is_live(monkeypatch):
-    import scipy.linalg
+PARITY_EDGE_CASES = [
+    (9, 1e-3, 9),  # odd dim: the even block is one level larger
+    (9, 0.08, 1),
+    (257, 1e-3, 257),  # every level of both blocks
+    (257, 1e-3, 1),
+    (257, 1.0 / 257, 65),
+    (1024, 1e-3, 257),
+]
 
-    solve = scipy.linalg.eig_banded
+
+@pytest.mark.parametrize("dim,eps,count", PARITY_EDGE_CASES)
+def test_parity_levels_edge_cases_match_dense_reference(dim, eps, count):
+    """Unequal blocks, one level, and every level all merge to the dense lowest levels."""
+    op = build_hamiltonian(dim, eps)
+    h = op.entries.real
+    assert np.abs(_band_to_dense(hamiltonian_band(dim, eps)) - h).max() <= 1e-12 * np.abs(h).max()
+    dense = diagonalize(op).eigenvalues
+    levels = lowest_levels(dim, eps, count)
+    assert levels.shape == (count,)
+    assert np.abs(levels - dense[:count]).max() <= 1e-11
+
+
+def test_banded_levels_verification_is_live(monkeypatch):
+    solve = fock_core.np.linalg.eigh
 
     def perturbed(*args, **kwargs):
         w, v = solve(*args, **kwargs)
@@ -198,7 +218,7 @@ def test_banded_levels_verification_is_live(monkeypatch):
         return w, v
 
     assert lowest_levels(DIM, 1e-3, 5).shape == (5,)
-    monkeypatch.setattr(scipy.linalg, "eig_banded", perturbed)
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", perturbed)
     with pytest.raises(ArithmeticError, match="residual"):
         lowest_levels(DIM, 1e-3, 5)
 
@@ -217,5 +237,6 @@ def test_default_cutoff_policy():
 def test_module_constants():
     assert fock_core.MIN_DIM == 8
     assert fock_core.MAX_DIM == 16384
-    assert 8 * fock_core.MAX_DIM**2 == fock_core.BANDED_WORKSPACE_BYTES
+    assert fock_core.SOLVE_BYTES_PER_DIM2 == 12
+    assert fock_core.SOLVE_BYTES_PER_DIM2 * fock_core.MAX_DIM**2 == fock_core.SOLVE_BUDGET_BYTES
     assert fock_core.EPSILON_WARN_THRESHOLD == 0.1

@@ -80,6 +80,17 @@ def test_squeezed_fidelity_r_zero_is_stationary():
     assert squeezed_fidelity_closed(0.0, 3.0, 1e-3) == 1.0
 
 
+def test_squeezed_fidelity_rejects_nan_instead_of_clamping_it_to_zero():
+    """Where y2 cancels (r >~ 9) the fidelity is nan: named, not clamped to 0.0."""
+    r = np.linspace(8.0, 11.0, 3001)
+    zeros = np.zeros_like(r)
+    with pytest.raises(ValueError, match=r"^squeezed_fidelity_closed: fidelity nan is not "
+                                         r"finite at r=9\.381, t=0\.0, epsilon=0\.0$"):
+        squeezed_fidelity_closed(r, zeros, zeros)
+    with pytest.raises(ValueError, match="fidelity nan is not finite at r=9.56228976435397,"):
+        squeezed_fidelity_closed(9.56228976435397, 0.0, 0.0)
+
+
 def test_near_revival_flag_and_suppression():
     """At t = 2 pi the overlap gap vanishes; the divergent term must be dropped."""
     rep = mt_coherent(1.0, 2.0 * math.pi, 1e-4)
