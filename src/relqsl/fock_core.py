@@ -4,7 +4,9 @@ Dense-matrix oracle used to validate every closed form in this package:
 ladder matrices, Hamiltonian assembly H = (p^2 + x^2)/2 - eps*p^4/8,
 spectral decomposition, and exact time evolution. Everything here is in
 natural units (m = omega = hbar = 1) and brute force by design; no
-normal-ordering shortcuts are taken anywhere.
+normal-ordering shortcuts are taken anywhere. The arithmetic is real: with
+p = i q for the real antisymmetric q, H is a real symmetric float64 matrix
+with real eigenvectors, and states are complex only where a phase needs it.
 
 The dense pair ``build_hamiltonian``/``diagonalize`` stays the reference
 for every oracle that needs the full eigenbasis (evolution, moments,
@@ -25,12 +27,14 @@ import numpy as np
 
 MIN_DIM = 8
 # lowest_levels solves one (dim/2) x (dim/2) parity block at a time: the block,
-# numpy's copy of it, its eigenvectors and the ?syevd workspace come to about
-# 10 * dim**2 bytes, plus the kept vectors of the first block. Peak RSS
-# above the interpreter's baseline measured 10.4 * dim**2 (count 11) and
-# 11.4 * dim**2 (count dim/4 + 1, the most `spectrum` asks for) at dim 4096.
-# Dims whose solve would exceed the budget are refused up front.
+# numpy's copy, its eigenvectors and the ?syevd workspace, about 10 * dim**2
+# bytes plus the first block's kept vectors; at dim 4096, peak RSS above baseline
+# measured 10.4 * dim**2 (count 11) and 11.4 * dim**2 (count dim/4 + 1, spectrum's most).
 SOLVE_BYTES_PER_DIM2 = 12
+# Its verification holds three dim x count arrays and a count x count Gram
+# matrix: at dim 2048, 25.7 * dim * count at count = dim and at most 32.6 where
+# that exceeds 12 * dim**2. A solve over budget by either term is refused.
+_VERIFY_BYTES_PER_DIM_COUNT = 34
 SOLVE_BUDGET_BYTES = 3 * 1024**3
 MAX_DIM = math.isqrt(SOLVE_BUDGET_BYTES // SOLVE_BYTES_PER_DIM2)
 # Lower band rows of H: the quartic term couples n to n+-4.
@@ -42,29 +46,20 @@ NORM_ATOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Operator restricted to the lowest ``dim`` Fock levels.
+    """Operator on the lowest ``dim`` (at least MIN_DIM) Fock levels.
 
-    Parameters
-    ----------
-    dim : int
-        Fock cutoff, at least 8.
-    entries : ndarray
-        Complex dim x dim matrix.
+    ``entries`` is a dim x dim matrix, float64 from every builder here; the
+    checked floor and shape are what ``diagonalize``, ``expectation`` and
+    ``variance`` rely on.
     """
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.dim < MIN_DIM:
-            raise ValueError(
-                f"Fock cutoff dim={self.dim} is too small; the quartic term "
-                f"couples n to n+-4, so at least dim={MIN_DIM} is required"
-            )
+        _check_min_dim(self.dim)
         if self.entries.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match dim={self.dim}"
-            )
+            raise ValueError(f"entries shape {self.entries.shape} does not match dim={self.dim}")
 
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
         return bool(np.all(np.abs(self.entries - self.entries.conj().T) <= atol))
@@ -112,30 +107,30 @@ class SpectralDecomposition:
 def _check_min_dim(dim: int) -> None:
     if dim < MIN_DIM:
         raise ValueError(
-            f"Fock cutoff dim={dim} is too small; at least {MIN_DIM} levels are needed"
+            f"Fock cutoff dim={dim} is too small; the quartic term couples n to n+-4, "
+            f"so at least dim={MIN_DIM} is required"
         )
 
 
 def build_ladder(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Return the truncated annihilation and creation matrices (a0, a0dag).
+    """Return the real truncated annihilation and creation matrices (a0, a0dag).
 
-    a0[n-1, n] = sqrt(n); a0dag is the conjugate transpose. On the truncated
-    space [a0, a0dag] equals the identity everywhere except the last diagonal
+    a0[n-1, n] = sqrt(n); a0dag is its transpose. On the truncated space
+    [a0, a0dag] equals the identity everywhere except the last diagonal
     entry, which is a cutoff artifact.
     """
-    _check_min_dim(dim)
-    a = np.zeros((dim, dim), dtype=np.complex128)
+    a = np.zeros((dim, dim))
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
-    return TruncatedOperator(dim, a), TruncatedOperator(dim, a.conj().T)
+    return TruncatedOperator(dim, a), TruncatedOperator(dim, a.T)
 
 
 def build_quadratures(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Return position and momentum matrices x = (a0dag + a0)/sqrt2, p = i(a0dag - a0)/sqrt2."""
+    """Return the real x = (a0dag + a0)/sqrt2 (symmetric) and q = (a0dag - a0)/sqrt2; p = i q."""
     a, adag = build_ladder(dim)
     x = (adag.entries + a.entries) / np.sqrt(2.0)
-    p = 1j * (adag.entries - a.entries) / np.sqrt(2.0)
-    return TruncatedOperator(dim, x), TruncatedOperator(dim, p)
+    q = (adag.entries - a.entries) / np.sqrt(2.0)
+    return TruncatedOperator(dim, x), TruncatedOperator(dim, q)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -156,14 +151,14 @@ def _check_epsilon(epsilon: float) -> None:
 def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
     """Assemble H = (p^2 + x^2)/2 - epsilon * p^4 / 8 on the truncated space.
 
-    p^4 is the exact fourth matrix power of the truncated p; the operator is
-    Hermitian by construction. epsilon above 0.1 is allowed but triggers a
-    warning since the first-order treatment downstream degrades there.
+    With p = i q, p^2 = -q q and p^4 = (q q)(q q) are the brute-force products
+    ``matrix_power(p, 4)`` takes; H is real symmetric by construction. epsilon
+    above 0.1 is allowed but warns, as first order degrades there.
     """
     _check_epsilon(epsilon)
-    x, p = build_quadratures(dim)
-    p4 = np.linalg.matrix_power(p.entries, 4)
-    h = (p.entries @ p.entries + x.entries @ x.entries) / 2.0 - epsilon * p4 / 8.0
+    x, q = build_quadratures(dim)
+    q2 = q.entries @ q.entries
+    h = (x.entries @ x.entries - q2) / 2.0 - epsilon * (q2 @ q2) / 8.0
     return TruncatedOperator(dim, h)
 
 
@@ -176,16 +171,27 @@ def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
     if not op.is_hermitian():
         raise ValueError("diagonalize requires a Hermitian operator")
     w, v = np.linalg.eigh(op.entries)
-    scale = float(np.linalg.norm(op.entries))
-    resid = np.linalg.norm(op.entries @ v - v * w, axis=0)
+    _check_eigenpairs(op.entries @ v, v, w, float(np.linalg.norm(op.entries)))
+    return SpectralDecomposition(op.dim, w, v)
+
+
+def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float) -> None:
+    """Raise ArithmeticError unless the eigenpairs (w, v) of H pass verification.
+
+    ``hv`` is H @ v, overwritten with the residual. Each residual column must
+    stay below 1e-9 * ``scale`` (||H||_F), and v orthonormal within 1e-10.
+    """
+    hv -= v * w
+    resid = np.linalg.norm(hv, axis=0)
     if scale > 0 and float(resid.max()) > 1e-9 * scale:
         raise ArithmeticError(
             f"eigenpair residual {resid.max():.3e} exceeds 1e-9 * ||H|| = {1e-9*scale:.3e}"
         )
-    ortho = np.abs(v.conj().T @ v - np.eye(op.dim)).max()
+    defect = v.conj().T @ v
+    defect[np.diag_indices_from(defect)] -= 1.0
+    ortho = np.abs(defect, out=defect).max()
     if float(ortho) > 1e-10:
         raise ArithmeticError(f"eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
-    return SpectralDecomposition(op.dim, w, v)
 
 
 def hamiltonian_band(dim: int, epsilon: float) -> np.ndarray:
@@ -195,27 +201,28 @@ def hamiltonian_band(dim: int, epsilon: float) -> np.ndarray:
     lower band storage; rows 1 and 3 are zero by parity). The diagonals are
     closed-form products of the truncated quadratures x and q, where p = i q,
     so p^2 = -q^2 and p^4 = q^2 q^2 keep the truncation edge of the dense
-    ``matrix_power(p, 4)``; H is symmetric by construction. Same epsilon and
-    dim checks as the dense build, plus ``dim <= MAX_DIM``, checked before
-    anything is allocated.
+    build; H is symmetric by construction. Same epsilon and dim checks as the
+    dense build, plus ``dim <= MAX_DIM``, checked before anything is allocated.
     """
     _check_epsilon(epsilon)
-    return _lower_band(dim, epsilon)
+    return _lower_band(dim, epsilon, 1)
 
 
-def _lower_band(dim: int, epsilon: float) -> np.ndarray:
-    """``hamiltonian_band`` without the epsilon check.
+def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
+    """``hamiltonian_band`` without the epsilon check, for a solve of ``count`` levels.
 
     Each public caller checks epsilon itself, so that the large-epsilon
-    warning points at the code that called it.
+    warning points at the code that called it. A solve whose block or
+    verification would exceed ``SOLVE_BUDGET_BYTES`` is refused here.
     """
     _check_min_dim(dim)
-    if dim > MAX_DIM:
-        need = SOLVE_BYTES_PER_DIM2 * dim * dim
+    need = max(SOLVE_BYTES_PER_DIM2 * dim * dim, _VERIFY_BYTES_PER_DIM_COUNT * dim * count)
+    if need > SOLVE_BUDGET_BYTES:
+        most = SOLVE_BUDGET_BYTES // (_VERIFY_BYTES_PER_DIM_COUNT * dim)
         raise ValueError(
-            f"dim={dim} needs about {SOLVE_BYTES_PER_DIM2} * dim**2 = {need} bytes "
-            f"({need / 1024**3:.1f} GiB) for its parity-block solve, over the "
-            f"{SOLVE_BUDGET_BYTES / 1024**3:.0f} GiB budget; use dim <= {MAX_DIM}"
+            f"dim={dim} with count={count} needs about {need} bytes ({need / 1024**3:.1f} GiB) "
+            f"to solve and verify, over the {SOLVE_BUDGET_BYTES / 1024**3:.0f} GiB budget; "
+            f"use dim <= {MAX_DIM} and count <= {most}"
         )
     # Squared ladder couplings o_n = n/2 of x and q, zero-padded at both ends.
     o = np.zeros(dim + 2)
@@ -267,15 +274,14 @@ def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
     H couples n only to n+-2 and n+-4, so it splits into an even-n and an
     odd-n block. Each block is solved in turn with ``np.linalg.eigh``, the
     lowest ``count`` pairs of each are scattered back to full-length
-    vectors, and the two sets are merged in ascending order. The result is
-    verified as ``diagonalize`` verifies its own: eigenpair residuals below
-    1e-9 * ||H||_F and orthonormality of the returned vectors below 1e-10,
-    both measured against the full band with a banded mat-vec.
+    vectors, and the two sets are merged in ascending order. The result goes
+    through ``diagonalize``'s eigenpair check, against the full band with a
+    banded mat-vec.
     """
     if not 1 <= count <= dim:
         raise ValueError(f"count={count} must lie in 1..dim={dim}")
     _check_epsilon(epsilon)
-    band = _lower_band(dim, epsilon)
+    band = _lower_band(dim, epsilon, count)
     (w_even, v_even), (w_odd, v_odd) = (
         _parity_block_levels(band, parity, count) for parity in (0, 1)
     )
@@ -288,15 +294,9 @@ def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
     w = w[order]
     if w.shape != (count,) or np.any(np.diff(w) < 0):
         raise ArithmeticError(f"parity solve returned {w.size} eigenvalues, not {count} ascending")
+    del v_even, v_odd
     scale = math.sqrt(float(np.sum(band[0] ** 2) + 2.0 * np.sum(band[1:] ** 2)))
-    resid = np.linalg.norm(_band_matvec(band, v) - v * w, axis=0)
-    if scale > 0 and float(resid.max()) > 1e-9 * scale:
-        raise ArithmeticError(
-            f"eigenpair residual {resid.max():.3e} exceeds 1e-9 * ||H|| = {1e-9*scale:.3e}"
-        )
-    ortho = np.abs(v.T @ v - np.eye(count)).max()
-    if float(ortho) > 1e-10:
-        raise ArithmeticError(f"eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
+    _check_eigenpairs(_band_matvec(band, v), v, w, scale)
     return w
 
 

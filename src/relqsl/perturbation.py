@@ -45,7 +45,7 @@ def mixing_coefficients(n: int) -> MixingCoefficients:
 
 
 def perturbed_eigenstate(n: int, epsilon: float, dim: int) -> StateVector:
-    """First-order eigenvector in the bare number basis, renormalized.
+    """First-order eigenvector in the bare number basis, renormalized (real amplitudes).
 
     |n> = |n0> - (eps/32) [B4 |n+4> + B2 |n+2> + Bm2 |n-2> + Bm4 |n-4>].
     The explicit renormalization only touches O(eps^2).
@@ -55,7 +55,7 @@ def perturbed_eigenstate(n: int, epsilon: float, dim: int) -> StateVector:
             f"cutoff violation: level n={n} mixes into n+4={n + 4}, needs dim > {n + 4}"
         )
     coef = mixing_coefficients(n)
-    amps = np.zeros(dim, dtype=np.complex128)
+    amps = np.zeros(dim)
     amps[n] = 1.0
     amps[n + 4] -= epsilon / 32.0 * coef.b4
     amps[n + 2] -= epsilon / 32.0 * coef.b2

@@ -6,7 +6,16 @@ digit, a column order or a key fails here. A change to the physics that
 moves these numbers on purpose updates the text together with a note of
 why. ``spectrum`` is left out: its exact eigenvalues end in digits that
 depend on the LAPACK build.
+
+``selfcheck --seed 42`` is pinned too, text and JSON, from the files in
+``tests/data``. Only the fields read off the dense H(256, eps)
+decomposition (energy_order and the two moment oracles) depend on the
+LAPACK build and its thread count; they are compared at 1e-5 relative and
+every other byte exactly.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +135,29 @@ PINNED = [
 def test_single_point_stdout_is_pinned(argv, expected, capsys):
     assert run_subcommand(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+DATA = Path(__file__).parent / "data"
+DENSE_FIELDS = re.compile(
+    r"((?:ratio_min|ratio_max|max_residual|diff_mean|diff_var|ratio_mean|ratio_var)(?:=|\": ))"
+    r"([^,\]\n]+)"
+)
+
+
+def _split_dense(text: str) -> tuple[str, list[float]]:
+    """The text with each dense-oracle value masked, and those values in order."""
+    values = [float(m.group(2)) for m in DENSE_FIELDS.finditer(text)]
+    return DENSE_FIELDS.sub(r"\1<dense>", text), values
+
+
+def test_selfcheck_seed_42_is_pinned(tmp_path, capsys):
+    report = tmp_path / "selfcheck.json"
+    assert run_subcommand(["selfcheck", "--seed", "42", "--out", str(report)]) == 0
+    outputs = {"selfcheck_seed42.txt": capsys.readouterr().out,
+               "selfcheck_seed42.json": report.read_bytes().decode()}
+    for name, got in outputs.items():
+        expected, expected_values = _split_dense((DATA / name).read_bytes().decode())
+        masked, values = _split_dense(got)
+        assert len(expected_values) == 11, name
+        assert masked == expected, name
+        assert values == pytest.approx(expected_values, rel=1e-5), name

@@ -37,7 +37,7 @@ def test_ladder_matrix_elements():
     mask = np.ones((8, 8), dtype=bool)
     mask[np.arange(7), np.arange(1, 8)] = False
     assert np.all(a.entries[mask] == 0)
-    assert np.array_equal(adag.entries, a.entries.conj().T)
+    assert np.array_equal(adag.entries, a.entries.T)
 
 
 def test_ladder_small_block():
@@ -57,11 +57,13 @@ def test_commutator_is_identity_in_interior():
 
 
 def test_quadratures_hermitian_and_canonical():
-    x, p = build_quadratures(DIM)
-    assert x.is_hermitian()
-    assert p.is_hermitian()
-    comm = x.entries @ p.entries - p.entries @ x.entries
-    assert np.allclose(comm[: DIM - 1, : DIM - 1], 1j * np.eye(DIM - 1), atol=1e-12)
+    """x is symmetric and q antisymmetric, so p = i q is Hermitian and [x, p] = i [x, q] = i."""
+    x, q = build_quadratures(DIM)
+    assert x.entries.dtype == q.entries.dtype == np.float64
+    assert np.array_equal(x.entries, x.entries.T)
+    assert np.array_equal(q.entries, -q.entries.T)
+    comm = x.entries @ q.entries - q.entries @ x.entries
+    assert np.allclose(comm[: DIM - 1, : DIM - 1], np.eye(DIM - 1), atol=1e-12)
 
 
 def test_harmonic_spectrum_at_zero_epsilon():
@@ -165,6 +167,33 @@ TIE_CASES = [
 ] + [(256, 0.08)]
 
 
+def _complex_reference_hamiltonian(dim: int, eps: float) -> np.ndarray:
+    """H from complex ladder matrices, p = i(a0dag - a0)/sqrt2, and matrix_power(p, 4)."""
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    adag = a.conj().T
+    x = (adag + a) / np.sqrt(2.0)
+    p = 1j * (adag - a) / np.sqrt(2.0)
+    return (p @ p + x @ x) / 2.0 - eps * np.linalg.matrix_power(p, 4) / 8.0
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+@pytest.mark.parametrize("dim,eps", TIE_CASES)
+def test_real_hamiltonian_matches_complex_reference(dim, eps):
+    """The real build is the complex one up to summation order in the last bit."""
+    op = build_hamiltonian(dim, eps)
+    h = op.entries
+    ref = _complex_reference_hamiltonian(dim, eps)
+    assert h.dtype == np.float64
+    assert np.all(ref.imag == 0)
+    assert np.abs(h - ref.real).max() <= 1e-15 * np.abs(h).max()
+    spec = diagonalize(op)
+    assert spec.eigenvectors.dtype == np.float64
+    ref_levels = np.linalg.eigvalsh(ref)[:11]
+    assert np.abs(spec.eigenvalues[:11] - ref_levels).max() <= 1e-11
+
+
 @pytest.mark.filterwarnings("ignore:epsilon=")
 @pytest.mark.parametrize("dim,eps", TIE_CASES)
 def test_banded_levels_tie_to_dense_reference(dim, eps):
@@ -173,8 +202,7 @@ def test_banded_levels_tie_to_dense_reference(dim, eps):
     h = op.entries
     band = hamiltonian_band(dim, eps)
     assert band.shape == (fock_core.BAND_ROWS, dim)
-    assert np.all(h.imag == 0)
-    assert np.abs(_band_to_dense(band) - h.real).max() <= 1e-12 * np.abs(h).max()
+    assert np.abs(_band_to_dense(band) - h).max() <= 1e-12 * np.abs(h).max()
     dense = diagonalize(op).eigenvalues
     for count in sorted({1, 11, dim // 4}):
         levels = lowest_levels(dim, eps, count)
@@ -200,7 +228,7 @@ PARITY_EDGE_CASES = [
 def test_parity_levels_edge_cases_match_dense_reference(dim, eps, count):
     """Unequal blocks, one level, and every level all merge to the dense lowest levels."""
     op = build_hamiltonian(dim, eps)
-    h = op.entries.real
+    h = op.entries
     assert np.abs(_band_to_dense(hamiltonian_band(dim, eps)) - h).max() <= 1e-12 * np.abs(h).max()
     dense = diagonalize(op).eigenvalues
     levels = lowest_levels(dim, eps, count)
@@ -208,7 +236,16 @@ def test_parity_levels_edge_cases_match_dense_reference(dim, eps, count):
     assert np.abs(levels - dense[:count]).max() <= 1e-11
 
 
-def test_banded_levels_verification_is_live(monkeypatch):
+VERIFIED_ROUTES = {
+    "lowest_levels": lambda op: lowest_levels(DIM, 1e-3, 5),
+    "diagonalize": diagonalize,
+}
+
+
+@pytest.mark.parametrize("route", VERIFIED_ROUTES.values(), ids=VERIFIED_ROUTES.keys())
+def test_banded_levels_verification_is_live(route, monkeypatch):
+    """A perturbed eigh eigenvalue is caught by the residual check of either route."""
+    op = build_hamiltonian(DIM, 1e-3)
     solve = fock_core.np.linalg.eigh
 
     def perturbed(*args, **kwargs):
@@ -217,10 +254,22 @@ def test_banded_levels_verification_is_live(monkeypatch):
         w[2] += 1e-3
         return w, v
 
-    assert lowest_levels(DIM, 1e-3, 5).shape == (5,)
+    route(op)
     monkeypatch.setattr(fock_core.np.linalg, "eigh", perturbed)
     with pytest.raises(ArithmeticError, match="residual"):
-        lowest_levels(DIM, 1e-3, 5)
+        route(op)
+
+
+def test_lowest_levels_count_over_memory_budget_refused(monkeypatch):
+    """At MAX_DIM the block solve fits the budget, but verifying every level does not."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solver must not be reached")
+
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", unreachable)
+    dim = fock_core.MAX_DIM
+    need = fock_core._VERIFY_BYTES_PER_DIM_COUNT * dim * dim
+    with pytest.raises(ValueError, match=f"dim={dim} with count={dim} needs about {need} bytes"):
+        lowest_levels(dim, 1e-3, dim)
 
 
 def test_lowest_levels_count_range():
@@ -239,4 +288,9 @@ def test_module_constants():
     assert fock_core.MAX_DIM == 16384
     assert fock_core.SOLVE_BYTES_PER_DIM2 == 12
     assert fock_core.SOLVE_BYTES_PER_DIM2 * fock_core.MAX_DIM**2 == fock_core.SOLVE_BUDGET_BYTES
+    assert fock_core._VERIFY_BYTES_PER_DIM_COUNT == 34
+    # every count `spectrum` asks for (nmax <= dim/4) still fits at MAX_DIM
+    most = fock_core.MAX_DIM // 4 + 1
+    assert (fock_core._VERIFY_BYTES_PER_DIM_COUNT * fock_core.MAX_DIM * most
+            <= fock_core.SOLVE_BUDGET_BYTES)
     assert fock_core.EPSILON_WARN_THRESHOLD == 0.1
