@@ -4,7 +4,8 @@ Precedence for every parameter is defaults < config file < command-line
 flag. The flags are generated from `config.SCHEMA`, so a flag value passes
 the same parse-and-range check as a config line. Outputs go to stdout or,
 with --out, to an atomically written file. Exit codes: 0 success, 1 domain
-or check failure, 2 usage, flag or config error.
+or check failure, 2 usage, flag or config error, or an --out path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ import numpy as np
 from . import __version__, config, homodyne_trap, metrology, perturbation
 from . import fock_core, presets, qkd_model
 from .config import ConfigError
-from .report import emit, render_json, write_text
+from .report import OutputError, emit, render_json, write_text
 from .selfcheck import run_selfcheck
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
@@ -237,6 +241,9 @@ def run_subcommand(argv: list[str]) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError: overflow in a closed form, a failed eigen-verification

@@ -100,16 +100,18 @@ def simulate_i_diff(cfg: BhdConfig, shots: int, rng: np.random.Generator) -> np.
     Coherent inputs put independent Poisson photocounts at each port with
     means |amplitude|^2 of the respective output, so the sampled differences
     reproduce i_diff_mean and i_diff_variance. The generator is injected per
-    call and never shared, which keeps grid sweeps parallel-safe.
+    call and never shared, which keeps grid sweeps parallel-safe. The
+    difference is formed in place in the first port's counts, so at most two
+    shot-length arrays are alive at once.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     s2 = cfg.alpha_s**2
     l2 = cfg.alpha_lo_mag**2
     cross = 2.0 * cfg.alpha_s * cfg.alpha_lo_mag * math.cos(cfg.delta_psi)
-    n_plus = rng.poisson((s2 + l2 + cross) / 2.0, size=shots)
-    n_minus = rng.poisson((s2 + l2 - cross) / 2.0, size=shots)
-    return (n_plus - n_minus).astype(float)
+    counts = rng.poisson((s2 + l2 + cross) / 2.0, size=shots)
+    counts -= rng.poisson((s2 + l2 - cross) / 2.0, size=shots)
+    return counts.astype(float)
 
 
 def sensitivity_bracket_c(cfg: BhdConfig) -> float:

@@ -107,23 +107,34 @@ def render_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 
+class OutputError(Exception):
+    """An output path that cannot be written; the message names the path as given."""
+
+
 def write_text(path: str | None, text: str) -> None:
-    """Write atomically to path, or to stdout when no path is given."""
+    """Write atomically to path, or to stdout when no path is given.
+
+    An OSError (missing directory, a directory as path, no permission)
+    becomes an OutputError that names path, not the temporary sibling.
+    """
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".tmp")
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def emit(path: str | None, fmt: str, header: Sequence[str], rows: np.ndarray) -> None:

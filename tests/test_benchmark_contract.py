@@ -2,19 +2,22 @@
 
 ``perfbench/golden.json`` holds the sha256 of every preset sweep in both
 formats; the benchmark fails a job whose output differs, so the same check
-runs here. The traced benchmark binds ``presets.run_sweep(spec)`` and
-``report.emit(..., rows)`` by parameter name and counts points and rows with
-``len`` of the table.
+runs here. The traced benchmark binds ``presets.run_sweep(spec)``,
+``report.emit(..., rows)`` and ``homodyne_trap.simulate_i_diff(..., shots,
+...)`` by parameter name, counts points and rows with ``len`` of the table,
+and counts failed checks from ``run_selfcheck(...).checks``.
 """
 
+import dataclasses
 import hashlib
 import inspect
 import json
 import os
+import typing
 
 import pytest
 
-from relqsl import presets, report
+from relqsl import homodyne_trap, presets, report, selfcheck
 from relqsl.cli import run_subcommand
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
@@ -39,3 +42,8 @@ def test_traced_names_and_table_length():
     assert len(presets.run_sweep(presets.PRESETS["fig2"])[1]) == 240
     assert "spec" in inspect.signature(presets.run_sweep).parameters
     assert "rows" in inspect.signature(report.emit).parameters
+    # the selfcheck workload's hooks: shots by name, and the report's checks
+    assert "shots" in inspect.signature(homodyne_trap.simulate_i_diff).parameters
+    assert typing.get_type_hints(selfcheck.run_selfcheck)["return"] is report.RunReport
+    assert {"checks"} <= {f.name for f in dataclasses.fields(report.RunReport)}
+    assert {"passed"} <= {f.name for f in dataclasses.fields(report.CheckEntry)}

@@ -27,6 +27,11 @@ def test_version_and_usage_exit_codes(capsys):
     assert run_subcommand([]) == 2
     assert run_subcommand(["qsl", "--state", "thermal"]) == 2
     assert run_subcommand(["selfcheck", "--seed", "-1"]) == 2
+    for seed in ("abc", "1.5"):
+        assert run_subcommand(["selfcheck", "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: expected an integer, got '{seed}'" in err
+        assert "_seed_type" not in err
 
 
 def test_qsl_frozen_row(capsys):
@@ -326,6 +331,23 @@ def test_sweep_out_writes_whole_file_atomically(tmp_path, capsys):
     assert len(one.read_text(encoding="utf-8").splitlines()) == 1 + 8 * 30
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".partial-")]
     assert leftovers == []
+
+
+@pytest.mark.filterwarnings("ignore:mt_squeezed", "ignore:ml_squeezed")
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--preset", "fig2"], ["trap"], ["selfcheck"]],
+    ids=["sweep", "trap", "selfcheck"],
+)
+def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys):
+    out = tmp_path / "absent" / "x.out" if target == "missing-dir" else tmp_path
+    assert run_subcommand([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+    assert err.endswith(f"error: cannot write {out}: {reason}\n")
+    assert ".partial-" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_selfcheck_passes_and_writes_json(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Balanced-homodyne statistics and the trap Allan-deviation budget."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from relqsl import selfcheck
 from relqsl.homodyne_trap import (
     ELECTRON_MASS,
     PLANCK_H,
@@ -81,6 +83,42 @@ def test_simulated_counts_match_moments():
     assert abs(samples.var(ddof=1) - sig2) <= 3.0 * se_var
     with pytest.raises(ValueError):
         simulate_i_diff(cfg, 0, RNG)
+
+
+MC_SHOTS = 1_000_000
+# two shot-length 8-byte arrays, plus slack for the interpreter's own objects
+TWO_SHOT_ARRAYS = 2 * 8 * MC_SHOTS + 2**20
+
+
+def _traced_peak(fn, *args):
+    """Return fn(*args) and the tracemalloc peak while it ran (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_simulated_counts_are_the_port_difference_in_two_arrays():
+    cfg = BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=math.pi / 3.0)
+    samples, peak = _traced_peak(simulate_i_diff, cfg, MC_SHOTS, np.random.default_rng(11))
+    # reference: both ports drawn in full, then subtracted
+    rng2 = np.random.default_rng(11)
+    lam_plus = (i_diff_variance(cfg) + i_diff_mean(cfg)) / 2.0
+    lam_minus = (i_diff_variance(cfg) - i_diff_mean(cfg)) / 2.0
+    expected = (rng2.poisson(lam_plus, MC_SHOTS) - rng2.poisson(lam_minus, MC_SHOTS)).astype(float)
+    assert samples.dtype == expected.dtype
+    assert samples.tobytes() == expected.tobytes()
+    assert peak <= TWO_SHOT_ARRAYS
+
+
+def test_homodyne_mc_check_holds_two_shot_arrays_at_most():
+    assert selfcheck.MC_SHOTS == MC_SHOTS
+    entry, peak = _traced_peak(selfcheck._check_homodyne_mc, np.random.default_rng(42))
+    assert entry.passed
+    assert peak <= TWO_SHOT_ARRAYS
 
 
 def test_sensitivity_bracket_and_base_identity():
