@@ -5,7 +5,8 @@ flag. The flags are generated from `config.SCHEMA`, so a flag value passes
 the same parse-and-range check as a config line. Outputs go to stdout or,
 with --out, to an atomically written file. Exit codes: 0 success, 1 domain
 or check failure, 2 usage, flag or config error, or an --out path that
-cannot be written.
+cannot be written. Warnings reach stderr as one ``warning: <message>`` line
+each.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from typing import Any, Callable
 
 import numpy as np
@@ -251,7 +253,14 @@ def run_subcommand(argv: list[str]) -> int:
         return 1
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the command line: the message alone, no source path."""
+    (file or sys.stderr).write(f"warning: {message}\n")
+
+
 def main() -> None:
+    # only the command line changes the format; library callers keep Python's
+    warnings.showwarning = _show_warning
     sys.exit(run_subcommand(sys.argv[1:]))
 
 

@@ -31,6 +31,13 @@ REFERENCE_SHOT_NOISE_1S = 5.3e-22
 
 MIN_SIN_DELTA_PSI = 1e-9
 
+# simulate_i_diff draws each port SHOT_CHUNK shots at a time (512 KiB of
+# int64 per draw) and stores int16 photocounts while both port means are at
+# most INT16_MAX_PORT_MEAN, where 32767 lies more than 900 sigma out
+SHOT_CHUNK = 65_536
+INT16_MAX_PORT_MEAN = 1e3
+_INT16_MAX = np.iinfo(np.int16).max
+
 _LOG10_TAU_LO = -6.0
 _LOG10_TAU_HI = 12.0
 # scipy.optimize.bisect's defaults: rtol = 4 machine epsilons, 100 iterations
@@ -99,19 +106,39 @@ def simulate_i_diff(cfg: BhdConfig, shots: int, rng: np.random.Generator) -> np.
 
     Coherent inputs put independent Poisson photocounts at each port with
     means |amplitude|^2 of the respective output, so the sampled differences
-    reproduce i_diff_mean and i_diff_variance. The generator is injected per
-    call and never shared, which keeps grid sweeps parallel-safe. The
-    difference is formed in place in the first port's counts, so at most two
-    shot-length arrays are alive at once.
+    reproduce i_diff_mean and i_diff_variance. The result is the integer
+    count differences, port + minus port -.
+
+    Port + is drawn in chunks of SHOT_CHUNK shots into one count array, then
+    port - in chunks of the same size from the same generator, each chunk
+    subtracted in place. ``Generator.poisson`` yields the same stream in
+    chunks as in one call, so the counts equal drawing each port whole. They
+    are int16 when both port means are at most INT16_MAX_PORT_MEAN, else
+    int64; a narrowed chunk outside the int16 range raises ArithmeticError
+    and is never wrapped.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     s2 = cfg.alpha_s**2
     l2 = cfg.alpha_lo_mag**2
     cross = 2.0 * cfg.alpha_s * cfg.alpha_lo_mag * math.cos(cfg.delta_psi)
-    counts = rng.poisson((s2 + l2 + cross) / 2.0, size=shots)
-    counts -= rng.poisson((s2 + l2 - cross) / 2.0, size=shots)
-    return counts.astype(float)
+    port_means = ((s2 + l2 + cross) / 2.0, (s2 + l2 - cross) / 2.0)
+    narrow = max(port_means) <= INT16_MAX_PORT_MEAN
+    counts = np.empty(shots, dtype=np.int16 if narrow else np.int64)
+    for port, mean in enumerate(port_means):
+        for start in range(0, shots, SHOT_CHUNK):
+            chunk = rng.poisson(mean, size=min(SHOT_CHUNK, shots - start))
+            if narrow and chunk.max() > _INT16_MAX:
+                raise ArithmeticError(
+                    f"simulate_i_diff: a photocount of {chunk.max()} at port mean {mean!r} "
+                    f"exceeds the int16 range"
+                )
+            window = counts[start:start + chunk.size]
+            if port == 0:
+                window[...] = chunk
+            else:
+                window -= chunk
+    return counts
 
 
 def sensitivity_bracket_c(cfg: BhdConfig) -> float:

@@ -18,9 +18,14 @@ import numpy as np
 
 from . import metrology, qsl_bounds
 from .arrays import Grid
+from .fock_core import SOLVE_BUDGET_BYTES
 from .homodyne_trap import ELECTRON_MASS, TrapConfig, epsilon_from_trap
 
 MAX_AXES = 3
+# A grid job peaks at about 1 KiB a point (a 75,030-point JSON sweep: 70 MB
+# over the interpreter's baseline), so grids are held to fock_core's budget.
+GRID_BYTES_PER_POINT = 1024
+MAX_GRID_POINTS = SOLVE_BUDGET_BYTES // GRID_BYTES_PER_POINT
 
 # Axis and fixed-parameter names a sweep may use; SweepSpec checks that the
 # chosen target consumes exactly these.
@@ -48,9 +53,18 @@ class Axis:
                 f"axis {self.name}: start {self.start} exceeds stop {self.stop}"
             )
 
+    @property
+    def count(self) -> int:
+        """Number of points, also where (stop - start) / step overflows a float."""
+        ratio = (self.stop - self.start) / self.step
+        if math.isfinite(ratio):
+            return round(ratio) + 1
+        # in exact integers; a count past 1e308 is refused, so flooring will do
+        (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (self.stop, self.start, self.step))
+        return (a * d - c * b) * f // (b * d * e) + 1
+
     def values(self) -> np.ndarray:
-        count = int(round((self.stop - self.start) / self.step)) + 1
-        return self.start + self.step * np.arange(count)
+        return self.start + self.step * np.arange(self.count)
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,14 @@ class SweepSpec:
             raise ValueError(
                 f"target {self.target!r} needs exactly {sorted(required)}, "
                 f"got {sorted(supplied)}"
+            )
+        points = math.prod(axis.count for axis in self.axes)
+        if points > MAX_GRID_POINTS:
+            shown = f"{points:,}" if points < 10**15 else f"at least 10^{len(str(points)) - 1}"
+            raise ValueError(
+                f"sweep grid has {shown} points, over the limit of {MAX_GRID_POINTS:,} "
+                f"(about {GRID_BYTES_PER_POINT} bytes a point within "
+                f"{SOLVE_BUDGET_BYTES // 1024**3} GiB); raise a step or narrow an axis"
             )
 
 

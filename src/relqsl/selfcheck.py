@@ -299,8 +299,10 @@ def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
     for label, delta_psi in (("pi_3", math.pi / 3.0), ("pi_2", math.pi / 2.0)):
         cfg = homodyne_trap.BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=delta_psi)
         samples = homodyne_trap.simulate_i_diff(cfg, MC_SHOTS, rng)
-        # drop the samples before the next point draws: the process memory
-        # peak is two shot-length arrays, not three
+        # the int16 counts (2 bytes a shot) are reduced in float64: the sum
+        # of integers is exact, so mean and var equal those of float counts.
+        # var's float64 deviation array (8 bytes a shot) sets the peak, and
+        # the samples are dropped before the next point draws.
         mean, var = samples.mean(), samples.var(ddof=1)
         del samples
         mean_th = homodyne_trap.i_diff_mean(cfg)

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from relqsl import config, fock_core
+from relqsl import cli, config, fock_core, presets
 from relqsl.cli import build_parser, run_subcommand
 
 # coherent alpha0 = 1 at t = 3.14159 (epsilon = 0): repr of the zeroth bound
@@ -321,6 +321,64 @@ def test_qkd_negative_rate_is_reported_and_clamped(capsys):
 def test_sweep_needs_a_selection(capsys):
     assert run_subcommand(["sweep"]) == 2
     assert "no sweep selected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stop, step, shown",
+    [("1e6", "1e-4", "9,999,999,001"), ("1e300", "1e-300", "at least 10^600")],
+)
+def test_oversized_sweep_grid_is_refused_before_allocation(
+    stop, step, shown, tmp_path, monkeypatch, capsys
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid must not be allocated")
+
+    monkeypatch.setattr(presets.np, "arange", unreachable)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        "[sweep]\ntarget = qsl_coherent\naxis1_name = t\naxis1_start = 0.1\n"
+        f"axis1_stop = {stop}\naxis1_step = {step}\nalpha0_sq = 1.0\nepsilon = 0.01\n",
+        encoding="utf-8",
+    )
+    assert run_subcommand(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"config error: sweep grid has {shown} points, "
+        f"over the limit of {presets.MAX_GRID_POINTS:,} "
+    )
+    assert presets.MAX_GRID_POINTS == 3 * 1024**2
+
+
+def test_warnings_are_one_line_each_on_the_command_line(capsys):
+    """The CLI prints the message alone; in-process callers keep Python's format."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    doubtful = (
+        "epsilon correction exceeds half the zeroth-order value at {} of 240 "
+        "evaluation points; first-order validity is doubtful there"
+    )
+    cases = [
+        (["sweep", "--preset", "fig2"],
+         f"warning: mt_squeezed: {doubtful.format(8)}\n"
+         f"warning: ml_squeezed: {doubtful.format(21)}\n"),
+        (["spectrum", "--epsilon", "0.2"],
+         "warning: epsilon=0.2 is large for a first-order correction; "
+         "results beyond epsilon ~ 0.1 are exploratory\n"),
+    ]
+    for argv, stderr in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "relqsl.cli", *argv], capture_output=True, env=env
+        )
+        assert done.returncode == 0
+        assert done.stderr.decode() == stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_subcommand(argv) == 0
+        assert len(caught) == stderr.count("\n")
+        assert done.stdout == capsys.readouterr().out.encode()
+    assert warnings.showwarning is not cli._show_warning
 
 
 @pytest.mark.filterwarnings("ignore:mt_squeezed", "ignore:ml_squeezed")

@@ -10,8 +10,10 @@ import pytest
 from relqsl import selfcheck
 from relqsl.homodyne_trap import (
     ELECTRON_MASS,
+    INT16_MAX_PORT_MEAN,
     PLANCK_H,
     REFERENCE_SHOT_NOISE_1S,
+    SHOT_CHUNK,
     SPEED_OF_LIGHT,
     BhdConfig,
     TrapConfig,
@@ -86,8 +88,7 @@ def test_simulated_counts_match_moments():
 
 
 MC_SHOTS = 1_000_000
-# two shot-length 8-byte arrays, plus slack for the interpreter's own objects
-TWO_SHOT_ARRAYS = 2 * 8 * MC_SHOTS + 2**20
+MIB = 2**20
 
 
 def _traced_peak(fn, *args):
@@ -101,24 +102,73 @@ def _traced_peak(fn, *args):
     return result, peak
 
 
+def _whole_port_draws(cfg: BhdConfig, shots: int, seed: int) -> np.ndarray:
+    """Reference counts: both ports drawn in full as int64, then subtracted."""
+    rng = np.random.default_rng(seed)
+    lam_plus = (i_diff_variance(cfg) + i_diff_mean(cfg)) / 2.0
+    lam_minus = (i_diff_variance(cfg) - i_diff_mean(cfg)) / 2.0
+    return rng.poisson(lam_plus, shots) - rng.poisson(lam_minus, shots)
+
+
+def _assert_same_sample(samples: np.ndarray, expected: np.ndarray) -> None:
+    """Equal values, and mean and sample variance equal bit for bit."""
+    assert np.array_equal(samples, expected)
+    assert samples.mean().tobytes() == expected.mean().tobytes()
+    if samples.size > 1:
+        assert samples.var(ddof=1).tobytes() == expected.var(ddof=1).tobytes()
+
+
 def test_simulated_counts_are_the_port_difference_in_two_arrays():
     cfg = BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=math.pi / 3.0)
     samples, peak = _traced_peak(simulate_i_diff, cfg, MC_SHOTS, np.random.default_rng(11))
-    # reference: both ports drawn in full, then subtracted
-    rng2 = np.random.default_rng(11)
-    lam_plus = (i_diff_variance(cfg) + i_diff_mean(cfg)) / 2.0
-    lam_minus = (i_diff_variance(cfg) - i_diff_mean(cfg)) / 2.0
-    expected = (rng2.poisson(lam_plus, MC_SHOTS) - rng2.poisson(lam_minus, MC_SHOTS)).astype(float)
-    assert samples.dtype == expected.dtype
-    assert samples.tobytes() == expected.tobytes()
-    assert peak <= TWO_SHOT_ARRAYS
+    # int16 counts hold the same sample as the float64 difference of two whole draws
+    expected = _whole_port_draws(cfg, MC_SHOTS, 11).astype(float)
+    assert samples.dtype == np.int16
+    _assert_same_sample(samples, expected)
+    # the int16 counts plus a few int64 draw chunks
+    assert peak <= 2 * MC_SHOTS + 2 * MIB
+
+
+@pytest.mark.parametrize("shots", [1, SHOT_CHUNK - 1, SHOT_CHUNK, SHOT_CHUNK + 1, 1_000_003])
+def test_chunked_draws_equal_whole_port_draws(shots):
+    cfg = BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=math.pi / 2.0)
+    samples = simulate_i_diff(cfg, shots, np.random.default_rng(977))
+    assert samples.dtype == np.int16
+    _assert_same_sample(samples, _whole_port_draws(cfg, shots, 977).astype(float))
+
+
+def test_large_port_means_are_drawn_into_int64():
+    # port means about 4.5e4: int16 photocounts would wrap, so the counts stay int64
+    cfg = BhdConfig(alpha_s=2.0, alpha_lo_mag=300.0, delta_psi=math.pi / 3.0)
+    assert (i_diff_variance(cfg) - i_diff_mean(cfg)) / 2.0 > np.iinfo(np.int16).max
+    shots = 3 * SHOT_CHUNK + 5
+    samples = simulate_i_diff(cfg, shots, np.random.default_rng(5))
+    expected = _whole_port_draws(cfg, shots, 5)
+    assert samples.dtype == expected.dtype == np.int64
+    _assert_same_sample(samples, expected)
+
+
+class _HugeCounts:
+    """A generator stand-in whose photocounts overflow int16."""
+
+    def poisson(self, lam, size):
+        return np.full(size, 40_000)
+
+
+def test_out_of_range_counts_raise_instead_of_wrapping():
+    cfg = BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=math.pi / 2.0)
+    port_mean = (i_diff_variance(cfg) + i_diff_mean(cfg)) / 2.0
+    assert port_mean <= INT16_MAX_PORT_MEAN
+    with pytest.raises(ArithmeticError, match=f"photocount of 40000 at port mean {port_mean!r}"):
+        simulate_i_diff(cfg, 10, _HugeCounts())
 
 
 def test_homodyne_mc_check_holds_two_shot_arrays_at_most():
     assert selfcheck.MC_SHOTS == MC_SHOTS
     entry, peak = _traced_peak(selfcheck._check_homodyne_mc, np.random.default_rng(42))
     assert entry.passed
-    assert peak <= TWO_SHOT_ARRAYS
+    # var's float64 deviation array plus the int16 counts
+    assert peak <= 10 * MC_SHOTS + MIB
 
 
 def test_sensitivity_bracket_and_base_identity():
