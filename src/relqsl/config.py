@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .homodyne_trap import ELECTRON_MASS
-from .presets import PRESETS, SWEEP_PARAM_NAMES, TARGETS
+from .presets import PRESETS, SWEEP_PARAM_DOMAINS, SWEEP_PARAM_NAMES, TARGETS
 from .qkd_model import DETECTION_KINDS, PREDICTOR_KINDS
 
 
@@ -142,7 +142,10 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "target": FieldSpec(_choice(*TARGETS), None),
         **_AXIS_FIELDS,
         # fixed values for parameters not swept over
-        **{name: FieldSpec(_parse_float, None) for name in SWEEP_PARAM_NAMES},
+        **{
+            name: FieldSpec(_parse_float, None, check, describe)
+            for name, (check, describe) in SWEEP_PARAM_DOMAINS.items()
+        },
     },
 }
 

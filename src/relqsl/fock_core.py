@@ -8,13 +8,13 @@ normal-ordering shortcuts are taken anywhere. The arithmetic is real: with
 p = i q for the real antisymmetric q, H is a real symmetric float64 matrix
 with real eigenvectors, and states are complex only where a phase needs it.
 
-The dense pair ``build_hamiltonian``/``diagonalize`` stays the reference
-for every oracle that needs the full eigenbasis (evolution, moments,
-overlaps). When only the lowest levels are wanted, ``lowest_levels`` solves
-the same truncated H with numpy alone: H is real and couples n only to n+-2
-and n+-4, so it splits exactly into an even-n and an odd-n block, each a
-real pentadiagonal matrix of size dim/2. Solving the two blocks costs about
-a quarter of the flops of one dim x dim solve.
+H couples n only to n+-2 and n+-4, so it splits exactly into an even-n and
+an odd-n block, and one parity solve serves both solvers: ``diagonalize``
+slices the blocks from the dense ``build_hamiltonian`` matrix (after
+checking that every even-odd entry is zero) and returns the full
+eigenbasis; ``lowest_levels`` builds each block from the closed-form band
+and keeps only the lowest levels. Energy moments of a state are read off
+the eigenvalues by ``SpectralDecomposition.moments``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class TruncatedOperator:
     """Operator on the lowest ``dim`` (at least MIN_DIM) Fock levels.
 
     ``entries`` is a dim x dim matrix, float64 from every builder here; the
-    checked floor and shape are what ``diagonalize``, ``expectation`` and
-    ``variance`` rely on.
+    checked floor and shape are what ``diagonalize`` relies on.
     """
 
     dim: int
@@ -102,6 +102,24 @@ class SpectralDecomposition:
             raise ValueError("eigenvector matrix shape does not match dim")
         if np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
+
+    def moments(self, bare: StateVector) -> tuple[float, float]:
+        """Exact <H> and Var(H) of the bare amplitudes carried onto the eigenvectors.
+
+        Bare level n goes onto the n-th lowest eigenvector, so with weights
+        p_n = |c_n|^2 the moments are sum p_n E_n and sum p_n E_n^2 - <H>^2.
+        The variance is clamped at zero within -1e-12.
+        """
+        if bare.dim != self.dim:
+            raise ValueError(f"dimension mismatch: state {bare.dim} vs decomposition {self.dim}")
+        weights = np.abs(bare.amps) ** 2
+        mean = float(weights @ self.eigenvalues)
+        var = float(weights @ self.eigenvalues**2) - mean * mean
+        if var < 0.0:
+            if var < -1e-12:
+                raise ArithmeticError(f"variance {var!r} is negative beyond tolerance")
+            var = 0.0
+        return mean, var
 
 
 def _check_min_dim(dim: int) -> None:
@@ -163,16 +181,47 @@ def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
 
 
 def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
-    """Dense eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator that conserves the parity of n.
 
-    Raises if the input is not Hermitian. The result is verified: eigenpair
+    Raises if the input is not Hermitian or has a nonzero entry between an
+    even and an odd level. The even and odd blocks go through the parity
+    solve, and the result is verified against the full matrix: eigenpair
     residuals below 1e-9 * ||H||_F and column orthonormality below 1e-10.
     """
+    h = op.entries
     if not op.is_hermitian():
         raise ValueError("diagonalize requires a Hermitian operator")
-    w, v = np.linalg.eigh(op.entries)
-    _check_eigenpairs(op.entries @ v, v, w, float(np.linalg.norm(op.entries)))
+    if np.any(h[0::2, 1::2]) or np.any(h[1::2, 0::2]):
+        raise ValueError("diagonalize requires an operator that conserves the parity of n")
+    w, v = _parity_solve(op.dim, op.dim, lambda parity: h[parity::2, parity::2])
+    _check_eigenpairs(h @ v, v, w, float(np.linalg.norm(h)))
     return SpectralDecomposition(op.dim, w, v)
+
+
+def _parity_solve(dim: int, count: int,
+                  block: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``count`` eigenpairs of a parity-conserving H, ascending, as full-length vectors.
+
+    ``block(parity)`` returns H on the levels n = parity (mod 2), of which
+    ``eigh`` reads the lower triangle. The blocks are built and solved one
+    at a time, the lowest ``count`` pairs of each are kept, and the two sets
+    are merged in ascending order (even first on a tie) and scattered back
+    to full-length vectors.
+    """
+    kept = []
+    for parity in (0, 1):
+        w, v = np.linalg.eigh(block(parity))
+        keep = min(count, w.size)
+        kept.append((w[:keep], v[:, :keep].copy()))  # a copy frees the block's other vectors
+        del w, v
+    (w_even, v_even), (w_odd, v_odd) = kept
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")[:count]
+    odd = order >= w_even.size
+    v = np.zeros((dim, count), dtype=np.result_type(v_even, v_odd))
+    v[0::2, ~odd] = v_even[:, order[~odd]]
+    v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
+    return w[order], v
 
 
 def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float) -> None:
@@ -194,26 +243,17 @@ def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float
         raise ArithmeticError(f"eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
 
 
-def hamiltonian_band(dim: int, epsilon: float) -> np.ndarray:
-    """Lower band of the truncated H of ``build_hamiltonian``, as a real array.
+def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
+    """Lower band of the truncated H of ``build_hamiltonian``, for a solve of ``count`` levels.
 
     Row k holds the k-th subdiagonal, ``band[k, j] = H[j + k, j]`` (LAPACK
     lower band storage; rows 1 and 3 are zero by parity). The diagonals are
     closed-form products of the truncated quadratures x and q, where p = i q,
     so p^2 = -q^2 and p^4 = q^2 q^2 keep the truncation edge of the dense
-    build; H is symmetric by construction. Same epsilon and dim checks as the
-    dense build, plus ``dim <= MAX_DIM``, checked before anything is allocated.
-    """
-    _check_epsilon(epsilon)
-    return _lower_band(dim, epsilon, 1)
-
-
-def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
-    """``hamiltonian_band`` without the epsilon check, for a solve of ``count`` levels.
-
-    Each public caller checks epsilon itself, so that the large-epsilon
+    build. epsilon is checked by the caller, so that the large-epsilon
     warning points at the code that called it. A solve whose block or
-    verification would exceed ``SOLVE_BUDGET_BYTES`` is refused here.
+    verification would exceed ``SOLVE_BUDGET_BYTES`` is refused here,
+    before anything is allocated.
     """
     _check_min_dim(dim)
     need = max(SOLVE_BYTES_PER_DIM2 * dim * dim, _VERIFY_BYTES_PER_DIM_COUNT * dim * count)
@@ -250,51 +290,29 @@ def _band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parity_block_levels(band: np.ndarray, parity: int,
-                         count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``min(count, size)`` eigenpairs of H on the levels n = parity (mod 2).
-
-    The block is dense, filled from band rows 0, 2 and 4 on its lower
-    triangle only, which is all ``eigh`` reads.
-    """
+def _band_block(band: np.ndarray, parity: int) -> np.ndarray:
+    """H on the levels n = parity (mod 2), filled from band rows 0, 2 and 4 on its lower triangle."""
     rows = band[::2, parity::2]
     size = rows.shape[1]
     block = np.zeros((size, size))
     for k, row in enumerate(rows):
         idx = np.arange(size - k)
         block[idx + k, idx] = row[: size - k]
-    w, v = np.linalg.eigh(block)
-    keep = min(count, size)
-    return w[:keep], v[:, :keep].copy()  # a copy frees the block's other vectors
+    return block
 
 
 def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
     """Lowest ``count`` eigenvalues, ascending, of the truncated H on ``dim`` levels.
 
-    H couples n only to n+-2 and n+-4, so it splits into an even-n and an
-    odd-n block. Each block is solved in turn with ``np.linalg.eigh``, the
-    lowest ``count`` pairs of each are scattered back to full-length
-    vectors, and the two sets are merged in ascending order. The result goes
-    through ``diagonalize``'s eigenpair check, against the full band with a
-    banded mat-vec.
+    The even-n and odd-n blocks are built from the band and go through the
+    parity solve, and the result through the eigenpair check against the
+    full band with a banded mat-vec, so no dim x dim matrix is formed.
     """
     if not 1 <= count <= dim:
         raise ValueError(f"count={count} must lie in 1..dim={dim}")
     _check_epsilon(epsilon)
     band = _lower_band(dim, epsilon, count)
-    (w_even, v_even), (w_odd, v_odd) = (
-        _parity_block_levels(band, parity, count) for parity in (0, 1)
-    )
-    w = np.concatenate([w_even, w_odd])
-    order = np.argsort(w, kind="stable")[:count]
-    odd = order >= w_even.size
-    v = np.zeros((dim, count))
-    v[0::2, ~odd] = v_even[:, order[~odd]]
-    v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
-    w = w[order]
-    if w.shape != (count,) or np.any(np.diff(w) < 0):
-        raise ArithmeticError(f"parity solve returned {w.size} eigenvalues, not {count} ascending")
-    del v_even, v_odd
+    w, v = _parity_solve(dim, count, lambda parity: _band_block(band, parity))
     scale = math.sqrt(float(np.sum(band[0] ** 2) + 2.0 * np.sum(band[1:] ** 2)))
     _check_eigenpairs(_band_matvec(band, v), v, w, scale)
     return w
@@ -307,30 +325,6 @@ def evolve(state: StateVector, spec: SpectralDecomposition, t: float) -> StateVe
     coeffs = spec.eigenvectors.conj().T @ state.amps
     out = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t) * coeffs)
     return StateVector(state.dim, out)
-
-
-def expectation(op: TruncatedOperator, state: StateVector) -> complex:
-    """Return <psi|O|psi>."""
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim} vs state {state.dim}")
-    return complex(np.vdot(state.amps, op.entries @ state.amps))
-
-
-def variance(op: TruncatedOperator, state: StateVector) -> float:
-    """Return <O^2> - <O>^2 for a Hermitian O, clamped at zero within -1e-12."""
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim} vs state {state.dim}")
-    if not op.is_hermitian():
-        raise ValueError("variance requires a Hermitian operator")
-    ovec = op.entries @ state.amps
-    second = float(np.real(np.vdot(ovec, ovec)))
-    mean = float(np.real(np.vdot(state.amps, ovec)))
-    var = second - mean * mean
-    if var < 0.0:
-        if var < -1e-12:
-            raise ArithmeticError(f"variance {var!r} is negative beyond tolerance")
-        var = 0.0
-    return var
 
 
 def default_cutoff(alpha0: float = 0.0, r: float = 0.0) -> int:

@@ -27,9 +27,19 @@ MAX_AXES = 3
 GRID_BYTES_PER_POINT = 1024
 MAX_GRID_POINTS = SOLVE_BUDGET_BYTES // GRID_BYTES_PER_POINT
 
-# Axis and fixed-parameter names a sweep may use; SweepSpec checks that the
-# chosen target consumes exactly these.
-SWEEP_PARAM_NAMES = ("t", "alpha0_sq", "r", "epsilon", "alpha_sq", "theta")
+# Axis and fixed-parameter names a sweep may use, each with its domain (a check
+# and its description); SweepSpec checks that the chosen target consumes
+# exactly these. An axis checks its start, the config its fixed values.
+SWEEP_PARAM_DOMAINS: dict[str, tuple[Callable[[float], bool], str]] = {
+    "t": (lambda v: v > 0, "t > 0"),
+    **{name: (lambda v: v >= 0, f"{name} >= 0") for name in ("alpha0_sq", "r", "epsilon", "alpha_sq")},
+    "theta": (lambda v: True, ""),
+}
+SWEEP_PARAM_NAMES = tuple(SWEEP_PARAM_DOMAINS)
+# A point start + k * step counts as within stop up to a relative float noise
+# of 1 / AXIS_NOISE in (stop - start) / step: fig1's alpha0_sq ratio is
+# 28.999999999999996, and the 30th point is meant.
+AXIS_NOISE = 10**12
 
 
 @dataclass(frozen=True)
@@ -52,16 +62,20 @@ class Axis:
             raise ValueError(
                 f"axis {self.name}: start {self.start} exceeds stop {self.stop}"
             )
+        check, describe = SWEEP_PARAM_DOMAINS[self.name]
+        if not check(self.start):
+            raise ValueError(f"axis {self.name}: start {self.start} violates {describe}")
 
     @property
     def count(self) -> int:
-        """Number of points, also where (stop - start) / step overflows a float."""
-        ratio = (self.stop - self.start) / self.step
-        if math.isfinite(ratio):
-            return round(ratio) + 1
-        # in exact integers; a count past 1e308 is refused, so flooring will do
+        """Number of points start + k * step <= stop, up to float noise in the ratio.
+
+        The ratio (stop - start) / step is taken in exact integers, so that it
+        neither overflows nor rounds.
+        """
         (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (self.stop, self.start, self.step))
-        return (a * d - c * b) * f // (b * d * e) + 1
+        num, den = (a * d - c * b) * f, b * d * e
+        return num * (AXIS_NOISE + 1) // (den * AXIS_NOISE) + 1
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)

@@ -34,33 +34,31 @@ MC_ROTATION_SAMPLES = 200_000
 Z_LIMIT = 3.0
 
 
-def _ratio_ok(ratio: float) -> bool:
-    return RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1]
+def _halving(diffs: dict[float, np.ndarray], cap: bool) -> tuple[np.ndarray, bool]:
+    """Ratios diff(eps)/diff(eps/2) over EPS_PAIR, and the verdict on them.
 
-
-# H(ORACLE_DIM, eps) with its dense decomposition, keyed by eps
-Oracles = dict[float, tuple[fock_core.TruncatedOperator, fock_core.SpectralDecomposition]]
-
-
-def _dense_oracles() -> Oracles:
-    """H(ORACLE_DIM, eps) and its verified dense decomposition for each eps of EPS_PAIR."""
-    oracles = {}
-    for eps in EPS_PAIR:
-        h = fock_core.build_hamiltonian(ORACLE_DIM, eps)
-        oracles[eps] = (h, fock_core.diagonalize(h))
-    return oracles
-
-
-def _check_energy_order(oracles: Oracles) -> CheckEntry:
-    """Eigenvalue residuals against the first-order spectrum must quarter."""
-    residuals = {}
-    for eps in EPS_PAIR:
-        spec = oracles[eps][1]
-        residuals[eps] = np.array(
-            [abs(spec.eigenvalues[n] - perturbation.energy(n, eps)) for n in range(11)]
-        )
-    ratios = residuals[EPS_PAIR[0]] / residuals[EPS_PAIR[1]]
+    ``diffs`` maps each epsilon of EPS_PAIR to its residuals. Every ratio
+    must lie in RATIO_WINDOW and, with ``cap``, every residual within
+    5 eps^2; a nan residual fails through its nan ratio.
+    """
+    ratios = diffs[EPS_PAIR[0]] / diffs[EPS_PAIR[1]]
     passed = bool(np.all((ratios >= RATIO_WINDOW[0]) & (ratios <= RATIO_WINDOW[1])))
+    if cap:
+        passed = passed and all(np.all(diffs[eps] <= 5.0 * eps * eps) for eps in EPS_PAIR)
+    return ratios, passed
+
+
+# the verified dense decomposition of H(ORACLE_DIM, eps), keyed by eps
+Spectra = dict[float, fock_core.SpectralDecomposition]
+
+
+def _check_energy_order(spectra: Spectra) -> CheckEntry:
+    """Eigenvalue residuals against the first-order spectrum must quarter."""
+    residuals = {
+        eps: np.abs(spectra[eps].eigenvalues[:11] - perturbation.energy(np.arange(11), eps))
+        for eps in EPS_PAIR
+    }
+    ratios, passed = _halving(residuals, cap=False)
     return CheckEntry(
         name="energy_order",
         passed=passed,
@@ -84,19 +82,15 @@ def _check_fidelity(kind: str) -> CheckEntry:
         numeric = lambda t, e: abs(
             states.squeezed_overlap_numeric(states.SqueezeSpec(0.5), t, e, ORACLE_DIM)
         )
-    passed = True
+    diffs = {
+        eps: np.array([abs(closed(t, eps) - numeric(t, eps)) for t in FIDELITY_TIMES])
+        for eps in EPS_PAIR
+    }
+    ratios, passed = _halving(diffs, cap=True)
     measured: dict[str, float] = {}
-    for t in FIDELITY_TIMES:
-        diffs = {}
-        for eps in EPS_PAIR:
-            diffs[eps] = abs(closed(t, eps) - numeric(t, eps))
-            if diffs[eps] > 5.0 * eps * eps:
-                passed = False
-        ratio = diffs[EPS_PAIR[0]] / diffs[EPS_PAIR[1]]
-        if not _ratio_ok(ratio):
-            passed = False
-        measured[f"diff_t{t}"] = diffs[EPS_PAIR[0]]
-        measured[f"ratio_t{t}"] = ratio
+    for t, diff, ratio in zip(FIDELITY_TIMES, diffs[EPS_PAIR[0]], ratios):
+        measured[f"diff_t{t}"] = float(diff)
+        measured[f"ratio_t{t}"] = float(ratio)
     return CheckEntry(
         name=f"{kind}_fidelity_oracle",
         passed=passed,
@@ -105,42 +99,28 @@ def _check_fidelity(kind: str) -> CheckEntry:
     )
 
 
-def _eigenbasis_moments(bare: fock_core.StateVector, oracles: Oracles,
-                        eps: float) -> tuple[float, float]:
-    """Exact <H> and Var(H) for the bare amplitudes carried into the eigenbasis."""
-    h, spec = oracles[eps]
-    state = fock_core.StateVector(bare.dim, spec.eigenvectors @ bare.amps)
-    return fock_core.expectation(h, state).real, fock_core.variance(h, state)
-
-
-def _check_moments(kind: str, oracles: Oracles) -> CheckEntry:
+def _check_moments(kind: str, spectra: Spectra) -> CheckEntry:
     if kind == "coherent":
         bare = states.coherent_amplitudes(states.CoherentSpec(1.0), ORACLE_DIM)
         closed = lambda e: metrology.coherent_energy(1.0, e)
     else:
         bare = states.squeezed_state(states.SqueezeSpec(0.5), ORACLE_DIM)
         closed = lambda e: metrology.squeezed_energy(0.5, e)
-    dmean, dvar = {}, {}
-    passed = True
+    diffs = {}
     for eps in EPS_PAIR:
-        mean, var = _eigenbasis_moments(bare, oracles, eps)
+        mean, var = spectra[eps].moments(bare)
         moments = closed(eps)
-        dmean[eps] = abs(mean - moments.mean)
-        dvar[eps] = abs(var - moments.variance)
-        if dmean[eps] > 5.0 * eps * eps or dvar[eps] > 5.0 * eps * eps:
-            passed = False
-    ratio_mean = dmean[EPS_PAIR[0]] / dmean[EPS_PAIR[1]]
-    ratio_var = dvar[EPS_PAIR[0]] / dvar[EPS_PAIR[1]]
-    if not (_ratio_ok(ratio_mean) and _ratio_ok(ratio_var)):
-        passed = False
+        diffs[eps] = np.array([abs(mean - moments.mean), abs(var - moments.variance)])
+    (ratio_mean, ratio_var), passed = _halving(diffs, cap=True)
+    dmean, dvar = diffs[EPS_PAIR[0]]
     return CheckEntry(
         name=f"{kind}_moment_oracle",
         passed=passed,
         measured={
-            "diff_mean": dmean[EPS_PAIR[0]],
-            "diff_var": dvar[EPS_PAIR[0]],
-            "ratio_mean": ratio_mean,
-            "ratio_var": ratio_var,
+            "diff_mean": float(dmean),
+            "diff_var": float(dvar),
+            "ratio_mean": float(ratio_mean),
+            "ratio_var": float(ratio_var),
         },
         detail="closed energy mean/variance vs exact moments on the constructed state",
     )
@@ -440,13 +420,16 @@ def run_selfcheck(seed: int = 42) -> RunReport:
     fresh generator seeded from ``seed`` so reruns reproduce bit-identical
     reports.
     """
-    oracles = _dense_oracles()
+    spectra = {
+        eps: fock_core.diagonalize(fock_core.build_hamiltonian(ORACLE_DIM, eps))
+        for eps in EPS_PAIR
+    }
     checks = [
-        _check_energy_order(oracles),
+        _check_energy_order(spectra),
         _check_fidelity("coherent"),
         _check_fidelity("squeezed"),
-        _check_moments("coherent", oracles),
-        _check_moments("squeezed", oracles),
+        _check_moments("coherent", spectra),
+        _check_moments("squeezed", spectra),
         _check_bound_gaps(),
         _check_squeeze_lift(),
         _check_qkd_monotonicity(),

@@ -350,6 +350,66 @@ def test_oversized_sweep_grid_is_refused_before_allocation(
     assert presets.MAX_GRID_POINTS == 3 * 1024**2
 
 
+# every parameter of each sweep target at a value inside its domain
+GOOD_POINTS = {
+    "qsl_coherent": {"t": 1.0, "alpha0_sq": 1.0, "epsilon": 0.01},
+    "qsl_squeezed": {"t": 1.0, "r": 0.5, "epsilon": 0.01},
+    "squeeze_factor": {"theta": 0.0, "r": 0.5, "alpha_sq": 1.0, "epsilon": 0.01},
+}
+# (target, parameter, a value out of its domain, the domain)
+OUT_OF_DOMAIN = [
+    ("qsl_coherent", "t", -1.0, "t > 0"),
+    ("qsl_coherent", "t", 0.0, "t > 0"),
+    ("qsl_coherent", "alpha0_sq", -0.5, "alpha0_sq >= 0"),
+    ("qsl_coherent", "epsilon", -0.5, "epsilon >= 0"),
+    ("qsl_squeezed", "r", -0.5, "r >= 0"),
+    ("squeeze_factor", "alpha_sq", -0.5, "alpha_sq >= 0"),
+]
+
+
+def _sweep_config(path, target: str, axis: str, params: dict[str, float]) -> list[str]:
+    """Write a [sweep] over three points of ``axis`` from params[axis], the rest fixed.
+
+    The fixed values sit on lines 7 onwards, in the order of ``params``.
+    """
+    start = params[axis]
+    lines = ["[sweep]", f"target = {target}", f"axis1_name = {axis}",
+             f"axis1_start = {start}", f"axis1_stop = {start + 1.0}", "axis1_step = 0.5"]
+    lines += [f"{key} = {value}" for key, value in params.items() if key != axis]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["sweep", "--config", str(path)]
+
+
+@pytest.mark.parametrize("target, name, value, domain", OUT_OF_DOMAIN)
+def test_sweep_fixed_value_out_of_domain_is_a_config_error(target, name, value, domain,
+                                                           tmp_path, capsys):
+    params = {**GOOD_POINTS[target], name: value}
+    axis = next(key for key in params if key != name)
+    assert run_subcommand(_sweep_config(tmp_path / "bad.cfg", target, axis, params)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = 7 + [key for key in params if key != axis].index(name)
+    assert captured.err == f"config error: line {line}: key {name!r}: {value} violates {domain}\n"
+
+
+@pytest.mark.parametrize("target, name, value, domain", OUT_OF_DOMAIN)
+def test_sweep_axis_start_out_of_domain_is_a_config_error(target, name, value, domain,
+                                                          tmp_path, capsys):
+    params = {**GOOD_POINTS[target], name: value}
+    assert run_subcommand(_sweep_config(tmp_path / "bad.cfg", target, name, params)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: axis {name}: start {value} violates {domain}\n"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("axis", ["theta", "r"])
+def test_sweep_theta_is_free(axis, tmp_path, capsys):
+    params = {**GOOD_POINTS["squeeze_factor"], "theta": -1.0}
+    assert run_subcommand(_sweep_config(tmp_path / "theta.cfg", "squeeze_factor", axis, params)) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
+
 def test_warnings_are_one_line_each_on_the_command_line(capsys):
     """The CLI prints the message alone; in-process callers keep Python's format."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

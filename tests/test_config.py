@@ -97,16 +97,35 @@ def test_axis_grid_is_inclusive():
         Axis("t", 2.0, 1.0, 0.1)
 
 
+def test_axis_stops_at_or_before_stop():
+    """Points run while start + k * step <= stop; float noise in the ratio does not drop one."""
+    assert Axis("t", 0.5, 1.0, 0.3).values().tolist() == [0.5, 0.8]
+    assert Axis("t", 0.5, 1.0, 0.4).values().tolist() == [0.5, 0.9]
+    assert (3.0 - 0.1) / 0.1 == 28.999999999999996
+    counts = {name: [axis.count for axis in spec.axes] for name, spec in PRESETS.items()}
+    assert counts == {"fig1": [126, 30, 2], "fig2": [8, 30], "fig4": [19, 31, 4]}
+
+
+def test_axis_start_must_lie_in_the_parameter_domain():
+    with pytest.raises(ValueError, match=r"axis t: start 0.0 violates t > 0"):
+        Axis("t", 0.0, 1.0, 0.5)
+    for name in ("alpha0_sq", "r", "epsilon", "alpha_sq"):
+        with pytest.raises(ValueError, match=f"axis {name}: start -0.5 violates {name} >= 0"):
+            Axis(name, -0.5, 1.0, 0.5)
+        assert Axis(name, 0.0, 1.0, 0.5).count == 3
+    assert Axis("theta", -1.0, 1.0, 0.5).count == 5
+
+
 def test_sweep_spec_parameter_coverage():
     with pytest.raises(ValueError, match="unknown sweep target"):
-        SweepSpec(target="qsl_thermal", axes=(Axis("t", 0, 1, 0.5),), columns=("t",))
+        SweepSpec(target="qsl_thermal", axes=(Axis("t", 0.5, 1, 0.5),), columns=("t",))
     with pytest.raises(ValueError, match="1 to 3 axes"):
         SweepSpec(target="qsl_coherent", axes=(), columns=("t",))
     # parameter both swept and fixed
     with pytest.raises(ValueError, match="both as an axis and as fixed"):
         SweepSpec(
             target="qsl_coherent",
-            axes=(Axis("t", 0, 1, 0.5),),
+            axes=(Axis("t", 0.5, 1, 0.5),),
             fixed={"t": 1.0, "alpha0_sq": 1.0, "epsilon": 0.0},
             columns=("t",),
         )
@@ -114,7 +133,7 @@ def test_sweep_spec_parameter_coverage():
     with pytest.raises(ValueError, match="needs exactly"):
         SweepSpec(
             target="qsl_coherent",
-            axes=(Axis("t", 0, 1, 0.5),),
+            axes=(Axis("t", 0.5, 1, 0.5),),
             fixed={"alpha0_sq": 1.0},
             columns=("t",),
         )
@@ -122,7 +141,7 @@ def test_sweep_spec_parameter_coverage():
     with pytest.raises(ValueError, match="needs exactly"):
         SweepSpec(
             target="qsl_coherent",
-            axes=(Axis("t", 0, 1, 0.5),),
+            axes=(Axis("t", 0.5, 1, 0.5),),
             fixed={"alpha0_sq": 1.0, "epsilon": 0.0, "r": 0.5},
             columns=("t",),
         )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from relqsl.fock_core import (
     default_cutoff,
     diagonalize,
     evolve,
-    expectation,
-    hamiltonian_band,
     lowest_levels,
-    variance,
 )
+from relqsl.states import CoherentSpec, SqueezeSpec, coherent_amplitudes, squeezed_state
 
 DIM = 64
 
@@ -78,7 +77,7 @@ def test_hamiltonian_hermitian_with_correction():
 
 
 def test_epsilon_validation():
-    for build in (build_hamiltonian, hamiltonian_band, lambda d, e: lowest_levels(d, e, 4)):
+    for build in (build_hamiltonian, lambda d, e: lowest_levels(d, e, 4)):
         with pytest.raises(ValueError):
             build(DIM, -1e-6)
         with pytest.warns(UserWarning):
@@ -127,29 +126,49 @@ def test_evolution_phase_of_eigenstate():
     assert overlap == pytest.approx(np.exp(-1j * 0.5 * t), abs=1e-10)
 
 
-def test_expectation_and_variance_on_ground_state():
-    h = build_hamiltonian(DIM, 0.0)
-    amps = np.zeros(DIM, dtype=complex)
-    amps[0] = 1.0
-    state = StateVector(DIM, amps)
-    assert expectation(h, state).real == pytest.approx(0.5, abs=1e-12)
-    assert variance(h, state) == pytest.approx(0.0, abs=1e-12)
+def test_diagonalize_rejects_parity_coupling():
+    """x is Hermitian but couples n to n+-1, so its parity blocks are not all of it."""
+    x, _ = build_quadratures(DIM)
+    assert x.is_hermitian()
+    with pytest.raises(ValueError, match="parity"):
+        diagonalize(x)
 
 
-def test_variance_requires_hermitian():
-    a, _ = build_ladder(DIM)
-    amps = np.zeros(DIM, dtype=complex)
+def _ground_state(dim: int) -> StateVector:
+    amps = np.zeros(dim)
     amps[0] = 1.0
-    with pytest.raises(ValueError):
-        variance(a, StateVector(DIM, amps))
+    return StateVector(dim, amps)
+
+
+def test_moments_on_ground_state():
+    assert diagonalize(build_hamiltonian(DIM, 0.0)).moments(_ground_state(DIM)) == (
+        pytest.approx(0.5, abs=1e-12), pytest.approx(0.0, abs=1e-12))
 
 
 def test_dimension_mismatch_raises():
-    h = build_hamiltonian(DIM, 0.0)
-    amps = np.zeros(2 * DIM, dtype=complex)
-    amps[0] = 1.0
-    with pytest.raises(ValueError):
-        expectation(h, StateVector(2 * DIM, amps))
+    spec = diagonalize(build_hamiltonian(DIM, 0.0))
+    for method in (spec.moments, lambda state: evolve(state, spec, 1.0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            method(_ground_state(2 * DIM))
+
+
+MOMENT_STATES = {
+    "coherent": lambda dim: coherent_amplitudes(CoherentSpec(1.0), dim),
+    "squeezed": lambda dim: squeezed_state(SqueezeSpec(0.5), dim),
+}
+
+
+@pytest.mark.parametrize("state", MOMENT_STATES.values(), ids=MOMENT_STATES.keys())
+def test_moments_equal_the_carried_state_route(state):
+    """Moments off the eigenvalues equal <psi|H|psi> and ||H psi||^2 - <H>^2 of the carried state."""
+    op = build_hamiltonian(256, 1e-4)
+    spec = diagonalize(op)
+    bare = state(256)
+    carried = spec.eigenvectors @ bare.amps
+    hpsi = op.entries @ carried
+    mean = float(np.real(np.vdot(carried, hpsi)))
+    var = float(np.real(np.vdot(hpsi, hpsi))) - mean * mean
+    assert spec.moments(bare) == (pytest.approx(mean, rel=1e-12), pytest.approx(var, rel=1e-12))
 
 
 def _band_to_dense(band: np.ndarray) -> np.ndarray:
@@ -194,20 +213,28 @@ def test_real_hamiltonian_matches_complex_reference(dim, eps):
     assert np.abs(spec.eigenvalues[:11] - ref_levels).max() <= 1e-11
 
 
+def _assert_solvers_match_eigvalsh(op: TruncatedOperator, eps: float, counts) -> None:
+    """Both solvers against a full-matrix eigvalsh, which shares nothing with the parity solve."""
+    reference = np.linalg.eigvalsh(op.entries)
+    full = diagonalize(op).eigenvalues
+    assert np.abs(full - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.abs(full[:11] - reference[:11]).max() <= 1e-11
+    for count in counts:
+        levels = lowest_levels(op.dim, eps, count)
+        assert levels.shape == (count,)
+        assert np.abs(levels - reference[:count]).max() <= 1e-11
+
+
 @pytest.mark.filterwarnings("ignore:epsilon=")
 @pytest.mark.parametrize("dim,eps", TIE_CASES)
 def test_banded_levels_tie_to_dense_reference(dim, eps):
-    """The band is the dense H, and the banded solver returns the dense lowest levels."""
+    """The band is the dense H, and both solvers return its lowest levels."""
     op = build_hamiltonian(dim, eps)
     h = op.entries
-    band = hamiltonian_band(dim, eps)
+    band = fock_core._lower_band(dim, eps, 1)
     assert band.shape == (fock_core.BAND_ROWS, dim)
     assert np.abs(_band_to_dense(band) - h).max() <= 1e-12 * np.abs(h).max()
-    dense = diagonalize(op).eigenvalues
-    for count in sorted({1, 11, dim // 4}):
-        levels = lowest_levels(dim, eps, count)
-        assert levels.shape == (count,)
-        assert np.abs(levels - dense[:count]).max() <= 1e-11
+    _assert_solvers_match_eigvalsh(op, eps, sorted({1, 11, dim // 4}))
     if eps == 0.08:
         # past the cutoff turnover 8/(3 eps) both routes report the same
         # spurious ground state; the swap neither hides nor adds the defect
@@ -229,11 +256,9 @@ def test_parity_levels_edge_cases_match_dense_reference(dim, eps, count):
     """Unequal blocks, one level, and every level all merge to the dense lowest levels."""
     op = build_hamiltonian(dim, eps)
     h = op.entries
-    assert np.abs(_band_to_dense(hamiltonian_band(dim, eps)) - h).max() <= 1e-12 * np.abs(h).max()
-    dense = diagonalize(op).eigenvalues
-    levels = lowest_levels(dim, eps, count)
-    assert levels.shape == (count,)
-    assert np.abs(levels - dense[:count]).max() <= 1e-11
+    assert np.abs(_band_to_dense(fock_core._lower_band(dim, eps, count)) - h).max() <= (
+        1e-12 * np.abs(h).max())
+    _assert_solvers_match_eigvalsh(op, eps, [count])
 
 
 VERIFIED_ROUTES = {
@@ -270,6 +295,18 @@ def test_lowest_levels_count_over_memory_budget_refused(monkeypatch):
     need = fock_core._VERIFY_BYTES_PER_DIM_COUNT * dim * dim
     with pytest.raises(ValueError, match=f"dim={dim} with count={dim} needs about {need} bytes"):
         lowest_levels(dim, 1e-3, dim)
+
+
+def test_lowest_levels_traced_peak():
+    """Two parity blocks are never held at once: the traced peak stays below 4.5 dim^2 bytes."""
+    dim = 2048
+    tracemalloc.start()
+    try:
+        lowest_levels(dim, 1e-4, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * dim * dim
 
 
 def test_lowest_levels_count_range():
