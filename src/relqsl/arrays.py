@@ -9,11 +9,17 @@ cosh, sinh, tanh, log10 and pow round differently from libm in the last
 place for some arguments, and even libm's pow(x, 2) is not always the
 correctly rounded x * x that numpy computes. Routing them through math keeps
 array results bit-identical to the scalar formulas.
+
+Every closed form reports in one way through the last two helpers: a
+non-finite result is refused with a ValueError naming the function and the
+first bad point (``require_finite``), and a first-order correction that is
+large against its zeroth order draws one warning per call (``warn_doubtful``).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from functools import partial
 from itertools import repeat
 from typing import Any, Callable
@@ -22,6 +28,8 @@ import numpy as np
 
 # a float, or an array of floats holding one value per grid point
 Grid = float | np.ndarray
+# a correction above this fraction of its zeroth order makes first order doubtful
+VALIDITY_FRACTION = 0.5
 
 
 def as_arrays(*values: Any) -> tuple[np.ndarray, ...]:
@@ -68,3 +76,33 @@ def first(values: Any, mask: Any) -> Any:
 def first_point(inputs: dict[str, Any], mask: Any) -> str:
     """``name=value, ...`` of the inputs at the first point where ``mask`` holds."""
     return ", ".join(f"{name}={first(value, mask)!r}" for name, value in inputs.items())
+
+
+def require_finite(name: str, inputs: dict[str, Any], what: str, *values: Any) -> None:
+    """Raise ValueError unless every entry of every value is finite.
+
+    The message reads ``<name>: <what> not finite at <inputs>``, where each
+    ``{!r}`` in ``what`` shows the matching value at the first bad point in
+    axis-major order, and the inputs are those of that point.
+    """
+    bad = np.logical_or.reduce([~np.isfinite(value) for value in values])
+    if np.any(bad):
+        shown = what.format(*(first(value, bad) for value in values))
+        raise ValueError(f"{name}: {shown} not finite at {first_point(inputs, bad)}")
+
+
+def warn_doubtful(name: str, noun: str, correction: Any, zeroth: Any, stacklevel: int) -> None:
+    """Warn once if the correction exceeds VALIDITY_FRACTION of a positive zeroth order.
+
+    The warning counts such points; ``stacklevel`` counts as in warnings.warn,
+    from the function that calls this one.
+    """
+    doubtful = (zeroth > 0) & (np.abs(correction) > VALIDITY_FRACTION * zeroth)
+    count = np.count_nonzero(doubtful)
+    if count:
+        warnings.warn(
+            f"{name}: epsilon correction exceeds half the zeroth-order {noun} "
+            f"at {count} of {np.size(doubtful)} evaluation points; "
+            "first-order validity is doubtful there",
+            stacklevel=stacklevel + 1,
+        )

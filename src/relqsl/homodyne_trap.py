@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .arrays import require_finite
+
 PLANCK_H = 6.62607015e-34  # J s, exact by definition
 SPEED_OF_LIGHT = 299792458.0  # m / s, exact by definition
 ELECTRON_MASS = 9.1093837015e-31  # kg
@@ -173,8 +175,8 @@ def phase_sensitivity(cfg: BhdConfig, t: float, epsilon: float) -> float:
 def _finite_or_named(fn: Callable[..., float]) -> Callable[..., float]:
     """Wrap a trap closed form so an overflow or a non-finite result names it.
 
-    The ValueError carries the function's name and its inputs, in the style
-    of the non-finite bound errors of qsl_bounds.
+    The ValueError carries the function's name and its inputs, as
+    ``arrays.require_finite`` words every non-finite closed-form result.
     """
 
     @functools.wraps(fn)
@@ -183,13 +185,9 @@ def _finite_or_named(fn: Callable[..., float]) -> Callable[..., float]:
             value = fn(trap, *tau)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-        if not math.isfinite(value):
-            keys = ("nu", "p_lo", "kappa", "epsilon")
-            inputs = [f"{key}={getattr(trap, key)!r}" for key in keys]
-            inputs += [f"tau={t!r}" for t in tau]
-            raise ValueError(
-                f"{fn.__name__}: result {value!r} is not finite at {', '.join(inputs)}"
-            )
+        inputs = {key: getattr(trap, key) for key in ("nu", "p_lo", "kappa", "epsilon")}
+        inputs.update(zip(("tau",), tau))
+        require_finite(fn.__name__, inputs, "result {!r} is", value)
         return value
 
     return checked

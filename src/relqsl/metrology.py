@@ -4,19 +4,20 @@ Moment closed forms feed the time-estimation Fisher information (4 * variance
 for pure states under unitary time encoding) and its Cramer-Rao limit. The
 squeeze-factor formula quantifies quadrature nonclassicality against the
 fixed 1/4 benchmark, and the displaced-amplitude pair tracks the quadratic
-local-oscillator decay used by the homodyne and trap budgets.
+local-oscillator decay used by the homodyne and trap budgets. The moments,
+the printed second-moment series and the squeeze ratio take floats or
+equal-shape arrays, as the bounds do.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .arrays import Grid, as_arrays, first, first_point, libm, native
+from .arrays import Grid, as_arrays, first, libm, native, require_finite, warn_doubtful
 
 X_C_VARIANCE = 0.25  # fixed benchmark quadrature variance
 
@@ -28,103 +29,93 @@ class EnergyMoments:
     ``second`` is stored as mean^2 + variance so the three fields are exactly
     self-consistent; the independently printed first-order series for the
     second moment differs from this at O(eps^2) and is available through the
-    *_second_moment_closed functions.
+    *_second_moment_closed functions. Python floats for a scalar evaluation,
+    equal-shape arrays for a grid.
     """
 
-    mean: float
-    variance: float
-    second: float = field(init=False)
+    mean: Any
+    variance: Any
+    second: Any = field(init=False)
 
     def __post_init__(self):
-        var = self.variance
-        if var < 0.0:
-            if var < -1e-12:
-                raise ValueError(f"variance {var!r} negative beyond tolerance")
-            object.__setattr__(self, "variance", 0.0)
-            var = 0.0
-        object.__setattr__(self, "second", self.mean * self.mean + var)
+        mean, var = native(self.mean), native(self.variance)
+        negative = np.less(var, -1e-12)
+        if np.any(negative):
+            raise ValueError(f"variance {first(var, negative)!r} negative beyond tolerance")
+        var = native(np.where(np.less(var, 0.0), 0.0, var))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", var)
+        object.__setattr__(self, "second", mean * mean + var)
 
 
-def _finite(name: str, inputs: dict[str, float], what: str, *values: float) -> None:
-    """Reject ``values`` unless all are finite, naming the function, ``what`` and the inputs."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name}: {what} not finite at {first_point(inputs, True)}")
+_MOMENTS = "energy moments (mean {!r}, variance {!r}) are"
 
 
-def _finite_moments(name: str, inputs: dict[str, float], mean: float,
-                    var: float) -> EnergyMoments:
-    """EnergyMoments of ``mean`` and ``var``, once both are finite.
-
-    A moment that is not finite is rejected with an error naming the
-    function and its inputs, before the negative-variance check can
-    misreport it.
-    """
-    _finite(name, inputs, f"energy moments (mean {mean!r}, variance {var!r}) are", mean, var)
-    return EnergyMoments(mean=mean, variance=var)
-
-
-def coherent_energy(alpha0: float, epsilon: float) -> EnergyMoments:
-    """First-order energy moments of a coherent state.
+def coherent_energy(alpha0: Grid, epsilon: Grid) -> EnergyMoments:
+    """First-order energy moments of a coherent state, at a point or over a grid.
 
     mean = (1/2 + a0^2) - (3 eps/32)(1 + 4 a0^2 + 2 a0^4)
     variance = a0^2 - (3 eps/4)(a0^2 + a0^4)
     """
-    if alpha0 < 0:
+    alpha0, epsilon = as_arrays(alpha0, epsilon)
+    if np.any(alpha0 < 0):
         raise ValueError("alpha0 must be non-negative")
-    a2 = alpha0 * alpha0
-    mean = 0.5 + a2 - 3.0 * epsilon / 32.0 * (1.0 + 4.0 * a2 + 2.0 * a2 * a2)
-    var = a2 - 0.75 * epsilon * (a2 + a2 * a2)
-    return _finite_moments("coherent_energy", {"alpha0": alpha0, "epsilon": epsilon}, mean, var)
+    with np.errstate(all="ignore"):
+        a2 = alpha0 * alpha0
+        mean = 0.5 + a2 - 3.0 * epsilon / 32.0 * (1.0 + 4.0 * a2 + 2.0 * a2 * a2)
+        var = a2 - 0.75 * epsilon * (a2 + a2 * a2)
+    require_finite("coherent_energy", {"alpha0": alpha0, "epsilon": epsilon}, _MOMENTS, mean, var)
+    return EnergyMoments(mean=mean, variance=var)
 
 
-def coherent_second_moment_closed(alpha0: float, epsilon: float) -> float:
+def coherent_second_moment_closed(alpha0: Grid, epsilon: Grid) -> Any:
     """Printed first-order series for <H^2> in a coherent state.
 
     Differs from mean^2 + variance at O(eps^2); kept for the internal
     consistency check.
     """
-    a2 = alpha0 * alpha0
-    try:
+    alpha0, epsilon = as_arrays(alpha0, epsilon)
+    with np.errstate(all="ignore"):
+        a2 = alpha0 * alpha0
         value = (0.25 + 2.0 * a2 + a2 * a2) - 3.0 * epsilon / 32.0 * (
-            1.0 + 14.0 * a2 + 18.0 * a2 * a2 + 4.0 * a2 ** 3
+            1.0 + 14.0 * a2 + 18.0 * a2 * a2 + 4.0 * libm(math.pow, a2, 3.0)
         )
-    except OverflowError:
-        value = math.nan  # as in squeezed_energy
-    inputs = {"alpha0": alpha0, "epsilon": epsilon}
-    _finite("coherent_second_moment_closed", inputs, f"second moment {value!r} is", value)
-    return value
+    require_finite("coherent_second_moment_closed", {"alpha0": alpha0, "epsilon": epsilon},
+                   "second moment {!r} is", value)
+    return native(value)
 
 
-def squeezed_energy(r: float, epsilon: float) -> EnergyMoments:
-    """First-order energy moments of the squeezed vacuum.
+def squeezed_energy(r: Grid, epsilon: Grid) -> EnergyMoments:
+    """First-order energy moments of the squeezed vacuum, at a point or over a grid.
 
     mean = cosh(2r)/2 - (3 eps/128)(1 + 3 cosh 4r)
     variance = 2 cosh^2 r sinh^2 r - (9 eps/32) sinh 2r sinh 4r
     """
-    if r < 0:
+    r, epsilon = as_arrays(r, epsilon)
+    if np.any(r < 0):
         raise ValueError("r must be non-negative")
-    try:
-        mean = math.cosh(2.0 * r) / 2.0 - 3.0 * epsilon / 128.0 * (1.0 + 3.0 * math.cosh(4.0 * r))
-        var = 2.0 * math.cosh(r) ** 2 * math.sinh(r) ** 2 - 9.0 * epsilon / 32.0 * math.sinh(
-            2.0 * r
-        ) * math.sinh(4.0 * r)
-    except OverflowError:
-        # an overflowing math call leaves no usable value, as in arrays.libm
-        mean = var = math.nan
-    return _finite_moments("squeezed_energy", {"r": r, "epsilon": epsilon}, mean, var)
-
-
-def squeezed_second_moment_closed(r: float, epsilon: float) -> float:
-    """Printed first-order series for <H^2> in the squeezed vacuum."""
-    try:
-        value = (-1.0 + 3.0 * math.cosh(4.0 * r)) / 8.0 + 3.0 * epsilon / 256.0 * (
-            7.0 * math.cosh(2.0 * r) - 15.0 * math.cosh(6.0 * r)
+    with np.errstate(all="ignore"):
+        mean = libm(math.cosh, 2.0 * r) / 2.0 - 3.0 * epsilon / 128.0 * (
+            1.0 + 3.0 * libm(math.cosh, 4.0 * r)
         )
-    except OverflowError:
-        value = math.nan  # as in squeezed_energy
-    inputs = {"r": r, "epsilon": epsilon}
-    _finite("squeezed_second_moment_closed", inputs, f"second moment {value!r} is", value)
-    return value
+        var = (
+            2.0 * libm(math.pow, libm(math.cosh, r), 2.0) * libm(math.pow, libm(math.sinh, r), 2.0)
+            - 9.0 * epsilon / 32.0 * libm(math.sinh, 2.0 * r) * libm(math.sinh, 4.0 * r)
+        )
+    require_finite("squeezed_energy", {"r": r, "epsilon": epsilon}, _MOMENTS, mean, var)
+    return EnergyMoments(mean=mean, variance=var)
+
+
+def squeezed_second_moment_closed(r: Grid, epsilon: Grid) -> Any:
+    """Printed first-order series for <H^2> in the squeezed vacuum."""
+    r, epsilon = as_arrays(r, epsilon)
+    with np.errstate(all="ignore"):
+        value = (-1.0 + 3.0 * libm(math.cosh, 4.0 * r)) / 8.0 + 3.0 * epsilon / 256.0 * (
+            7.0 * libm(math.cosh, 2.0 * r) - 15.0 * libm(math.cosh, 6.0 * r)
+        )
+    require_finite("squeezed_second_moment_closed", {"r": r, "epsilon": epsilon},
+                   "second moment {!r} is", value)
+    return native(value)
 
 
 def qfi_time(variance: float) -> float:
@@ -187,21 +178,9 @@ def squeeze_ratio(r: Grid, alpha0: Grid, theta: Grid, epsilon: Grid) -> SqueezeF
             f"corrected variance ratio {first(ratio, non_positive):.3e} is non-positive; "
             "epsilon is too large for the first-order squeeze formula"
         )
-    infinite = ~np.isfinite(ratio)
-    if np.any(infinite):
-        inputs = {"r": r, "alpha0": alpha0, "theta": theta, "epsilon": epsilon}
-        raise ValueError(
-            f"squeeze_ratio: ratio {first(ratio, infinite)!r} is not finite "
-            f"at {first_point(inputs, infinite)}"
-        )
-    doubtful = np.count_nonzero((base > 0) & (np.abs(corr) > 0.5 * base))
-    if doubtful:
-        warnings.warn(
-            "squeeze_ratio: epsilon correction exceeds half the zeroth-order ratio "
-            f"at {doubtful} of {ratio.size} evaluation points; "
-            "first-order validity is doubtful there",
-            stacklevel=2,
-        )
+    inputs = {"r": r, "alpha0": alpha0, "theta": theta, "epsilon": epsilon}
+    require_finite("squeeze_ratio", inputs, "ratio {!r} is", ratio)
+    warn_doubtful("squeeze_ratio", "ratio", corr, base, stacklevel=2)
     return SqueezeFactorPoint(ratio=ratio)
 
 

@@ -29,7 +29,7 @@ MAX_GRID_POINTS = SOLVE_BUDGET_BYTES // GRID_BYTES_PER_POINT
 
 # Axis and fixed-parameter names a sweep may use, each with its domain (a check
 # and its description); SweepSpec checks that the chosen target consumes
-# exactly these. An axis checks its start, the config its fixed values.
+# exactly these. An axis checks its start, a SweepSpec its fixed values.
 SWEEP_PARAM_DOMAINS: dict[str, tuple[Callable[[float], bool], str]] = {
     "t": (lambda v: v > 0, "t > 0"),
     **{name: (lambda v: v >= 0, f"{name} >= 0") for name in ("alpha0_sq", "r", "epsilon", "alpha_sq")},
@@ -104,6 +104,10 @@ class SweepSpec:
                 f"target {self.target!r} needs exactly {sorted(required)}, "
                 f"got {sorted(supplied)}"
             )
+        for name, value in self.fixed.items():
+            check, describe = SWEEP_PARAM_DOMAINS[name]
+            if not check(value):
+                raise ValueError(f"fixed {name}: value {value} violates {describe}")
         points = math.prod(axis.count for axis in self.axes)
         if points > MAX_GRID_POINTS:
             shown = f"{points:,}" if points < 10**15 else f"at least 10^{len(str(points)) - 1}"

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import require_finite
+
 DETECTION_KINDS = frozenset({"homodyne", "heterodyne"})
 PREDICTOR_KINDS = frozenset({"zoh", "linear"})
 
@@ -292,13 +294,12 @@ def holevo_bound(
     disc = math.sqrt(max(delta * delta - 4.0 * det_ab * det_ab, 0.0))
     nu1 = math.sqrt((delta + disc) / 2.0)
     nu2 = math.sqrt(max((delta - disc) / 2.0, 0.0))
-    if not all(map(math.isfinite, (a, b, c, nu1, nu2))):
-        # overflowed entries would reach numpy.linalg as inf or nan
-        raise ValueError(
-            f"holevo_bound: covariance entries (a {a!r}, b {b!r}, c {c!r}) or symplectic "
-            f"eigenvalues ({nu1!r}, {nu2!r}) are not finite at v_a={link.v_a!r}, "
-            f"transmissivity={t!r}, chi_tot={chi_tot!r}"
-        )
+    # overflowed entries would reach numpy.linalg as inf or nan
+    require_finite(
+        "holevo_bound", {"v_a": link.v_a, "transmissivity": t, "chi_tot": chi_tot},
+        "covariance entries (a {!r}, b {!r}, c {!r}) or symplectic eigenvalues ({!r}, {!r}) are",
+        a, b, c, nu1, nu2,
+    )
     _check_physical(np.array([nu1, nu2]))
 
     cov, bob = _budget_covariance(

@@ -6,26 +6,24 @@ epsilon-scaled correction. The unified speed limit is the pointwise maximum.
 The correction terms diverge like 1/sqrt(1 - F0^2) at state revivals; such
 points are flagged and the divergent part suppressed instead of returned as
 infinities. Each bound and each closed fidelity takes floats or equal-shape
-arrays, so a whole sweep grid is one call; a bound that is not finite is
-rejected. The bounds and the fidelity of one state family share their
-zeroth-order pieces (one core per family); each keeps its own first-order
-term, so the fidelities stay an independent route to the bounds'
-coefficients.
+arrays, so a whole sweep grid is one call; a non-finite bound is refused
+through arrays.require_finite. The bounds and the fidelity of one state
+family share their zeroth-order pieces (one core per family); each keeps its
+own first-order term, so the fidelities stay an independent route to the
+bounds' coefficients.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .arrays import Grid, as_arrays, first, first_point, libm, native
+from .arrays import Grid, as_arrays, first, libm, native, require_finite, warn_doubtful
 
 NEAR_REVIVAL_LIMIT = 1e-9
-VALIDITY_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -74,21 +72,8 @@ def _report(name: str, inputs: dict[str, np.ndarray], coefficient: np.ndarray,
         correction = inputs["epsilon"] * coefficient
         report = BoundReport(t=inputs["t"], zeroth=zeroth, correction=correction,
                              coefficient=coefficient, near_revival=near)
-    doubtful = (zeroth > 0) & (np.abs(correction) > VALIDITY_FRACTION * zeroth)
-    count = np.count_nonzero(doubtful)
-    if count:
-        warnings.warn(
-            f"{name}: epsilon correction exceeds half the zeroth-order value "
-            f"at {count} of {np.size(doubtful)} evaluation points; "
-            "first-order validity is doubtful there",
-            stacklevel=3,
-        )
-    infinite = ~np.isfinite(report.total)
-    if np.any(infinite):
-        raise ValueError(
-            f"{name}: bound {first(report.total, infinite)!r} is not finite "
-            f"at {first_point(inputs, infinite)}"
-        )
+    warn_doubtful(name, "value", correction, zeroth, stacklevel=3)
+    require_finite(name, inputs, "bound {!r} is", report.total)
     return report
 
 
@@ -191,9 +176,9 @@ def squeezed_fidelity_closed(r: Grid, t: Grid, epsilon: Grid) -> Any:
 
     F = sqrt(2) / y2^{1/4} - (3 eps t cosh^5 r sinh^2 r / (4 y2^2 y7^{1/4})) y6,
     clamped to [0, 1]; the correction is dropped where y7 <= 0. At t = 0 the
-    leading term is exactly 1 for every r, and at r = 0 F is 1. A value that
-    is not finite before the clamp (y2 cancels for r >~ 9) raises ValueError
-    naming the point. Takes floats (returning a float) or equal-shape arrays.
+    leading term is exactly 1 for every r, and at r = 0 F is 1. A non-finite
+    value before the clamp (y2 cancels for r >~ 9) raises ValueError naming
+    the point. Takes floats (returning a float) or equal-shape arrays.
     """
     r, t, epsilon = as_arrays(r, t, epsilon)
     if np.any(r < 0):
@@ -209,12 +194,8 @@ def squeezed_fidelity_closed(r: Grid, t: Grid, epsilon: Grid) -> Any:
         ) * y6
         f = f0 - np.where(keep, corr, 0.0)
     # the clamp would turn a nan into 0.0, so a non-finite value stops here
-    bad = ~np.isfinite(f)
-    if np.any(bad):
-        raise ValueError(
-            f"squeezed_fidelity_closed: fidelity {first(f, bad)!r} is not finite at "
-            f"{first_point({'r': r, 't': t, 'epsilon': epsilon}, bad)}"
-        )
+    require_finite("squeezed_fidelity_closed", {"r": r, "t": t, "epsilon": epsilon},
+                   "fidelity {!r} is", f)
     return native(np.where(r == 0.0, 1.0, _clamp_fidelity(f)))
 
 

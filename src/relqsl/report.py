@@ -22,20 +22,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-
-def plain(value: Any) -> Any:
-    """Convert numpy scalars to native Python types for formatting and JSON."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+from .arrays import native
 
 
 def format_cell(value: Any) -> str:
-    value = plain(value)
+    value = native(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -51,7 +42,7 @@ _JSON_CELL_INDENT = "\n    "
 
 
 def _json_default(value: Any) -> Any:
-    converted = plain(value)
+    converted = native(value)
     if converted is value:
         raise TypeError(f"not JSON serializable: {type(value).__name__}")
     return converted
@@ -195,7 +186,7 @@ class RunReport:
                     "name": c.name,
                     "passed": c.passed,
                     "monte_carlo": c.monte_carlo,
-                    "measured": {k: plain(v) for k, v in c.measured.items()},
+                    "measured": {k: native(v) for k, v in c.measured.items()},
                     "detail": c.detail,
                 }
                 for c in self.checks
@@ -204,7 +195,7 @@ class RunReport:
                 {
                     "name": d.name,
                     "detail": d.detail,
-                    "values": {k: plain(v) for k, v in d.values.items()},
+                    "values": {k: native(v) for k, v in d.values.items()},
                 }
                 for d in self.discrepancies
             ],

@@ -105,6 +105,12 @@ def coherent_amplitudes(spec: CoherentSpec, dim: int) -> StateVector:
     return StateVector(dim, amps)
 
 
+def _level_phase_sum(amps: np.ndarray, t: float, epsilon: float) -> complex:
+    """sum_k |amps_k|^2 e^{-i E_k t}, with E_k the k-th first-order corrected level energy."""
+    phases = np.exp(-1j * energy(np.arange(amps.size), epsilon) * t)
+    return complex(np.sum(np.abs(amps) ** 2 * phases))
+
+
 def coherent_overlap_numeric(spec: CoherentSpec, t: float, epsilon: float, dim: int) -> complex:
     """Overlap <state(0)|state(t)> summed over the Poisson weights.
 
@@ -112,11 +118,7 @@ def coherent_overlap_numeric(spec: CoherentSpec, t: float, epsilon: float, dim: 
     energy; the phase theta cancels in the weights. Semi-analytic oracle for
     the closed-form coherent fidelity.
     """
-    state = coherent_amplitudes(spec, dim)
-    weights = np.abs(state.amps) ** 2
-    ns = np.arange(dim)
-    phases = np.exp(-1j * energy(ns, epsilon) * t)
-    return complex(np.sum(weights * phases))
+    return _level_phase_sum(coherent_amplitudes(spec, dim).amps, t, epsilon)
 
 
 def squeezed_coeffs(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
@@ -192,13 +194,5 @@ def squeezed_overlap_numeric(spec: SqueezeSpec, t: float, epsilon: float, dim: i
     """
     if spec.theta != 0.0:
         raise ValueError("squeezed propagation is implemented for theta = 0 only")
-    n_pairs = dim // 2
-    tail = squeezed_pair_tail(spec, n_pairs)
-    if tail > TAIL_LIMIT:
-        raise ValueError(
-            f"squeezed tail {tail:.3e} at dim={dim} exceeds {TAIL_LIMIT}; increase the cutoff"
-        )
-    weights = np.abs(squeezed_coeffs(spec, n_pairs)) ** 2
-    ks = np.arange(n_pairs)
-    phases = np.exp(-1j * energy(ks, epsilon) * t)
-    return complex(np.sum(weights * phases))
+    amps = squeezed_state(spec, dim).amps
+    return _level_phase_sum(amps[0 : 2 * (dim // 2) : 2], t, epsilon)

@@ -5,6 +5,8 @@ src/relqsl outside its own definition, be the console entry point
 ``cli.main``, or be listed in KEPT with the reason it stays although only
 tests call it. References are read from the syntax tree (names and
 attribute accesses), so a mention in a docstring or a string does not count.
+The refusal of a non-finite result and the first-order validity warning are
+each worded once, in ``arrays``, and the syntax tree is read for copies.
 """
 
 import ast
@@ -101,3 +103,52 @@ def test_import_scan_sees_nested_imports(tmp_path):
         encoding="utf-8",
     )
     assert _imported_top_levels(tmp_path) == {"os", "scipy", "mpmath"}
+
+
+def _message_text(node: ast.AST) -> str:
+    """The string constants inside ``node`` (the literal parts of an f-string too), joined."""
+    return "".join(
+        sub.value for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    )
+
+
+def _worded_reports(package: pathlib.Path) -> set[tuple[str, int]]:
+    """(module, line) of each raise that words "not finite" and each warn call that
+    words "first-order validity is doubtful"."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text, phrase = _message_text(node.exc), "not finite"
+            elif isinstance(node, ast.Call) and "warn" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                text, phrase = _message_text(node), "first-order validity is doubtful"
+            else:
+                continue
+            if phrase in text:
+                found.add((path.stem, node.lineno))
+    return found
+
+
+def test_refusal_and_validity_warning_are_worded_only_in_arrays():
+    found = _worded_reports(PACKAGE)
+    stray = sorted(report for report in found if report[0] != "arrays")
+    assert stray == [], "word these through arrays.require_finite and arrays.warn_doubtful"
+    assert len(found) == 2
+
+
+def test_wording_scan_sees_raises_and_warnings_only(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""A result that is not finite is refused."""\n'
+        "import warnings\n\n\n"
+        "def check(x):\n"
+        "    if x:\n"
+        "        raise ValueError(f'check: {x!r} is not ' 'finite')\n"
+        "    warnings.warn('check: first-order validity is doubtful', stacklevel=2)\n"
+        "    warn('first-order validity ' f'is doubtful at {x}')\n"
+        "    return 'not finite'\n",
+        encoding="utf-8",
+    )
+    assert _worded_reports(tmp_path) == {("mod", 7), ("mod", 8), ("mod", 9)}

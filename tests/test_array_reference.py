@@ -135,6 +135,67 @@ def _ref_squeezed_fidelity_closed(r: float, t: float, epsilon: float) -> float:
     return min(1.0, max(0.0, f0 - corr))
 
 
+# The scalar moment closed forms as they stood before they took arrays,
+# verbatim except that the refusals are spelled out here.
+
+def _ref_finite(name, inputs, what, *values):
+    if not all(map(math.isfinite, values)):
+        point = ", ".join(f"{key}={value!r}" for key, value in inputs.items())
+        raise ValueError(f"{name}: {what} not finite at {point}")
+
+
+def _ref_moments(name, inputs, mean, var):
+    _ref_finite(name, inputs, f"energy moments (mean {mean!r}, variance {var!r}) are", mean, var)
+    if var < 0.0:
+        if var < -1e-12:
+            raise ValueError(f"variance {var!r} negative beyond tolerance")
+        var = 0.0
+    return mean, var, mean * mean + var
+
+
+def ref_coherent_energy(alpha0, epsilon):
+    a2 = alpha0 * alpha0
+    mean = 0.5 + a2 - 3.0 * epsilon / 32.0 * (1.0 + 4.0 * a2 + 2.0 * a2 * a2)
+    var = a2 - 0.75 * epsilon * (a2 + a2 * a2)
+    return _ref_moments("coherent_energy", {"alpha0": alpha0, "epsilon": epsilon}, mean, var)
+
+
+def ref_coherent_second_moment_closed(alpha0, epsilon):
+    a2 = alpha0 * alpha0
+    try:
+        value = (0.25 + 2.0 * a2 + a2 * a2) - 3.0 * epsilon / 32.0 * (
+            1.0 + 14.0 * a2 + 18.0 * a2 * a2 + 4.0 * a2 ** 3
+        )
+    except OverflowError:
+        value = math.nan
+    inputs = {"alpha0": alpha0, "epsilon": epsilon}
+    _ref_finite("coherent_second_moment_closed", inputs, f"second moment {value!r} is", value)
+    return (value,)
+
+
+def ref_squeezed_energy(r, epsilon):
+    try:
+        mean = math.cosh(2.0 * r) / 2.0 - 3.0 * epsilon / 128.0 * (1.0 + 3.0 * math.cosh(4.0 * r))
+        var = 2.0 * math.cosh(r) ** 2 * math.sinh(r) ** 2 - 9.0 * epsilon / 32.0 * math.sinh(
+            2.0 * r
+        ) * math.sinh(4.0 * r)
+    except OverflowError:
+        mean = var = math.nan
+    return _ref_moments("squeezed_energy", {"r": r, "epsilon": epsilon}, mean, var)
+
+
+def ref_squeezed_second_moment_closed(r, epsilon):
+    try:
+        value = (-1.0 + 3.0 * math.cosh(4.0 * r)) / 8.0 + 3.0 * epsilon / 256.0 * (
+            7.0 * math.cosh(2.0 * r) - 15.0 * math.cosh(6.0 * r)
+        )
+    except OverflowError:
+        value = math.nan
+    inputs = {"r": r, "epsilon": epsilon}
+    _ref_finite("squeezed_second_moment_closed", inputs, f"second moment {value!r} is", value)
+    return (value,)
+
+
 def _random_points(seed):
     rng = np.random.default_rng(seed)
     revival = 2.0 * math.pi * rng.integers(0, 4, POINTS)
@@ -197,3 +258,54 @@ def test_fidelities_match_pointwise_reference(fidelity, reference, par_scale):
     grid = fidelity(par, t, eps)
     want = [reference(*point) for point in zip(par.tolist(), t.tolist(), eps.tolist())]
     assert list(map(repr, grid.tolist())) == list(map(repr, want))
+
+
+def _outcome(fn, *point):
+    """The values of fn at one point, or the text of the ValueError it raises."""
+    try:
+        return fn(*point)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fields(result):
+    if isinstance(result, metrology.EnergyMoments):
+        return result.mean, result.variance, result.second
+    return (result,)
+
+
+@pytest.mark.parametrize(
+    "closed, reference, overflow_band",
+    [
+        (metrology.coherent_energy, ref_coherent_energy, (1e76, 1e78)),
+        (metrology.coherent_second_moment_closed, ref_coherent_second_moment_closed, (1e51, 1e52)),
+        (metrology.squeezed_energy, ref_squeezed_energy, (177.0, 178.5)),
+        (metrology.squeezed_second_moment_closed, ref_squeezed_second_moment_closed,
+         (118.0, 119.0)),
+    ],
+)
+def test_moments_match_pointwise_reference(closed, reference, overflow_band):
+    rng = np.random.default_rng(11)
+    par, _, eps = _random_points(12)
+    # a quarter of the points spread over 200 decades, a tenth around the
+    # first overflow of the formula
+    wide = rng.random(POINTS)
+    par = np.where(wide < 0.25, 10.0 ** rng.uniform(-3.0, 200.0, POINTS), par)
+    par = np.where(wide > 0.9, rng.uniform(*overflow_band, POINTS), par)
+    points = list(zip(par.tolist(), eps.tolist()))
+    want = [_outcome(reference, *point) for point in points]
+    refusals = [(point, text) for point, text in zip(points, want) if isinstance(text, str)]
+    values = [outcome for outcome in want if not isinstance(outcome, str)]
+    assert values and any("not finite" in text for _, text in refusals)
+
+    ok = np.array([not isinstance(outcome, str) for outcome in want])
+    for got, column in zip(_fields(closed(par[ok], eps[ok])), zip(*values)):
+        assert list(map(repr, got.tolist())) == list(map(repr, column))
+
+    # a refused point gives the reference's text, alone or as the first
+    # non-finite point of the whole grid
+    for point, text in refusals[:500]:
+        assert _outcome(closed, *point) == text
+    with pytest.raises(ValueError) as refusal:
+        closed(par, eps)
+    assert str(refusal.value) == next(text for _, text in refusals if "not finite" in text)

@@ -1,6 +1,7 @@
 """Config schema validation and the declarative sweep machinery."""
 
 import math
+import warnings
 
 import pytest
 
@@ -114,6 +115,26 @@ def test_axis_start_must_lie_in_the_parameter_domain():
             Axis(name, -0.5, 1.0, 0.5)
         assert Axis(name, 0.0, 1.0, 0.5).count == 3
     assert Axis("theta", -1.0, 1.0, 0.5).count == 5
+
+
+def test_sweep_spec_fixed_values_must_lie_in_the_parameter_domain():
+    # refused where the spec is built, before run_sweep can meet a sqrt of a
+    # negative amplitude and a "bound nan is not finite" error
+    axes = (Axis("t", 0.5, 1.0, 0.5),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^fixed alpha0_sq: value -1.0 violates alpha0_sq >= 0$"):
+            SweepSpec(target="qsl_coherent", axes=axes, columns=("t",),
+                      fixed={"alpha0_sq": -1.0, "epsilon": 0.0})
+        with pytest.raises(ValueError, match=r"violates epsilon >= 0$"):
+            SweepSpec(target="qsl_coherent", axes=axes, columns=("t",),
+                      fixed={"alpha0_sq": 1.0, "epsilon": math.nan})
+        with pytest.raises(ValueError, match=r"^fixed t: value 0.0 violates t > 0$"):
+            SweepSpec(target="qsl_coherent", axes=(Axis("alpha0_sq", 1.0, 2.0, 1.0),),
+                      columns=("t",), fixed={"t": 0.0, "epsilon": 0.0})
+    spec = SweepSpec(target="qsl_coherent", axes=axes, columns=("t",),
+                     fixed={"alpha0_sq": 0.0, "epsilon": 0.0})
+    assert spec.fixed == {"alpha0_sq": 0.0, "epsilon": 0.0}
 
 
 def test_sweep_spec_parameter_coverage():

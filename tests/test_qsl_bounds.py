@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relqsl import metrology
+from relqsl import fock_core, metrology
 from relqsl.qsl_bounds import (
     BoundReport,
     coherent_fidelity_closed,
@@ -142,6 +142,24 @@ def test_validity_warning_counts_points_once_per_call():
         "ml_squeezed: epsilon correction exceeds half the zeroth-order value "
         "at 2 of 3 evaluation points; first-order validity is doubtful there"
     ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mt_coherent(2.0, 5.4, 0.1),
+        lambda: ml_squeezed(0.05, 5.8, 0.08),
+        lambda: metrology.squeeze_ratio(1.0, 1.0, 0.0, 0.3),
+        lambda: fock_core.lowest_levels(16, 0.2, 2),
+    ],
+    ids=["mt_coherent", "ml_squeezed", "squeeze_ratio", "fock_core-large-epsilon"],
+)
+def test_validity_warnings_point_at_the_caller(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
 
 
 def test_non_finite_bound_names_function_and_first_point():

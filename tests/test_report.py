@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from relqsl.arrays import native
 from relqsl.presets import PRESETS, Axis, SweepSpec, run_sweep
 from relqsl.report import (
     CheckEntry,
@@ -15,20 +16,19 @@ from relqsl.report import (
     RunReport,
     emit,
     format_cell,
-    plain,
     render_csv,
     render_json,
     write_text,
 )
 
 
-def test_plain_unwraps_numpy_scalars():
-    assert plain(np.float64(1.5)) == 1.5
-    assert type(plain(np.float64(1.5))) is float
-    assert type(plain(np.int32(7))) is int
+def test_native_unwraps_numpy_scalars():
+    assert native(np.float64(1.5)) == 1.5
+    assert type(native(np.float64(1.5))) is float
+    assert type(native(np.int32(7))) is int
     # np.bool_ must come out as bool, not as an int
-    assert plain(np.bool_(True)) is True
-    assert plain("text") == "text"
+    assert native(np.bool_(True)) is True
+    assert native("text") == "text"
 
 
 def test_format_cell_round_trips_floats():
@@ -98,7 +98,7 @@ TABLE_DTYPES = (object, float, float, bool, np.int64, str)
 
 def _reference_tables(header, rows):
     csv_text = "\n".join([",".join(header)] + [",".join(map(format_cell, row)) for row in rows])
-    objs = [{name: plain(cell) for name, cell in zip(header, row)} for row in rows]
+    objs = [{name: native(cell) for name, cell in zip(header, row)} for row in rows]
     return csv_text + "\n", json.dumps(objs, indent=2) + "\n"
 
 
