@@ -5,8 +5,8 @@ for pure states under unitary time encoding) and its Cramer-Rao limit. The
 squeeze-factor formula quantifies quadrature nonclassicality against the
 fixed 1/4 benchmark, and the displaced-amplitude pair tracks the quadratic
 local-oscillator decay used by the homodyne and trap budgets. The moments,
-the printed second-moment series and the squeeze ratio take floats or
-equal-shape arrays, as the bounds do.
+the printed second-moment series and the squeeze ratio take floats,
+equal-shape or broadcastable (open-grid) arrays, as the bounds do.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class EnergyMoments:
     self-consistent; the independently printed first-order series for the
     second moment differs from this at O(eps^2) and is available through the
     *_second_moment_closed functions. Python floats for a scalar evaluation,
-    equal-shape arrays for a grid.
+    arrays at the grid's (broadcast) shape for a grid.
     """
 
     mean: Any
@@ -139,7 +139,8 @@ def qcrb(qfi: float) -> float:
 class SqueezeFactorPoint:
     """Quadrature-variance ratio against the 1/4 benchmark and its decibel form.
 
-    Python floats for a scalar evaluation, equal-shape arrays for a grid.
+    Python floats for a scalar evaluation, arrays at the grid's (broadcast)
+    shape for a grid.
     """
 
     ratio: Any

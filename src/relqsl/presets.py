@@ -1,8 +1,8 @@
 """Sweep grids, their evaluators, and the named presets.
 
 A sweep is data: up to three axes (name, start, stop, step), a map of fixed
-parameters, a target that turns parameter columns over the whole grid into
-result columns, and the column selection for the output file. The named
+parameters, a target that turns parameter arrays over an open grid into
+result arrays, and the column selection for the output file. The named
 presets reproduce the standard surfaces (speed-limit times over time and
 coherent amplitude, squeezed bounds over time and squeeze parameter, squeeze
 factor over its full domain) without any preset-specific code.
@@ -22,8 +22,9 @@ from .fock_core import SOLVE_BUDGET_BYTES
 from .homodyne_trap import ELECTRON_MASS, TrapConfig, epsilon_from_trap
 
 MAX_AXES = 3
-# A grid job peaks at about 1 KiB a point (a 75,030-point JSON sweep: 70 MB
-# over the interpreter's baseline), so grids are held to fock_core's budget.
+# A grid job peaks at about 1 KiB a point (the 113,400-point qsl_coherent grid
+# as JSON: 130 MB, 100 MB over the interpreter's 30 MB; as CSV: 105 MB), so
+# grids are held to fock_core's budget.
 GRID_BYTES_PER_POINT = 1024
 MAX_GRID_POINTS = SOLVE_BUDGET_BYTES // GRID_BYTES_PER_POINT
 
@@ -120,7 +121,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Target:
-    """Parameters a target consumes, and its evaluation of whole parameter columns."""
+    """Parameters a target consumes, and its evaluation of open-grid parameter arrays."""
 
     required: frozenset[str]
     evaluate: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
@@ -276,15 +277,17 @@ def sweep_from_config(section: dict[str, Any]) -> SweepSpec:
 def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], np.ndarray]:
     """Evaluate the grid in axis-major order and project the column set.
 
-    The target sees every parameter as one column over the whole grid (the
-    fixed ones repeated) and is called once; the table is a structured
-    array with one field per output column.
+    The target is called once on an open grid, as the closed forms take
+    floats, equal-shape or broadcastable (open-grid) arrays: each axis is an
+    array along its own dimension and each fixed parameter a 0-d array, so
+    every function of the parameters runs once per distinct value of the
+    inputs it depends on. The table is a structured array with one field per
+    output column, each result broadcast to the full grid in axis-major order.
     """
-    grids = np.meshgrid(*[axis.values() for axis in spec.axes], indexing="ij")
-    params = {axis.name: grid.ravel() for axis, grid in zip(spec.axes, grids)}
-    params.update(
-        {name: np.full(grids[0].size, value, dtype=float) for name, value in spec.fixed.items()}
-    )
+    grids = np.meshgrid(*[axis.values() for axis in spec.axes], indexing="ij", sparse=True)
+    params = {axis.name: grid for axis, grid in zip(spec.axes, grids)}
+    params.update({name: np.asarray(value, dtype=float) for name, value in spec.fixed.items()})
     results = TARGETS[spec.target].evaluate(params)
-    return spec.columns, np.rec.fromarrays([results[name] for name in spec.columns],
-                                           names=spec.columns)
+    shape = tuple(axis.count for axis in spec.axes)
+    columns = [np.broadcast_to(results[name], shape) for name in spec.columns]
+    return spec.columns, np.rec.fromarrays(columns, names=spec.columns).ravel()

@@ -5,8 +5,9 @@ squeezed oscillator states, each reported as zeroth order plus an
 epsilon-scaled correction. The unified speed limit is the pointwise maximum.
 The correction terms diverge like 1/sqrt(1 - F0^2) at state revivals; such
 points are flagged and the divergent part suppressed instead of returned as
-infinities. Each bound and each closed fidelity takes floats or equal-shape
-arrays, so a whole sweep grid is one call; a non-finite bound is refused
+infinities. Each bound and each closed fidelity takes floats, equal-shape or
+broadcastable (open-grid) arrays, so a whole sweep grid is one call and each
+term runs only over the axes it depends on; a non-finite bound is refused
 through arrays.require_finite. The bounds and the fidelity of one state
 family share their zeroth-order pieces (one core per family); each keeps its
 own first-order term, so the fidelities stay an independent route to the
@@ -33,8 +34,8 @@ class BoundReport:
     ``coefficient`` is the correction divided by epsilon, exposed for
     epsilon sweeps; ``total`` is always the exact float sum of ``zeroth``
     and ``correction``. Fields are Python floats (a bool for
-    ``near_revival``) for a scalar evaluation and equal-shape arrays for a
-    grid.
+    ``near_revival``) for a scalar evaluation and arrays for a grid, each at
+    the broadcast shape of the inputs it depends on (``t`` keeps its own).
     """
 
     t: Any
@@ -96,7 +97,7 @@ def coherent_fidelity_closed(alpha0: Grid, t: Grid, epsilon: Grid) -> Any:
 
     F = F0 * [1 + (3 eps/8) a0^2 t (1 + a0^2 cos t) sin t] with
     F0 = exp(a0^2 (cos t - 1)), clamped to [0, 1]. Takes floats (returning
-    a float) or equal-shape arrays.
+    a float), equal-shape or broadcastable (open-grid) arrays.
     """
     alpha0, t, epsilon = as_arrays(alpha0, t, epsilon)
     if np.any(alpha0 < 0):
@@ -178,7 +179,8 @@ def squeezed_fidelity_closed(r: Grid, t: Grid, epsilon: Grid) -> Any:
     clamped to [0, 1]; the correction is dropped where y7 <= 0. At t = 0 the
     leading term is exactly 1 for every r, and at r = 0 F is 1. A non-finite
     value before the clamp (y2 cancels for r >~ 9) raises ValueError naming
-    the point. Takes floats (returning a float) or equal-shape arrays.
+    the point. Takes floats (returning a float), equal-shape or broadcastable
+    (open-grid) arrays.
     """
     r, t, epsilon = as_arrays(r, t, epsilon)
     if np.any(r < 0):

@@ -164,21 +164,20 @@ def squeezed_coeffs_closed(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
     return (np.exp(logmag) * (-1.0) ** ns).astype(np.complex128)
 
 
-def squeezed_pair_tail(spec: SqueezeSpec, n_pairs: int) -> float:
-    """Probability weight left above the last retained pair."""
-    coeffs = squeezed_coeffs(spec, n_pairs)
+def _pair_tail(coeffs: np.ndarray) -> float:
+    """Probability weight left above the last retained pair of ``coeffs``."""
     return max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
 
 
 def squeezed_state(spec: SqueezeSpec, dim: int) -> StateVector:
     """StateVector with f(2k) at the even indices and zeros elsewhere."""
     n_pairs = dim // 2
-    tail = squeezed_pair_tail(spec, n_pairs)
+    coeffs = squeezed_coeffs(spec, n_pairs)
+    tail = _pair_tail(coeffs)
     if tail > TAIL_LIMIT:
         raise ValueError(
             f"squeezed tail {tail:.3e} at dim={dim} exceeds {TAIL_LIMIT}; increase the cutoff"
         )
-    coeffs = squeezed_coeffs(spec, n_pairs)
     amps = np.zeros(dim, dtype=np.complex128)
     amps[2 * np.arange(n_pairs)] = coeffs
     return StateVector(dim, amps)

@@ -10,12 +10,16 @@ the rounding of each.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relqsl import metrology, qsl_bounds
+from relqsl import metrology, presets, qsl_bounds
+from relqsl.arrays import require_finite
 
 POINTS = 20_000
 NEAR = qsl_bounds.NEAR_REVIVAL_LIMIT
@@ -309,3 +313,130 @@ def test_moments_match_pointwise_reference(closed, reference, overflow_band):
     with pytest.raises(ValueError) as refusal:
         closed(par, eps)
     assert str(refusal.value) == next(text for _, text in refusals if "not finite" in text)
+
+
+# ------------------------------------------------ open sweep grid vs dense grid
+
+# every column a target returns: its parameters, then its results
+RESULT_COLUMNS = {
+    "qsl_coherent": ("t_mt0", "t_mt", "t_ml0", "t_ml", "t_qsl", "near_revival"),
+    "qsl_squeezed": ("t_mt0", "t_mt", "t_ml0", "t_ml", "t_qsl", "near_revival"),
+    "squeeze_factor": ("ratio0", "sf_db0", "ratio", "sf_db"),
+}
+# (ordinary range, wide range) of each parameter; the wide range reaches
+# refusals (alpha0 = 0, r = 0, overflowing cosh and sinh, a non-positive
+# squeeze ratio) and the validity warning
+PARAM_RANGES = {
+    "t": ((0.01, 7.0), (1e-3, 60.0)),
+    "alpha0_sq": ((0.05, 3.0), (0.0, 1e4)),
+    "alpha_sq": ((0.0, 3.0), (0.0, 1e4)),
+    "r": ((0.0, 1.5), (0.0, 500.0)),
+    "theta": ((-4.0, 4.0), (-100.0, 100.0)),
+    "epsilon": ((0.0, 0.1), (0.0, 2.0)),
+}
+
+
+def dense_run_sweep(spec):
+    """The dense evaluation: every parameter repeated over the whole grid before the target."""
+    grids = np.meshgrid(*[axis.values() for axis in spec.axes], indexing="ij")
+    params = {axis.name: grid.ravel() for axis, grid in zip(spec.axes, grids)}
+    params.update(
+        {name: np.full(grids[0].size, value, dtype=float) for name, value in spec.fixed.items()}
+    )
+    results = presets.TARGETS[spec.target].evaluate(params)
+    return spec.columns, np.rec.fromarrays([results[name] for name in spec.columns],
+                                           names=spec.columns)
+
+
+def _sweep_outcome(run, spec):
+    """The table's header, dtype and bytes (or the ValueError text), and the warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            header, table = run(spec)
+        except ValueError as exc:
+            outcome = str(exc)
+        else:
+            outcome = (header, table.dtype, table.tobytes())
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def _value(draw, name):
+    lo, hi = PARAM_RANGES[name][draw(st.sampled_from((0, 0, 0, 1)))]
+    if name == "t":
+        lo = max(lo, 1e-3)
+    return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sweep_specs(draw, target):
+    """A SweepSpec of ``target`` with 1 to 3 axes of up to 5 points in any order."""
+    names = draw(st.permutations(sorted(presets.TARGETS[target].required)))
+    n_axes = draw(st.integers(1, presets.MAX_AXES))
+    axes = []
+    for name in names[:n_axes]:
+        start, count = _value(draw, name), draw(st.integers(1, 5))
+        step = draw(st.floats(1e-3, max(1e-3, PARAM_RANGES[name][0][1] / 2)))
+        axes.append(presets.Axis(name, start, start + (count - 1) * step, step))
+    fixed = {name: _value(draw, name) for name in names[n_axes:]}
+    columns = tuple(names) + RESULT_COLUMNS[target]
+    return presets.SweepSpec(target=target, axes=tuple(axes), columns=columns, fixed=fixed)
+
+
+@pytest.mark.parametrize("target", sorted(RESULT_COLUMNS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_open_grid_sweep_equals_dense_grid(target, data):
+    spec = data.draw(sweep_specs(target))
+    assert _sweep_outcome(presets.run_sweep, spec) == _sweep_outcome(dense_run_sweep, spec)
+
+
+def test_open_grid_names_the_dense_grids_first_non_finite_point():
+    # cosh(4 r) and sinh(2 r) overflow from r = 177.5 on, so every point of
+    # the last two r values has a nan bound
+    spec = presets.SweepSpec(
+        target="qsl_squeezed",
+        axes=(presets.Axis("t", 0.5, 1.5, 0.5), presets.Axis("r", 0.5, 300.5, 100.0)),
+        columns=("t", "r", "epsilon", "t_qsl"),
+        fixed={"epsilon": 0.01},
+    )
+    open_outcome, dense_outcome = (
+        _sweep_outcome(run, spec) for run in (presets.run_sweep, dense_run_sweep)
+    )
+    assert open_outcome == dense_outcome
+    assert open_outcome[0] == "mt_squeezed: bound nan is not finite at r=200.5, t=0.5, epsilon=0.01"
+
+
+def test_refusal_names_the_first_point_of_the_joint_grid():
+    # the value depends on a alone; the first bad point of the a x b grid in
+    # axis-major order is (a[1], b[0])
+    a, b = np.array([[1.0], [2.0], [3.0]]), np.array([[10.0, 20.0, 30.0, 40.0]])
+    value = np.array([[1.0], [np.nan], [np.nan]])
+    with pytest.raises(ValueError, match=r"^f: v nan is not finite at a=2.0, b=10.0$"):
+        require_finite("f", {"a": a, "b": b}, "v {!r} is", value)
+
+
+@pytest.mark.filterwarnings("ignore:m[tl]_coherent")
+def test_open_grid_sweep_peak_memory():
+    """The 126 x 30 x 30 grid peaks within 16 float64 columns of the grid.
+
+    A dense grid (each parameter repeated over every point before the
+    closed forms run) peaks at about 25 columns; the open grid at about 10.
+    """
+    spec = presets.SweepSpec(
+        target="qsl_coherent",
+        axes=(
+            presets.Axis("t", 0.05, 0.05 + 125 * 0.05, 0.05),
+            presets.Axis("alpha0_sq", 0.1, 0.1 + 29 * 0.1, 0.1),
+            presets.Axis("epsilon", 0.0, 29 * 0.0025, 0.0025),
+        ),
+        columns=presets.PRESETS["fig1"].columns,
+    )
+    tracemalloc.start()
+    try:
+        _, table = presets.run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 126 * 30 * 30
+    assert peak <= 16 * 8 * len(table), f"{peak / (8 * len(table)):.1f} columns"

@@ -16,10 +16,9 @@ from relqsl.states import (
     squeezed_coeffs,
     squeezed_coeffs_closed,
     squeezed_overlap_numeric,
-    squeezed_pair_tail,
     squeezed_state,
 )
-from relqsl.states import _log_factorial
+from relqsl.states import _log_factorial, _pair_tail
 
 DIM = 256
 
@@ -91,7 +90,7 @@ def test_squeezed_state_structure():
 
 
 def test_squeezed_tail_control():
-    assert squeezed_pair_tail(SqueezeSpec(0.5), DIM // 2) <= 1e-12
+    assert _pair_tail(squeezed_coeffs(SqueezeSpec(0.5), DIM // 2)) <= 1e-12
     with pytest.raises(ValueError, match="tail"):
         squeezed_state(SqueezeSpec(2.5), 16)
 
