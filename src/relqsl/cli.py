@@ -4,9 +4,9 @@ Precedence for every parameter is defaults < config file < command-line
 flag. The flags are generated from `config.SCHEMA`, so a flag value passes
 the same parse-and-range check as a config line. Outputs go to stdout or,
 with --out, to an atomically written file. Exit codes: 0 success, 1 domain
-or check failure, 2 usage, flag or config error, or an --out path that
-cannot be written. Warnings reach stderr as one ``warning: <message>`` line
-each.
+or check failure, 2 usage, flag or config error, or an --out path or
+stdout that cannot be written. Warnings reach stderr as one
+``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     report = run_selfcheck(args.seed)
-    sys.stdout.write(report.render_text())
+    write_text(None, report.render_text())
     if args.out is not None:
         write_text(args.out, render_json(report.to_json_obj()))
     return 0 if report.passed else 1

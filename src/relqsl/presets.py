@@ -22,9 +22,11 @@ from .fock_core import SOLVE_BUDGET_BYTES
 from .homodyne_trap import ELECTRON_MASS, TrapConfig, epsilon_from_trap
 
 MAX_AXES = 3
-# A grid job peaks at about 1 KiB a point (the 113,400-point qsl_coherent grid
-# as JSON: 130 MB, 100 MB over the interpreter's 30 MB; as CSV: 105 MB), so
-# grids are held to fock_core's budget.
+# A grid job peaks below 1 KiB a point, so grids are held to fock_core's
+# budget. The 113,400-point qsl_coherent grid, as ru_maxrss of one
+# `relqsl sweep` spawned from a small parent (2 CPUs, so it formats in two
+# processes): 94 MB as JSON, 65 MB over the interpreter's 29 MB; 72 MB as
+# CSV. On one CPU: 130 MB and 106 MB.
 GRID_BYTES_PER_POINT = 1024
 MAX_GRID_POINTS = SOLVE_BUDGET_BYTES // GRID_BYTES_PER_POINT
 

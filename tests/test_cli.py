@@ -3,13 +3,14 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from relqsl import cli, config, fock_core, presets
+from relqsl import cli, config, fock_core, presets, report
 from relqsl.cli import build_parser, run_subcommand
 
 # coherent alpha0 = 1 at t = 3.14159 (epsilon = 0): repr of the zeroth bound
@@ -244,17 +245,27 @@ def test_qkd_overflow_names_holevo_bound_before_numpy_sees_it(argv, message, cap
     assert captured.err == message
 
 
-def _heavy_modules_after(code: str) -> str:
-    """scipy and mpmath modules loaded by a fresh interpreter that runs ``code``."""
+def _src_env() -> dict[str, str]:
+    """This environment with the package sources first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+# packages no command may load: optional extras, and process pools whose
+# import would cost every command; a large table is split with bare os.fork
+HEAVY_PACKAGES = ("scipy", "mpmath", "multiprocessing", "concurrent")
+
+
+def _heavy_modules_after(code: str) -> str:
+    """Modules of HEAVY_PACKAGES loaded by a fresh interpreter that runs ``code``."""
     code += (
         "; import sys; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'mpmath')))"
+        f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {HEAVY_PACKAGES!r}))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
     )
     return done.stdout.strip().splitlines()[-1]
 
@@ -262,6 +273,19 @@ def _heavy_modules_after(code: str) -> str:
 def test_cli_import_loads_neither_scipy_nor_mpmath():
     """scipy and mpmath load on first use, so a cold start does not pay for them."""
     assert _heavy_modules_after("import relqsl.cli") == "[]"
+
+
+def _seeded_grid_config(path, seed: int) -> None:
+    """A [sweep] of 60 x 20 x 20 = 24,000 qsl_coherent points, over the split threshold."""
+    rng = random.Random(seed)
+    axes = [("t", rng.uniform(0.02, 0.1), 0.1, 60),
+            ("alpha0_sq", rng.uniform(0.05, 0.15), 0.1, 20),
+            ("epsilon", rng.uniform(0.0, 0.002), 0.002, 20)]
+    lines = ["[sweep]", "target = qsl_coherent"]
+    for i, (name, start, step, count) in enumerate(axes, start=1):
+        lines += [f"axis{i}_name = {name}", f"axis{i}_start = {start!r}",
+                  f"axis{i}_stop = {start + (count - 1) * step!r}", f"axis{i}_step = {step!r}"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -274,11 +298,17 @@ def test_cli_import_loads_neither_scipy_nor_mpmath():
         ["qsl"],
         ["metrology"],
         ["sweep", "--preset", "fig1"],
+        ["sweep", "--config", "grid.cfg", "--format", "json"],
     ],
 )
 def test_no_subcommand_loads_scipy_or_mpmath(argv, tmp_path):
-    argv = argv + ["--out", str(tmp_path / "out")]
-    code = f"from relqsl.cli import run_subcommand; assert run_subcommand({argv!r}) == 0"
+    assert 24_000 >= 2 * report.MIN_ROWS_PER_PROCESS
+    _seeded_grid_config(tmp_path / "grid.cfg", seed=11)
+    argv = [str(tmp_path / arg) if arg == "grid.cfg" else arg for arg in argv]
+    argv += ["--out", str(tmp_path / "out")]
+    # two CPUs, so the grid is formatted in two processes on any machine
+    code = ("import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+            f"from relqsl.cli import run_subcommand; assert run_subcommand({argv!r}) == 0")
     assert _heavy_modules_after(code) == "[]"
 
 
@@ -412,9 +442,7 @@ def test_sweep_theta_is_free(axis, tmp_path, capsys):
 
 def test_warnings_are_one_line_each_on_the_command_line(capsys):
     """The CLI prints the message alone; in-process callers keep Python's format."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _src_env()
     doubtful = (
         "epsilon correction exceeds half the zeroth-order value at {} of 240 "
         "evaluation points; first-order validity is doubtful there"
@@ -466,6 +494,18 @@ def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys):
     assert err.endswith(f"error: cannot write {out}: {reason}\n")
     assert ".partial-" not in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_failed_stdout_write_is_a_usage_error():
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "relqsl.cli", "sweep", "--preset", "fig1", "--format", "json"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(),
+        )
+    assert done.returncode == 2
+    errors = [line for line in done.stderr.splitlines() if not line.startswith("warning: ")]
+    assert errors == ["error: cannot write stdout: No space left on device"]
 
 
 def test_selfcheck_passes_and_writes_json(tmp_path, capsys):

@@ -4,13 +4,17 @@ import json
 import math
 import os
 import random
+import signal
+import stat
 
 import numpy as np
 import pytest
 
+from relqsl import report
 from relqsl.arrays import native
 from relqsl.presets import PRESETS, Axis, SweepSpec, run_sweep
 from relqsl.report import (
+    MIN_ROWS_PER_PROCESS,
     CheckEntry,
     DiscrepancyEntry,
     RunReport,
@@ -59,6 +63,23 @@ def test_write_text_is_atomic(tmp_path):
     assert target.read_text(encoding="utf-8") == "payload\n"
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".partial-")]
     assert leftovers == []
+
+
+def test_write_text_gives_new_files_the_umask_mode_and_keeps_existing_modes(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        write_text(str(fresh), "a\n")
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        os.umask(0o077)
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old\n", encoding="utf-8")
+        existing.chmod(0o664)
+        write_text(str(existing), "new\n")
+        assert existing.read_text(encoding="utf-8") == "new\n"
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o664
+    finally:
+        os.umask(previous)
 
 
 def test_write_text_stdout(capsys):
@@ -154,6 +175,121 @@ def test_seeded_sweep_table_matches_row_wise_reference(seed, tmp_path):
     emit(str(tmp_path / "grid.json"), "json", header, table)
     assert (tmp_path / "grid.csv").read_text(encoding="utf-8") == want_csv
     assert (tmp_path / "grid.json").read_text(encoding="utf-8") == want_json
+
+
+# the threshold's neighbours, and the smallest tables cut into two and three ranges
+SPLIT_SIZES = [0, 1, MIN_ROWS_PER_PROCESS - 1, MIN_ROWS_PER_PROCESS,
+               2 * MIN_ROWS_PER_PROCESS + 1, 3 * MIN_ROWS_PER_PROCESS]
+SPLIT_HEADER = ("n", "x", "y", "z", "flag")
+
+
+def _boundary_table(size: int) -> np.ndarray:
+    """Seeded floats, with -0.0/0.0, two nan payloads and -inf/inf on the two
+    rows beside every boundary of a cut into two or three ranges."""
+    values = np.random.default_rng(size).standard_normal((3, size))
+    before = (-0.0, *NAN_PAYLOADS.view(np.float64)[:1].tolist(), math.inf)
+    after = (0.0, *NAN_PAYLOADS.view(np.float64)[1:].tolist(), -math.inf)
+    for count in (2, 3):
+        for i in range(1, count):
+            boundary = size * i // count
+            for row, specials in ((boundary - 1, before), (boundary, after)):
+                if 0 <= row < size:
+                    values[:, row] = specials
+    return np.rec.fromarrays([np.arange(size), *values, values[0] > 0], names=SPLIT_HEADER)
+
+
+def _set_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", SPLIT_SIZES)
+def test_split_table_matches_one_process_output(size, fmt, monkeypatch, tmp_path):
+    table = _boundary_table(size)
+    _set_cpus(monkeypatch, 1)
+    emit(str(tmp_path / "one"), fmt, SPLIT_HEADER, table)
+    want = (tmp_path / "one").read_bytes()
+    reference = _reference_tables(SPLIT_HEADER, table.tolist())[fmt == "json"]
+    assert want == reference.encode("utf-8")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    for cpus in (2, 3):
+        _set_cpus(monkeypatch, cpus)
+        forks.clear()
+        emit(str(tmp_path / f"{cpus}"), fmt, SPLIT_HEADER, table)
+        _assert_no_child_left()
+        assert len(forks) == max(0, min(cpus, size // MIN_ROWS_PER_PROCESS) - 1)
+        assert (tmp_path / f"{cpus}").read_bytes() == want
+
+
+def _one_process_and_split(monkeypatch, fmt: str) -> tuple[str, str]:
+    """A table over the split threshold rendered with one CPU, then with two."""
+    table = _boundary_table(2 * MIN_ROWS_PER_PROCESS + 1)
+    render = render_csv if fmt == "csv" else report._render_json_table
+    _set_cpus(monkeypatch, 1)
+    want = render(SPLIT_HEADER, table)
+    _set_cpus(monkeypatch, 2)
+    return want, render(SPLIT_HEADER, table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypatch):
+    parent, column_texts = os.getpid(), report._column_texts
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter fails in the child")
+        return column_texts(*args)
+
+    statuses = []
+    waitpid = os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda *a: statuses.append(waitpid(*a)) or statuses[-1])
+    monkeypatch.setattr(report, "_column_texts", fails_in_a_child)
+    want, got = _one_process_and_split(monkeypatch, fmt)
+    assert got == want
+    assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
+    _assert_no_child_left()
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("children were not reaped in time")
+
+
+def test_failure_in_the_parent_reaps_every_child(monkeypatch):
+    parent, column_texts = os.getpid(), report._column_texts
+
+    def fails_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("formatter fails in the parent")
+        return column_texts(*args)
+
+    monkeypatch.setattr(report, "_column_texts", fails_in_the_parent)
+    _set_cpus(monkeypatch, 3)
+    table = _boundary_table(3 * MIN_ROWS_PER_PROCESS)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="fails in the parent"):
+            render_csv(SPLIT_HEADER, table)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+
+
+def test_range_whose_fork_fails_is_formatted_in_process(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    want, got = _one_process_and_split(monkeypatch, "json")
+    assert got == want
 
 
 def _sample_report(ok: bool) -> RunReport:
