@@ -7,8 +7,8 @@ produce byte-identical files. A table is a numpy structured array with one
 field per column; it is formatted in contiguous row ranges, each one column
 at a time, with one repr per distinct float64 bit pattern in the range, and
 a JSON table is the same text json.dumps(..., indent=2) gives for its list
-of row objects. A large table uses up to one process per available CPU:
-each range but the last is formatted in a forked child while this process
+of row objects. A large table uses up to one process per available CPU
+(two at most, the count measured): each range but the last is formatted in a forked child while this process
 formats the last, and the range texts are joined in row order, so the bytes
 do not depend on the number of processes. Files are written to a temporary
 sibling and atomically renamed into place; a failed run never leaves a
@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -36,9 +34,10 @@ from .arrays import native
 # times that overhead, and every preset table (fig1: 7,560 rows) stays in one
 # process.
 MIN_ROWS_PER_PROCESS = 8192
-# SIGKILL's number wherever os.fork exists; importing the signal module would
-# cost every command about 1 ms
-_SIGKILL = 9
+# Most processes a table is formatted in, the count measured (on 2 cores).
+# More ranges are untimed: on more CPUs, or under a CPU quota smaller than the
+# affinity mask, they could cost more in forks and pipe copies than they save.
+MAX_PROCESSES = 2
 
 
 def format_cell(value: Any) -> str:
@@ -110,15 +109,21 @@ def _format_rows(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> s
     return _ROW_SEPARATOR[json_cells].join(texts)
 
 
-def _format_in_child(write_fd: int, header: Sequence[str], rows: np.ndarray, json_cells: bool):
+def _format_in_child(write_fd: int, read_ends: Sequence[int], header: Sequence[str],
+                     rows: np.ndarray, json_cells: bool):
     """A forked child's whole life: write the rows' text to the pipe, then exit.
 
+    It first closes the read ends it inherited (its own pipe's and its older
+    siblings'), so the parent holds the only reader: should the parent die,
+    even by SIGKILL, the write fails with EPIPE instead of blocking forever.
     It never returns: os._exit skips the inherited stdio buffers, the atexit
     handlers and the caller's stack. Status 1 (any exception) tells the
     parent to format the rows itself.
     """
     status = 1
     try:
+        for read_end in read_ends:
+            os.close(read_end)
         with open(write_fd, "wb") as pipe:
             pipe.write(_format_rows(header, rows, json_cells).encode("utf-8"))
         status = 0
@@ -130,17 +135,19 @@ def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool,
                   prefix: str, suffix: str) -> str:
     """prefix, ``_format_rows`` of the whole table, then suffix, in one copy.
 
-    The table is cut into contiguous row ranges, one per available CPU but
-    none shorter than MIN_ROWS_PER_PROCESS rows. Each range but the last is
-    formatted in a child made by os.fork while this process formats the
-    last; a range whose child could not be made or did not exit 0 is
-    formatted here. Every child is reaped before this returns or raises. A
-    child runs only numpy sorting and indexing and Python string work, no
-    BLAS routine, so BLAS threads in this process cannot hold it up.
+    The table is cut into contiguous row ranges, one per available CPU (at
+    most MAX_PROCESSES) but none shorter than MIN_ROWS_PER_PROCESS rows.
+    Each range but the last is formatted in a child made by os.fork while
+    this process formats the last; a range whose child could not be made or
+    did not exit 0 is formatted here. Every child is reaped before this
+    returns or raises, and exits even if this process is killed. A child
+    runs only numpy sorting and indexing and Python string work, no BLAS
+    routine, so BLAS threads in this process cannot hold it up.
     """
     count = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        count = max(1, min(len(os.sched_getaffinity(0)), len(rows) // MIN_ROWS_PER_PROCESS))
+        cpus = min(len(os.sched_getaffinity(0)), MAX_PROCESSES)
+        count = max(1, min(cpus, len(rows) // MIN_ROWS_PER_PROCESS))
     bounds = [len(rows) * i // count for i in range(count + 1)]
     ranges = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     texts: list[str | None] = [None] * count
@@ -155,7 +162,8 @@ def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool,
                 os.close(write_fd)
                 continue
             if pid == 0:
-                _format_in_child(write_fd, header, part, json_cells)
+                read_ends = [read_fd, *(pipe.fileno() for _, pipe in children.values())]
+                _format_in_child(write_fd, read_ends, header, part, json_cells)
             os.close(write_fd)
             children[pid] = (i, open(read_fd, "rb"))
         texts[-1] = _format_rows(header, ranges[-1], json_cells)
@@ -168,11 +176,9 @@ def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool,
                 texts[i] = data.decode("utf-8")
             del data
     finally:
-        # closing this end cannot stop a child's write: the child, and every
-        # child forked after it, hold copies of the read end
+        # with the only read end closed, a child's write fails and it exits
         for pid, (_, pipe) in children.items():
             pipe.close()
-            os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
     # prefix, the ranges with the row separator between them, suffix
     parts = [_ROW_SEPARATOR[json_cells]] * (2 * count + 1)
@@ -205,14 +211,16 @@ class OutputError(Exception):
     """An output path that cannot be written; the message names the path as given."""
 
 
-def _mode_for(path: str) -> int:
-    """The mode path keeps if it exists, else the one open() gives a new file."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
+def _new_sibling(path: str) -> tuple[int, str]:
+    """A new temporary file beside path, open for writing, made with mode
+    0o666 so that the kernel applies the umask as for any new file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    while True:
+        tmp_path = os.path.join(directory, f".partial-{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp_path
+        except FileExistsError:
+            continue
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -220,22 +228,34 @@ def write_text(path: str | None, text: str) -> None:
 
     An OSError (missing directory, a directory as path, no permission, a
     full device) becomes an OutputError that names path or stdout, not the
-    temporary sibling. A replaced file keeps its mode.
+    temporary sibling. A new file gets the umask's mode and a replaced file
+    keeps its mode. After a failed stdout write, stdout's descriptor points
+    at the null device, so the bytes left in its buffer are dropped instead
+    of failing again at the next write or at interpreter exit.
     """
     if path is None:
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
+            try:
+                stdout = sys.stdout.fileno()
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, stdout)
+                os.close(null)
+            except OSError:
+                pass
             raise OutputError(f"cannot write stdout: {exc.strerror}") from None
         return
-    directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".tmp")
+        fd, tmp_path = _new_sibling(path)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-            os.chmod(tmp_path, _mode_for(path))
+            try:
+                os.chmod(tmp_path, os.stat(path).st_mode & 0o7777)
+            except FileNotFoundError:
+                pass
             os.replace(tmp_path, path)
         except BaseException:
             try:

@@ -496,16 +496,36 @@ def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-def test_failed_stdout_write_is_a_usage_error():
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+
+
+def _to_dev_full(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with these arguments, its stdout on /dev/full."""
     with open("/dev/full", "w", encoding="utf-8") as full:
-        done = subprocess.run(
-            [sys.executable, "-m", "relqsl.cli", "sweep", "--preset", "fig1", "--format", "json"],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(),
-        )
+        return subprocess.run([sys.executable, *args], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=_src_env())
+
+
+# fig1 JSON is larger than stdout's buffer and goes straight to the descriptor;
+# the qsl and selfcheck texts fit in the buffer and fail at the flush
+@NO_DEV_FULL
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--preset", "fig1", "--format", "json"], ["qsl"], ["selfcheck"]]
+)
+def test_failed_stdout_write_is_a_usage_error(argv):
+    done = _to_dev_full(["-m", "relqsl.cli", *argv])
     assert done.returncode == 2
     errors = [line for line in done.stderr.splitlines() if not line.startswith("warning: ")]
     assert errors == ["error: cannot write stdout: No space left on device"]
+
+
+@NO_DEV_FULL
+def test_failed_stdout_write_leaves_no_bytes_to_fail_again():
+    code = ("from relqsl.report import OutputError, write_text\n"
+            "try:\n    write_text(None, 'short\\n')\nexcept OutputError:\n    pass\n"
+            "print('later')")
+    done = _to_dev_full(["-c", code])
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_selfcheck_passes_and_writes_json(tmp_path, capsys):

@@ -6,6 +6,9 @@ import os
 import random
 import signal
 import stat
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -219,13 +222,15 @@ def test_split_table_matches_one_process_output(size, fmt, monkeypatch, tmp_path
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    for cpus in (2, 3):
+    # two and three CPUs under the default cap, then three ranges with it raised
+    for cpus, cap in ((2, report.MAX_PROCESSES), (3, report.MAX_PROCESSES), (3, 3)):
         _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(report, "MAX_PROCESSES", cap)
         forks.clear()
-        emit(str(tmp_path / f"{cpus}"), fmt, SPLIT_HEADER, table)
+        emit(str(tmp_path / f"{cpus}-{cap}"), fmt, SPLIT_HEADER, table)
         _assert_no_child_left()
-        assert len(forks) == max(0, min(cpus, size // MIN_ROWS_PER_PROCESS) - 1)
-        assert (tmp_path / f"{cpus}").read_bytes() == want
+        assert len(forks) == max(0, min(cpus, cap, size // MIN_ROWS_PER_PROCESS) - 1)
+        assert (tmp_path / f"{cpus}-{cap}").read_bytes() == want
 
 
 def _one_process_and_split(monkeypatch, fmt: str) -> tuple[str, str]:
@@ -270,6 +275,7 @@ def test_failure_in_the_parent_reaps_every_child(monkeypatch):
         return column_texts(*args)
 
     monkeypatch.setattr(report, "_column_texts", fails_in_the_parent)
+    monkeypatch.setattr(report, "MAX_PROCESSES", 3)
     _set_cpus(monkeypatch, 3)
     table = _boundary_table(3 * MIN_ROWS_PER_PROCESS)
     previous = signal.signal(signal.SIGALRM, _alarm)
@@ -281,6 +287,67 @@ def test_failure_in_the_parent_reaps_every_child(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     _assert_no_child_left()
+
+
+# A parent that splits a table, prints its child's pid, then stalls in its own
+# range; each range's text is far larger than a pipe's buffer
+STALLED_PARENT = """
+import os, time
+import numpy as np
+from relqsl import report
+os.sched_getaffinity = lambda pid: {{0, 1}}
+parent, fork, format_rows = os.getpid(), os.fork, report._format_rows
+
+def printing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def stalls_in_the_parent(*args):
+    if os.getpid() == parent:
+        print("stalled", flush=True)
+        time.sleep(600)
+    return format_rows(*args)
+
+os.fork, report._format_rows = printing_fork, stalls_in_the_parent
+report.render_csv(["x"], np.rec.fromarrays([np.linspace(0.0, 1.0, {rows})], names=["x"]))
+"""
+
+
+def _has_exited(pid: int) -> bool:
+    """Whether a process (not necessarily this one's child) is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as status:
+            return status.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_children_of_a_killed_parent_exit():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = STALLED_PARENT.format(rows=4 * MIN_ROWS_PER_PROCESS)
+    parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env)
+    children = []
+    try:
+        for line in parent.stdout:
+            if line.strip() == "stalled":
+                break
+            children.append(int(line))
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    assert len(children) == 1
+    deadline = time.monotonic() + 20
+    while not all(map(_has_exited, children)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in children if not _has_exited(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 def test_range_whose_fork_fails_is_formatted_in_process(monkeypatch):
