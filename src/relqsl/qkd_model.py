@@ -211,24 +211,22 @@ def _detector_model(
     return eta, max(d, 1.0)
 
 
-def _conditioned(cov: np.ndarray, mode: int, detection: str) -> np.ndarray:
-    """Covariance of the remaining modes after measuring one mode."""
-    n = cov.shape[0]
-    bx, bp = 2 * mode, 2 * mode + 1
-    rest = [i for i in range(n) if i not in (bx, bp)]
+def _conditioned(cov: np.ndarray, detection: str) -> np.ndarray:
+    """Covariance of the remaining modes after measuring Bob's (rows 2 and 3)."""
+    rest = [i for i in range(cov.shape[0]) if i not in (2, 3)]
     gamma_rest = cov[np.ix_(rest, rest)]
     if detection == "homodyne":
-        col = cov[np.ix_(rest, [bx])]
-        return gamma_rest - col @ col.T / cov[bx, bx]
-    sigma = cov[np.ix_(rest, [bx, bp])]
-    gamma_b = cov[np.ix_([bx, bp], [bx, bp])]
+        col = cov[np.ix_(rest, [2])]
+        return gamma_rest - col @ col.T / cov[2, 2]
+    sigma = cov[np.ix_(rest, [2, 3])]
+    gamma_b = cov[np.ix_([2, 3], [2, 3])]
     return gamma_rest - sigma @ np.linalg.inv(gamma_b + np.eye(2)) @ sigma.T
 
 
 def _budget_covariance(
     v: float, t: float, chi_chan: float, t_chi_det: float, eta: float | None, detection: str
-) -> tuple[np.ndarray, int]:
-    """Full pre-measurement covariance and the index of Bob's measured mode.
+) -> np.ndarray:
+    """Full pre-measurement covariance.
 
     Modes are ordered (A, B, F'[, G]): Alice's kept half, Bob's detected
     mode, the detector-port output, and the EPR purifier of the port when
@@ -241,8 +239,7 @@ def _budget_covariance(
     c = math.sqrt(t * (v * v - 1.0))
     model = None if t_chi_det == 0.0 else _detector_model(t_chi_det, eta, detection)
     if model is None:
-        cov = np.block([[a * i2, c * sz], [c * sz, b * i2]])
-        return cov, 1
+        return np.block([[a * i2, c * sz], [c * sz, b * i2]])
     eta, d = model
     rt, rr = math.sqrt(eta), math.sqrt(1.0 - eta)
     modes = 4 if d > 1.0 + 1e-12 else 3
@@ -258,7 +255,7 @@ def _budget_covariance(
         cov[6:8, 6:8] = d * i2
         cov[2:4, 6:8] = cov[6:8, 2:4] = rr * k * sz
         cov[4:6, 6:8] = cov[6:8, 4:6] = rt * k * sz
-    return cov, 1
+    return cov
 
 
 def holevo_bound(
@@ -302,10 +299,8 @@ def holevo_bound(
     )
     _check_physical(np.array([nu1, nu2]))
 
-    cov, bob = _budget_covariance(
-        v, t, chi_chan, t * chi_det, detector_transmission, link.detection
-    )
-    cond = _conditioned(cov, bob, link.detection)
+    cov = _budget_covariance(v, t, chi_chan, t * chi_det, detector_transmission, link.detection)
+    cond = _conditioned(cov, link.detection)
     nus_cond = _symplectic_eigs(cond)
     _check_physical(nus_cond)
 

@@ -4,13 +4,12 @@ CSV cells use the shortest decimal representation that round-trips the
 float exactly (Python's repr), '.' as the decimal mark, comma delimiters,
 Unix newlines, and true/false for booleans, so identical inputs always
 produce byte-identical files. A table is a numpy structured array with one
-field per column; it is formatted in contiguous row ranges, each one column
-at a time, with one repr per distinct float64 bit pattern in the range, and
-a JSON table is the same text json.dumps(..., indent=2) gives for its list
-of row objects. A large table uses up to one process per available CPU
-(two at most, the count measured): each range but the last is formatted in a forked child while this process
-formats the last, and the range texts are joined in row order, so the bytes
-do not depend on the number of processes. Files are written to a temporary
+field per column; it is formatted one column at a time, with one repr per
+distinct float64 bit pattern, and a JSON table is the same text
+json.dumps(..., indent=2) gives for its list of row objects. From 16,384
+rows on two or more CPUs a table is formatted in two halves, the first in
+one forked child, and the halves are joined in row order, so the bytes do
+not depend on the number of processes. Files are written to a temporary
 sibling and atomically renamed into place; a failed run never leaves a
 partial file.
 """
@@ -27,17 +26,13 @@ import numpy as np
 
 from .arrays import native
 
-# Fewest rows a forked range formats. In a process that holds the 113,400-row
-# grid (about 100 MB resident, 2 cores), a child costs about 2-4 ms to fork,
-# feed through its pipe and reap, and a row 3-4 us to format, so two processes
-# break even near 1,000-2,000 rows a range; a range this long takes about ten
-# times that overhead, and every preset table (fig1: 7,560 rows) stays in one
-# process.
+# Fewest rows in each half of a split table. In a process that holds the
+# 113,400-row grid (about 100 MB resident, 2 cores), a child costs about 2-4 ms
+# to fork, feed through its pipe and reap, and a row 3-4 us to format, so two
+# processes break even near 1,000-2,000 rows a half; a half this long takes
+# about ten times that overhead, and every preset table (fig1: 7,560 rows)
+# stays in one process.
 MIN_ROWS_PER_PROCESS = 8192
-# Most processes a table is formatted in, the count measured (on 2 cores).
-# More ranges are untimed: on more CPUs, or under a CPU quota smaller than the
-# affinity mask, they could cost more in forks and pipe copies than they save.
-MAX_PROCESSES = 2
 
 
 def format_cell(value: Any) -> str:
@@ -109,21 +104,19 @@ def _format_rows(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> s
     return _ROW_SEPARATOR[json_cells].join(texts)
 
 
-def _format_in_child(write_fd: int, read_ends: Sequence[int], header: Sequence[str],
+def _format_in_child(read_fd: int, write_fd: int, header: Sequence[str],
                      rows: np.ndarray, json_cells: bool):
     """A forked child's whole life: write the rows' text to the pipe, then exit.
 
-    It first closes the read ends it inherited (its own pipe's and its older
-    siblings'), so the parent holds the only reader: should the parent die,
-    even by SIGKILL, the write fails with EPIPE instead of blocking forever.
-    It never returns: os._exit skips the inherited stdio buffers, the atexit
-    handlers and the caller's stack. Status 1 (any exception) tells the
-    parent to format the rows itself.
+    It first closes the read end it inherited, so the parent holds the only
+    reader: should the parent die, even by SIGKILL, the write fails with
+    EPIPE instead of blocking forever. It never returns: os._exit skips the
+    inherited stdio buffers, the atexit handlers and the caller's stack.
+    Status 1 (any exception) tells the parent to format the rows itself.
     """
     status = 1
     try:
-        for read_end in read_ends:
-            os.close(read_end)
+        os.close(read_fd)
         with open(write_fd, "wb") as pipe:
             pipe.write(_format_rows(header, rows, json_cells).encode("utf-8"))
         status = 0
@@ -135,59 +128,38 @@ def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool,
                   prefix: str, suffix: str) -> str:
     """prefix, ``_format_rows`` of the whole table, then suffix, in one copy.
 
-    The table is cut into contiguous row ranges, one per available CPU (at
-    most MAX_PROCESSES) but none shorter than MIN_ROWS_PER_PROCESS rows.
-    Each range but the last is formatted in a child made by os.fork while
-    this process formats the last; a range whose child could not be made or
-    did not exit 0 is formatted here. Every child is reaped before this
-    returns or raises, and exits even if this process is killed. A child
-    runs only numpy sorting and indexing and Python string work, no BLAS
-    routine, so BLAS threads in this process cannot hold it up.
+    With two or more available CPUs and MIN_ROWS_PER_PROCESS rows in each
+    half, a child made by os.fork formats the first half while this process
+    formats the second. After a failed fork this process formats the whole
+    table, after a child's nonzero exit the first half. The child is reaped
+    before this returns or raises, and exits even if this process is killed.
+    It runs only numpy and Python string work, no BLAS routine, so BLAS
+    threads in this process cannot hold it up.
     """
-    count = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = min(len(os.sched_getaffinity(0)), MAX_PROCESSES)
-        count = max(1, min(cpus, len(rows) // MIN_ROWS_PER_PROCESS))
-    bounds = [len(rows) * i // count for i in range(count + 1)]
-    ranges = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    texts: list[str | None] = [None] * count
-    children = {}  # pid -> (range index, read end of its pipe)
-    try:
-        for i, part in enumerate(ranges[:-1]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                continue
-            if pid == 0:
-                read_ends = [read_fd, *(pipe.fileno() for _, pipe in children.values())]
-                _format_in_child(write_fd, read_ends, header, part, json_cells)
+    half = len(rows) // 2
+    pid = None
+    if (half >= MIN_ROWS_PER_PROCESS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
             os.close(write_fd)
-            children[pid] = (i, open(read_fd, "rb"))
-        texts[-1] = _format_rows(header, ranges[-1], json_cells)
-        for pid, (i, pipe) in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if status == 0:
-                texts[i] = data.decode("utf-8")
-            del data
+    if pid is None:
+        return "".join([prefix, _format_rows(header, rows, json_cells), suffix])
+    if pid == 0:
+        _format_in_child(read_fd, write_fd, header, rows[:half], json_cells)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            tail = _format_rows(header, rows[half:], json_cells)
+            head = pipe.read()
     finally:
-        # with the only read end closed, a child's write fails and it exits
-        for pid, (_, pipe) in children.items():
-            pipe.close()
-            os.waitpid(pid, 0)
-    # prefix, the ranges with the row separator between them, suffix
-    parts = [_ROW_SEPARATOR[json_cells]] * (2 * count + 1)
-    parts[0], parts[-1] = prefix, suffix
-    parts[1::2] = [
-        _format_rows(header, part, json_cells) if text is None else text
-        for text, part in zip(texts, ranges)
-    ]
-    return "".join(parts)
+        # with the only read end closed, the child's write fails and it exits
+        status = os.waitpid(pid, 0)[1]
+    head = head.decode("utf-8") if status == 0 else _format_rows(header, rows[:half], json_cells)
+    return "".join([prefix, head, _ROW_SEPARATOR[json_cells], tail, suffix])
 
 
 def render_csv(header: Sequence[str], rows: np.ndarray) -> str:

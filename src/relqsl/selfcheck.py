@@ -190,7 +190,6 @@ def _check_qkd_monotonicity() -> CheckEntry:
 
 def _check_predictor_dominance() -> CheckEntry:
     link = qkd_model.QkdLinkParams(transmissivity=0.5, v_a=4.0, xi_base=0.01)
-    passed = True
     worst_margin = math.inf
     for t_pilot, dt in ((1.0, 0.01), (5.0, 0.1), (0.5, 0.5)):
         rates = {}
@@ -208,11 +207,9 @@ def _check_predictor_dominance() -> CheckEntry:
             rates[predictor] = qkd_model.key_rate(link, p).key_rate
         margin = rates["linear"] - rates["zoh"]
         worst_margin = min(worst_margin, margin)
-        if margin < 0.0:
-            passed = False
     return CheckEntry(
         name="qkd_predictor_dominance",
-        passed=passed,
+        passed=worst_margin >= 0.0,
         measured={"min_margin": worst_margin},
         detail="linear pilot interpolation never below zero-order hold in key rate",
     )
@@ -274,7 +271,6 @@ def _check_bhd_identity() -> CheckEntry:
 
 
 def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
-    passed = True
     measured = {}
     for label, delta_psi in (("pi_3", math.pi / 3.0), ("pi_2", math.pi / 2.0)):
         cfg = homodyne_trap.BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=delta_psi)
@@ -295,11 +291,9 @@ def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
         )
         measured[f"z_mean_{label}"] = float(z_mean)
         measured[f"z_var_{label}"] = float(z_var)
-        if z_mean > Z_LIMIT or z_var > Z_LIMIT:
-            passed = False
     return CheckEntry(
         name="homodyne_counting_mc",
-        passed=passed,
+        passed=not any(z > Z_LIMIT for z in measured.values()),
         measured=measured,
         detail="Poisson two-port counting statistics vs closed mean and variance, 1e6 shots",
         monte_carlo=True,
@@ -308,7 +302,6 @@ def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
 
 def _check_rotation_mc(rng: np.random.Generator) -> CheckEntry:
     link = qkd_model.QkdLinkParams(transmissivity=0.5, v_a=4.0, xi_base=0.01)
-    passed = True
     measured = {}
     for sigma_sq in (2.5e-5, 1e-4, 4e-4):
         est = qkd_model.simulate_rotation_penalty(link, sigma_sq, MC_ROTATION_SAMPLES, rng)
@@ -316,11 +309,9 @@ def _check_rotation_mc(rng: np.random.Generator) -> CheckEntry:
         se = math.sqrt(8.0 / MC_ROTATION_SAMPLES) * theory
         z = abs(est - theory) / se
         measured[f"z_sigma_{sigma_sq:g}"] = float(z)
-        if z > Z_LIMIT:
-            passed = False
     return CheckEntry(
         name="qkd_rotation_mc",
-        passed=passed,
+        passed=not any(z > Z_LIMIT for z in measured.values()),
         measured=measured,
         detail="sampled small-rotation quadrature error vs sigma_phi^2 (V_A + 1/T)",
         monte_carlo=True,

@@ -180,24 +180,22 @@ def test_seeded_sweep_table_matches_row_wise_reference(seed, tmp_path):
     assert (tmp_path / "grid.json").read_text(encoding="utf-8") == want_json
 
 
-# the threshold's neighbours, and the smallest tables cut into two and three ranges
+# small tables, the split threshold's neighbours, and a larger split table
 SPLIT_SIZES = [0, 1, MIN_ROWS_PER_PROCESS - 1, MIN_ROWS_PER_PROCESS,
+               2 * MIN_ROWS_PER_PROCESS - 1, 2 * MIN_ROWS_PER_PROCESS,
                2 * MIN_ROWS_PER_PROCESS + 1, 3 * MIN_ROWS_PER_PROCESS]
 SPLIT_HEADER = ("n", "x", "y", "z", "flag")
 
 
 def _boundary_table(size: int) -> np.ndarray:
     """Seeded floats, with -0.0/0.0, two nan payloads and -inf/inf on the two
-    rows beside every boundary of a cut into two or three ranges."""
+    rows beside the boundary between the halves."""
     values = np.random.default_rng(size).standard_normal((3, size))
     before = (-0.0, *NAN_PAYLOADS.view(np.float64)[:1].tolist(), math.inf)
     after = (0.0, *NAN_PAYLOADS.view(np.float64)[1:].tolist(), -math.inf)
-    for count in (2, 3):
-        for i in range(1, count):
-            boundary = size * i // count
-            for row, specials in ((boundary - 1, before), (boundary, after)):
-                if 0 <= row < size:
-                    values[:, row] = specials
+    for row, specials in ((size // 2 - 1, before), (size // 2, after)):
+        if 0 <= row < size:
+            values[:, row] = specials
     return np.rec.fromarrays([np.arange(size), *values, values[0] > 0], names=SPLIT_HEADER)
 
 
@@ -214,23 +212,17 @@ def _assert_no_child_left() -> None:
 @pytest.mark.parametrize("size", SPLIT_SIZES)
 def test_split_table_matches_one_process_output(size, fmt, monkeypatch, tmp_path):
     table = _boundary_table(size)
-    _set_cpus(monkeypatch, 1)
-    emit(str(tmp_path / "one"), fmt, SPLIT_HEADER, table)
-    want = (tmp_path / "one").read_bytes()
-    reference = _reference_tables(SPLIT_HEADER, table.tolist())[fmt == "json"]
-    assert want == reference.encode("utf-8")
+    want = _reference_tables(SPLIT_HEADER, table.tolist())[fmt == "json"].encode("utf-8")
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    # two and three CPUs under the default cap, then three ranges with it raised
-    for cpus, cap in ((2, report.MAX_PROCESSES), (3, report.MAX_PROCESSES), (3, 3)):
+    for cpus in (1, 2, 3):
         _set_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(report, "MAX_PROCESSES", cap)
         forks.clear()
-        emit(str(tmp_path / f"{cpus}-{cap}"), fmt, SPLIT_HEADER, table)
+        emit(str(tmp_path / str(cpus)), fmt, SPLIT_HEADER, table)
         _assert_no_child_left()
-        assert len(forks) == max(0, min(cpus, cap, size // MIN_ROWS_PER_PROCESS) - 1)
-        assert (tmp_path / f"{cpus}-{cap}").read_bytes() == want
+        assert len(forks) == (cpus > 1 and size >= 2 * MIN_ROWS_PER_PROCESS)
+        assert (tmp_path / str(cpus)).read_bytes() == want
 
 
 def _one_process_and_split(monkeypatch, fmt: str) -> tuple[str, str]:
@@ -263,7 +255,7 @@ def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypa
 
 
 def _alarm(signum, frame):
-    raise TimeoutError("children were not reaped in time")
+    raise TimeoutError("the child was not reaped in time")
 
 
 def test_failure_in_the_parent_reaps_every_child(monkeypatch):
@@ -275,9 +267,8 @@ def test_failure_in_the_parent_reaps_every_child(monkeypatch):
         return column_texts(*args)
 
     monkeypatch.setattr(report, "_column_texts", fails_in_the_parent)
-    monkeypatch.setattr(report, "MAX_PROCESSES", 3)
-    _set_cpus(monkeypatch, 3)
-    table = _boundary_table(3 * MIN_ROWS_PER_PROCESS)
+    _set_cpus(monkeypatch, 2)
+    table = _boundary_table(2 * MIN_ROWS_PER_PROCESS)
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(20)
     try:
@@ -290,7 +281,7 @@ def test_failure_in_the_parent_reaps_every_child(monkeypatch):
 
 
 # A parent that splits a table, prints its child's pid, then stalls in its own
-# range; each range's text is far larger than a pipe's buffer
+# half; each half's text is far larger than a pipe's buffer
 STALLED_PARENT = """
 import os, time
 import numpy as np
