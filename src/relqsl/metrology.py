@@ -1,12 +1,11 @@
-"""Energy moments, Fisher information, squeeze factor, and amplitude decay.
+"""Energy moments, Fisher information and squeeze factor.
 
 Moment closed forms feed the time-estimation Fisher information (4 * variance
 for pure states under unitary time encoding) and its Cramer-Rao limit. The
 squeeze-factor formula quantifies quadrature nonclassicality against the
-fixed 1/4 benchmark, and the displaced-amplitude pair tracks the quadratic
-local-oscillator decay used by the homodyne and trap budgets. The moments,
-the printed second-moment series and the squeeze ratio take floats,
-equal-shape or broadcastable (open-grid) arrays, as the bounds do.
+fixed 1/4 benchmark. The moments, the printed second-moment series and the
+squeeze ratio take floats, equal-shape or broadcastable (open-grid) arrays,
+as the bounds do.
 """
 
 from __future__ import annotations
@@ -184,37 +183,3 @@ def squeeze_ratio(r: Grid, alpha0: Grid, theta: Grid, epsilon: Grid) -> SqueezeF
     warn_doubtful("squeeze_ratio", "ratio", corr, base, stacklevel=2)
     return SqueezeFactorPoint(ratio=ratio)
 
-
-def displaced_amplitude(alpha_mag: float, t: float, epsilon: float) -> complex:
-    """Mean ladder amplitude alpha_m(t) with the quadratic drift bracket.
-
-    alpha e^{it} [1 - 12 i (|a|^2 + 1) eps t - 72 (|a|^4 + 3 |a|^2 + 1) eps^2 t^2].
-    """
-    if alpha_mag < 0 or t < 0:
-        raise ValueError("alpha_mag and t must be non-negative")
-    a2 = alpha_mag * alpha_mag
-    bracket = (
-        1.0
-        - 12j * (a2 + 1.0) * epsilon * t
-        - 72.0 * (a2 * a2 + 3.0 * a2 + 1.0) * epsilon * epsilon * t * t
-    )
-    return alpha_mag * complex(math.cos(t), math.sin(t)) * bracket
-
-
-def lo_amplitude_decay(alpha_mag: float, t: float, epsilon: float) -> float:
-    """Retained-order amplitude decay |alpha| [1 - 72 (|a|^4 + 3|a|^2 + 1) eps^2 t^2].
-
-    Equals |alpha| times the real part of the displaced-amplitude bracket
-    exactly. A negative factor means eps^2 t^2 is beyond the expansion's
-    reach and is rejected.
-    """
-    if alpha_mag < 0 or t < 0:
-        raise ValueError("alpha_mag and t must be non-negative")
-    a2 = alpha_mag * alpha_mag
-    factor = 1.0 - 72.0 * (a2 * a2 + 3.0 * a2 + 1.0) * epsilon * epsilon * t * t
-    if factor < 0:
-        raise ValueError(
-            f"decay factor {factor:.3e} is negative; eps^2 t^2 exceeds the "
-            "validity of the truncated expansion"
-        )
-    return alpha_mag * factor

@@ -224,9 +224,9 @@ def _conditioned(cov: np.ndarray, detection: str) -> np.ndarray:
 
 
 def _budget_covariance(
-    v: float, t: float, chi_chan: float, t_chi_det: float, eta: float | None, detection: str
+    a: float, b: float, c: float, t_chi_det: float, eta: float | None, detection: str
 ) -> np.ndarray:
-    """Full pre-measurement covariance.
+    """Full pre-measurement covariance from the Alice-Bob entries a, b and c.
 
     Modes are ordered (A, B, F'[, G]): Alice's kept half, Bob's detected
     mode, the detector-port output, and the EPR purifier of the port when
@@ -234,9 +234,6 @@ def _budget_covariance(
     """
     sz = np.diag([1.0, -1.0])
     i2 = np.eye(2)
-    a = v
-    b = t * (v + chi_chan)
-    c = math.sqrt(t * (v * v - 1.0))
     model = None if t_chi_det == 0.0 else _detector_model(t_chi_det, eta, detection)
     if model is None:
         return np.block([[a * i2, c * sz], [c * sz, b * i2]])
@@ -299,7 +296,7 @@ def holevo_bound(
     )
     _check_physical(np.array([nu1, nu2]))
 
-    cov = _budget_covariance(v, t, chi_chan, t * chi_det, detector_transmission, link.detection)
+    cov = _budget_covariance(a, b, c, t * chi_det, detector_transmission, link.detection)
     cond = _conditioned(cov, link.detection)
     nus_cond = _symplectic_eigs(cond)
     _check_physical(nus_cond)

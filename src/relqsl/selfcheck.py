@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .report import CheckEntry, DiscrepancyEntry, RunReport
 EPS_PAIR = (1e-4, 5e-5)
 RATIO_WINDOW = (3.4, 4.6)
 ORACLE_DIM = 256
+# alpha0 of the coherent and r of the squeezed oracle checks
+AMPLITUDES = {"coherent": 1.0, "squeezed": 0.5}
 FIDELITY_TIMES = (1.0, 2.5)
 MC_SHOTS = 1_000_000
 MC_ROTATION_SAMPLES = 200_000
@@ -35,29 +38,97 @@ Z_LIMIT = 3.0
 
 
 def _halving(diffs: dict[float, np.ndarray], cap: bool) -> tuple[np.ndarray, bool]:
-    """Ratios diff(eps)/diff(eps/2) over EPS_PAIR, and the verdict on them.
+    """Ratios diff(eps)/diff(eps/2) over the two epsilons keyed in ``diffs``, and the verdict.
 
-    ``diffs`` maps each epsilon of EPS_PAIR to its residuals. Every ratio
-    must lie in RATIO_WINDOW and, with ``cap``, every residual within
-    5 eps^2; a nan residual fails through its nan ratio.
+    ``diffs`` maps each epsilon of a halving pair, in either order, to its
+    residuals. Every ratio must lie in RATIO_WINDOW and, with ``cap``, every
+    residual within 5 eps^2; a nan residual fails through its nan ratio.
     """
-    ratios = diffs[EPS_PAIR[0]] / diffs[EPS_PAIR[1]]
+    big, small = sorted(diffs, reverse=True)
+    ratios = diffs[big] / diffs[small]
     passed = bool(np.all((ratios >= RATIO_WINDOW[0]) & (ratios <= RATIO_WINDOW[1])))
     if cap:
-        passed = passed and all(np.all(diffs[eps] <= 5.0 * eps * eps) for eps in EPS_PAIR)
+        passed = passed and all(np.all(diffs[eps] <= 5.0 * eps * eps) for eps in diffs)
     return ratios, passed
 
 
-# the verified dense decomposition of H(ORACLE_DIM, eps), keyed by eps
+# the verified dense decomposition of H(dim, eps), keyed by eps
 Spectra = dict[float, fock_core.SpectralDecomposition]
+
+
+def level_residuals(spectra: Spectra) -> dict[float, np.ndarray]:
+    """|exact - first-order| energy of levels n = 0..10, keyed by epsilon."""
+    return {
+        eps: np.abs(spec.eigenvalues[:11] - perturbation.energy(np.arange(11), eps))
+        for eps, spec in spectra.items()
+    }
+
+
+def fidelity_residuals(
+    kind: str, par: float, times: Sequence[float], eps_pair: tuple[float, float]
+) -> dict[float, np.ndarray]:
+    """|closed - level-phase overlap| fidelity at each time, keyed by epsilon.
+
+    ``par`` is alpha0 for the coherent family and r for the squeezed one;
+    the overlap is summed at ``fock_core.default_cutoff`` for it.
+    """
+    if kind == "coherent":
+        dim = fock_core.default_cutoff(alpha0=par)
+        spec = states.CoherentSpec(par)
+        closed, overlap = qsl_bounds.coherent_fidelity_closed, states.coherent_overlap_numeric
+    else:
+        dim = fock_core.default_cutoff(r=par)
+        spec = states.SqueezeSpec(par)
+        closed, overlap = qsl_bounds.squeezed_fidelity_closed, states.squeezed_overlap_numeric
+    return {
+        eps: np.array([abs(closed(par, t, eps) - abs(overlap(spec, t, eps, dim))) for t in times])
+        for eps in eps_pair
+    }
+
+
+def moment_residuals(spectra: Spectra, kind: str, par: float) -> dict[float, np.ndarray]:
+    """|closed - exact| energy (mean, variance) of the constructed state, keyed by epsilon.
+
+    ``par`` is alpha0 for the coherent family and r for the squeezed one.
+    """
+    dim = next(iter(spectra.values())).dim
+    if kind == "coherent":
+        bare = states.coherent_amplitudes(states.CoherentSpec(par), dim)
+        closed = metrology.coherent_energy
+    else:
+        bare = states.squeezed_state(states.SqueezeSpec(par), dim)
+        closed = metrology.squeezed_energy
+    diffs = {}
+    for eps, spec in spectra.items():
+        mean, var = spec.moments(bare)
+        moments = closed(par, eps)
+        diffs[eps] = np.array([abs(mean - moments.mean), abs(var - moments.variance)])
+    return diffs
+
+
+def counting_zscores(
+    cfg: homodyne_trap.BhdConfig, shots: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """z-scores of the sampled difference-count mean and variance against the closed ones."""
+    samples = homodyne_trap.simulate_i_diff(cfg, shots, rng)
+    # the int16 counts (2 bytes a shot) are reduced in float64: the sum
+    # of integers is exact, so mean and var equal those of float counts.
+    # var's float64 deviation array (8 bytes a shot) sets the peak, and
+    # the samples are dropped before the caller draws again.
+    mean, var = samples.mean(), samples.var(ddof=1)
+    del samples
+    mean_th = homodyne_trap.i_diff_mean(cfg)
+    var_th = homodyne_trap.i_diff_variance(cfg)
+    z_mean = abs(mean - mean_th) / math.sqrt(var_th / shots)
+    # Var of the sample variance for a difference of Poissons, normal
+    # approximation: (var + 2 var^2) / N
+    z_var = abs(var - var_th) / math.sqrt((var_th + 2.0 * var_th * var_th) / shots)
+    return float(z_mean), float(z_var)
 
 
 def _check_energy_order(spectra: Spectra) -> CheckEntry:
     """Eigenvalue residuals against the first-order spectrum must quarter."""
-    residuals = {
-        eps: np.abs(spectra[eps].eigenvalues[:11] - perturbation.energy(np.arange(11), eps))
-        for eps in EPS_PAIR
-    }
+    residuals = level_residuals(spectra)
     ratios, passed = _halving(residuals, cap=False)
     return CheckEntry(
         name="energy_order",
@@ -72,20 +143,7 @@ def _check_energy_order(spectra: Spectra) -> CheckEntry:
 
 
 def _check_fidelity(kind: str) -> CheckEntry:
-    if kind == "coherent":
-        closed = lambda t, e: qsl_bounds.coherent_fidelity_closed(1.0, t, e)
-        numeric = lambda t, e: abs(
-            states.coherent_overlap_numeric(states.CoherentSpec(1.0), t, e, ORACLE_DIM)
-        )
-    else:
-        closed = lambda t, e: qsl_bounds.squeezed_fidelity_closed(0.5, t, e)
-        numeric = lambda t, e: abs(
-            states.squeezed_overlap_numeric(states.SqueezeSpec(0.5), t, e, ORACLE_DIM)
-        )
-    diffs = {
-        eps: np.array([abs(closed(t, eps) - numeric(t, eps)) for t in FIDELITY_TIMES])
-        for eps in EPS_PAIR
-    }
+    diffs = fidelity_residuals(kind, AMPLITUDES[kind], FIDELITY_TIMES, EPS_PAIR)
     ratios, passed = _halving(diffs, cap=True)
     measured: dict[str, float] = {}
     for t, diff, ratio in zip(FIDELITY_TIMES, diffs[EPS_PAIR[0]], ratios):
@@ -100,17 +158,7 @@ def _check_fidelity(kind: str) -> CheckEntry:
 
 
 def _check_moments(kind: str, spectra: Spectra) -> CheckEntry:
-    if kind == "coherent":
-        bare = states.coherent_amplitudes(states.CoherentSpec(1.0), ORACLE_DIM)
-        closed = lambda e: metrology.coherent_energy(1.0, e)
-    else:
-        bare = states.squeezed_state(states.SqueezeSpec(0.5), ORACLE_DIM)
-        closed = lambda e: metrology.squeezed_energy(0.5, e)
-    diffs = {}
-    for eps in EPS_PAIR:
-        mean, var = spectra[eps].moments(bare)
-        moments = closed(eps)
-        diffs[eps] = np.array([abs(mean - moments.mean), abs(var - moments.variance)])
+    diffs = moment_residuals(spectra, kind, AMPLITUDES[kind])
     (ratio_mean, ratio_var), passed = _halving(diffs, cap=True)
     dmean, dvar = diffs[EPS_PAIR[0]]
     return CheckEntry(
@@ -274,23 +322,9 @@ def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
     measured = {}
     for label, delta_psi in (("pi_3", math.pi / 3.0), ("pi_2", math.pi / 2.0)):
         cfg = homodyne_trap.BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=delta_psi)
-        samples = homodyne_trap.simulate_i_diff(cfg, MC_SHOTS, rng)
-        # the int16 counts (2 bytes a shot) are reduced in float64: the sum
-        # of integers is exact, so mean and var equal those of float counts.
-        # var's float64 deviation array (8 bytes a shot) sets the peak, and
-        # the samples are dropped before the next point draws.
-        mean, var = samples.mean(), samples.var(ddof=1)
-        del samples
-        mean_th = homodyne_trap.i_diff_mean(cfg)
-        var_th = homodyne_trap.i_diff_variance(cfg)
-        z_mean = abs(mean - mean_th) / math.sqrt(var_th / MC_SHOTS)
-        # Var of the sample variance for a difference of Poissons, normal
-        # approximation: (var + 2 var^2) / N
-        z_var = abs(var - var_th) / math.sqrt(
-            (var_th + 2.0 * var_th * var_th) / MC_SHOTS
-        )
-        measured[f"z_mean_{label}"] = float(z_mean)
-        measured[f"z_var_{label}"] = float(z_var)
+        z_mean, z_var = counting_zscores(cfg, MC_SHOTS, rng)
+        measured[f"z_mean_{label}"] = z_mean
+        measured[f"z_var_{label}"] = z_var
     return CheckEntry(
         name="homodyne_counting_mc",
         passed=not any(z > Z_LIMIT for z in measured.values()),

@@ -10,9 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from relqsl import fock_core, homodyne_trap, metrology, perturbation
-from relqsl import presets, qsl_bounds, states
-from relqsl.selfcheck import run_selfcheck
+from relqsl import fock_core, homodyne_trap, presets, qsl_bounds
+from relqsl.selfcheck import (
+    _halving,
+    counting_zscores,
+    fidelity_residuals,
+    level_residuals,
+    moment_residuals,
+    run_selfcheck,
+)
 
 SPECTRUM_DIM = 512
 SPECTRUM_EPS_PAIR = (1e-3, 5e-4)
@@ -20,7 +26,7 @@ RATIO_WINDOW = (3.4, 4.6)
 
 FIDELITY_EPS_PAIR = (1e-4, 5e-5)
 FIDELITY_AMPLITUDES = (0.5, 1.0, 1.5, 2.0)
-FIDELITY_TIMES = np.arange(1, 61) * 0.1
+FIDELITY_TIMES = (np.arange(1, 61) * 0.1).tolist()
 FIDELITY_CAP = 5.0
 SCALING_FLOOR = 1e-13
 
@@ -42,12 +48,7 @@ def spectra512():
 
 
 def test_criterion_1_trap_reference_numbers():
-    trap = homodyne_trap.TrapConfig(
-        nu=149e9,
-        p_lo=1e-3,
-        kappa=2.0e2,
-        epsilon=homodyne_trap.epsilon_from_trap(149e9, homodyne_trap.ELECTRON_MASS),
-    )
+    trap, _ = presets.trap_config(presets.TRAP_PRESETS["hanneke"])
     eps_dev = abs(trap.epsilon - 1.5e-10) / 1.5e-10
     crossover = homodyne_trap.crossover_closed(trap)
     cross_dev = abs(crossover - 8.7e2) / 8.7e2
@@ -61,14 +62,7 @@ def test_criterion_1_trap_reference_numbers():
 
 
 def test_criterion_2_spectrum_residual_quartering(spectra512):
-    residuals = {}
-    for eps in SPECTRUM_EPS_PAIR:
-        spec = spectra512[eps]
-        residuals[eps] = np.array(
-            [abs(spec.eigenvalues[n] - perturbation.energy(n, eps)) for n in range(11)]
-        )
-    ratios = residuals[SPECTRUM_EPS_PAIR[0]] / residuals[SPECTRUM_EPS_PAIR[1]]
-    ok = bool(np.all((ratios >= RATIO_WINDOW[0]) & (ratios <= RATIO_WINDOW[1])))
+    ratios, ok = _halving(level_residuals(spectra512), cap=False)
     assert _verdict(
         2,
         ok,
@@ -79,32 +73,18 @@ def test_criterion_2_spectrum_residual_quartering(spectra512):
 
 def _fidelity_scan(kind: str):
     """Max |closed - oracle| / eps^2 and the quadratic-scaling ratio range."""
+    bound = qsl_bounds.mt_coherent if kind == "coherent" else qsl_bounds.mt_squeezed
     max_excess = 0.0
     ratio_lo, ratio_hi = math.inf, -math.inf
     for par in FIDELITY_AMPLITUDES:
-        if kind == "coherent":
-            dim = fock_core.default_cutoff(alpha0=par)
-            spec = states.CoherentSpec(par)
-            closed = lambda t, e: qsl_bounds.coherent_fidelity_closed(par, t, e)
-            numeric = lambda t, e: abs(states.coherent_overlap_numeric(spec, t, e, dim))
-            flagged = lambda t: qsl_bounds.mt_coherent(par, t, 0.0).near_revival
-        else:
-            dim = fock_core.default_cutoff(r=par)
-            spec = states.SqueezeSpec(par)
-            closed = lambda t, e: qsl_bounds.squeezed_fidelity_closed(par, t, e)
-            numeric = lambda t, e: abs(states.squeezed_overlap_numeric(spec, t, e, dim))
-            flagged = lambda t: qsl_bounds.mt_squeezed(par, t, 0.0).near_revival
-        for t in FIDELITY_TIMES:
-            t = float(t)
-            if flagged(t):
-                continue
-            diffs = {e: abs(closed(t, e) - numeric(t, e)) for e in FIDELITY_EPS_PAIR}
-            for e, diff in diffs.items():
-                max_excess = max(max_excess, diff / (e * e))
-            if diffs[FIDELITY_EPS_PAIR[1]] >= SCALING_FLOOR:
-                ratio = diffs[FIDELITY_EPS_PAIR[0]] / diffs[FIDELITY_EPS_PAIR[1]]
-                ratio_lo = min(ratio_lo, ratio)
-                ratio_hi = max(ratio_hi, ratio)
+        times = [t for t in FIDELITY_TIMES if not bound(par, t, 0.0).near_revival]
+        diffs = fidelity_residuals(kind, par, times, FIDELITY_EPS_PAIR)
+        for e, diff in diffs.items():
+            max_excess = max(max_excess, float(np.max(diff / (e * e))))
+        big, small = (diffs[e] for e in FIDELITY_EPS_PAIR)
+        kept = small >= SCALING_FLOOR
+        ratios = (big[kept] / small[kept]).tolist()
+        ratio_lo, ratio_hi = min(ratio_lo, *ratios), max(ratio_hi, *ratios)
     return max_excess, ratio_lo, ratio_hi
 
 
@@ -133,23 +113,10 @@ def test_criterion_4_moment_oracle(spectra512):
         ("coherent", 1.0), ("coherent", 2.0),
         ("squeezed", 0.5), ("squeezed", 1.0),
     ]
-    ratio_lo, ratio_hi = math.inf, -math.inf
-    for kind, par in cases:
-        if kind == "coherent":
-            bare = states.coherent_amplitudes(states.CoherentSpec(par), SPECTRUM_DIM)
-            closed = lambda e: metrology.coherent_energy(par, e)
-        else:
-            bare = states.squeezed_state(states.SqueezeSpec(par), SPECTRUM_DIM)
-            closed = lambda e: metrology.squeezed_energy(par, e)
-        dmean, dvar = {}, {}
-        for eps in SPECTRUM_EPS_PAIR:
-            mean, var = spectra512[eps].moments(bare)
-            dmean[eps] = abs(mean - closed(eps).mean)
-            dvar[eps] = abs(var - closed(eps).variance)
-        for diffs in (dmean, dvar):
-            ratio = diffs[SPECTRUM_EPS_PAIR[0]] / diffs[SPECTRUM_EPS_PAIR[1]]
-            ratio_lo = min(ratio_lo, ratio)
-            ratio_hi = max(ratio_hi, ratio)
+    ratios = np.concatenate(
+        [_halving(moment_residuals(spectra512, kind, par), cap=False)[0] for kind, par in cases]
+    )
+    ratio_lo, ratio_hi = ratios.min(), ratios.max()
     ok = RATIO_WINDOW[0] <= ratio_lo and ratio_hi <= RATIO_WINDOW[1]
     assert _verdict(
         4,
@@ -207,14 +174,7 @@ def test_criterion_7_qkd_addendum_properties(selfcheck42):
 
 def test_criterion_8_counting_statistics_and_identity():
     cfg = homodyne_trap.BhdConfig(alpha_s=3.0, alpha_lo_mag=3.0, delta_psi=math.pi / 3.0)
-    rng = np.random.default_rng(42)
-    samples = homodyne_trap.simulate_i_diff(cfg, MC_SHOTS, rng)
-    mu = homodyne_trap.i_diff_mean(cfg)
-    sig2 = homodyne_trap.i_diff_variance(cfg)
-    z_mean = abs(samples.mean() - mu) / math.sqrt(sig2 / MC_SHOTS)
-    z_var = abs(samples.var(ddof=1) - sig2) / math.sqrt(
-        (sig2 + 2.0 * sig2 * sig2) / MC_SHOTS
-    )
+    z_mean, z_var = counting_zscores(cfg, MC_SHOTS, np.random.default_rng(42))
     identity = all(
         homodyne_trap.phase_sensitivity(c, 7.3, 0.0)
         == math.sqrt(homodyne_trap.i_diff_variance(c)) / abs(homodyne_trap.i_diff_mean_slope(c))

@@ -19,11 +19,8 @@ ENTRY_POINTS = {("cli", "main")}
 
 KEPT = {
     "squeezed_coeffs_closed": "closed-form reference that tests hold the amplitude recursion to",
-    "default_cutoff": "acceptance criterion 3 uses it, and that criterion stays literal",
     "evolve": "planned for the exact-evolution fidelity oracle and the exact speed-limit "
               "surfaces (ROADMAP items 10 and 11)",
-    "displaced_amplitude": "planned for the phase-drift oracle (ROADMAP item 5)",
-    "lo_amplitude_decay": "planned for the phase-drift oracle (ROADMAP item 5)",
     "perturbed_eigenstate": "planned for the exact-evolution fidelity oracle (ROADMAP item 10)",
     "phase_aligned_column": "planned for the one level-labelling rule of the spectral oracle "
                             "(ROADMAP items 3(a) and 17)",

@@ -1,4 +1,4 @@
-"""Energy moments, Fisher-information helpers, squeeze factor, LO drift."""
+"""Energy moments, Fisher-information helpers, squeeze factor."""
 
 import math
 
@@ -10,8 +10,6 @@ from relqsl.metrology import (
     SqueezeFactorPoint,
     coherent_energy,
     coherent_second_moment_closed,
-    displaced_amplitude,
-    lo_amplitude_decay,
     qcrb,
     qfi_time,
     squeeze_ratio,
@@ -137,36 +135,6 @@ def test_squeeze_ratio_validity_guards():
         squeeze_ratio(1.5, 2.0, 0.0, 0.08)
     with pytest.raises(ValueError, match="non-positive"):
         squeeze_ratio(2.0, 0.0, 0.0, 0.5)
-
-
-def test_displaced_amplitude_start_and_rotation():
-    assert displaced_amplitude(1.5, 0.0, 1e-3) == 1.5 + 0j
-    # epsilon = 0 is a bare rotation
-    got = displaced_amplitude(1.2, 2.7, 0.0)
-    assert abs(got) == pytest.approx(1.2, rel=1e-15)
-    assert got == pytest.approx(1.2 * complex(math.cos(2.7), math.sin(2.7)), rel=1e-15)
-    with pytest.raises(ValueError):
-        displaced_amplitude(-1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        displaced_amplitude(1.0, -1.0, 0.0)
-
-
-def test_lo_decay_matches_quadratic_factor():
-    alpha_mag, t, eps = 2.0, 1.3, 1e-3
-    a2 = alpha_mag * alpha_mag
-    expected = alpha_mag * (1.0 - 72.0 * (a2 * a2 + 3.0 * a2 + 1.0) * eps * eps * t * t)
-    assert lo_amplitude_decay(alpha_mag, t, eps) == expected
-
-
-def test_lo_decay_is_derotated_real_part():
-    alpha_mag, t, eps = 2.0, 1.3, 1e-3
-    rotated = displaced_amplitude(alpha_mag, t, eps) * complex(math.cos(-t), math.sin(-t))
-    assert lo_amplitude_decay(alpha_mag, t, eps) == pytest.approx(rotated.real, rel=1e-12)
-
-
-def test_lo_decay_rejects_exhausted_expansion():
-    with pytest.raises(ValueError, match="decay factor"):
-        lo_amplitude_decay(2.0, 100.0, 0.1)
 
 
 def test_benchmark_variance_constant():

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from relqsl import fock_core, perturbation
-from relqsl.selfcheck import run_selfcheck
+from relqsl.selfcheck import (
+    AMPLITUDES,
+    EPS_PAIR,
+    FIDELITY_TIMES,
+    ORACLE_DIM,
+    _halving,
+    fidelity_residuals,
+    moment_residuals,
+    run_selfcheck,
+)
 
 EXPECTED_CHECK_NAMES = {
     "energy_order",
@@ -126,3 +135,29 @@ def test_one_dense_decomposition_per_epsilon(monkeypatch):
     monkeypatch.setattr(fock_core, "diagonalize", counted)
     assert run_selfcheck(42).passed
     assert calls == [256, 256]
+
+
+@pytest.mark.parametrize("pair", [(1e-3, 5e-4), (5e-4, 1e-3)])
+def test_halving_reads_the_pair_from_its_keys(pair):
+    # ratios 4 and 4.5 sit in the window; 5.4e-6 exceeds 5 eps^2 at eps = 1e-3 only
+    residuals = {1e-3: np.array([4.8e-6, 5.4e-6]), 5e-4: np.array([1.2e-6, 1.2e-6])}
+    ratios, passed = _halving({eps: residuals[eps] for eps in pair}, cap=False)
+    assert ratios == pytest.approx([4.0, 4.5], rel=1e-12)
+    assert passed
+    _, capped = _halving({eps: residuals[eps] for eps in pair}, cap=True)
+    assert not capped
+
+
+def test_shared_residuals_reproduce_the_report(report):
+    measured = {c.name: c.measured for c in report.checks}
+    spectra = {
+        eps: fock_core.diagonalize(fock_core.build_hamiltonian(ORACLE_DIM, eps))
+        for eps in EPS_PAIR
+    }
+    for kind, par in AMPLITUDES.items():
+        fidelity = fidelity_residuals(kind, par, FIDELITY_TIMES, EPS_PAIR)[EPS_PAIR[0]]
+        got = measured[f"{kind}_fidelity_oracle"]
+        assert fidelity.tolist() == [got[f"diff_t{t}"] for t in FIDELITY_TIMES]
+        moments = moment_residuals(spectra, kind, par)[EPS_PAIR[0]]
+        got = measured[f"{kind}_moment_oracle"]
+        assert moments.tolist() == [got["diff_mean"], got["diff_var"]]
