@@ -24,6 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import forked
 from .arrays import native
 
 # Fewest rows in each half of a split table. In a process that holds the
@@ -104,62 +105,23 @@ def _format_rows(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> s
     return _ROW_SEPARATOR[json_cells].join(texts)
 
 
-def _format_in_child(read_fd: int, write_fd: int, header: Sequence[str],
-                     rows: np.ndarray, json_cells: bool):
-    """A forked child's whole life: write the rows' text to the pipe, then exit.
-
-    It first closes the read end it inherited, so the parent holds the only
-    reader: should the parent die, even by SIGKILL, the write fails with
-    EPIPE instead of blocking forever. It never returns: os._exit skips the
-    inherited stdio buffers, the atexit handlers and the caller's stack.
-    Status 1 (any exception) tells the parent to format the rows itself.
-    """
-    status = 1
-    try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(_format_rows(header, rows, json_cells).encode("utf-8"))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool,
                   prefix: str, suffix: str) -> str:
     """prefix, ``_format_rows`` of the whole table, then suffix, in one copy.
 
     With two or more available CPUs and MIN_ROWS_PER_PROCESS rows in each
-    half, a child made by os.fork formats the first half while this process
-    formats the second. After a failed fork this process formats the whole
-    table, after a child's nonzero exit the first half. The child is reaped
-    before this returns or raises, and exits even if this process is killed.
-    It runs only numpy and Python string work, no BLAS routine, so BLAS
-    threads in this process cannot hold it up.
+    half, a forked child formats the first half while this process formats
+    the second (``forked.run_beside``). The child runs only numpy and Python
+    string work, no BLAS routine.
     """
     half = len(rows) // 2
-    pid = None
-    if (half >= MIN_ROWS_PER_PROCESS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-    if pid is None:
+    if half < MIN_ROWS_PER_PROCESS or not forked.can_fork():
         return "".join([prefix, _format_rows(header, rows, json_cells), suffix])
-    if pid == 0:
-        _format_in_child(read_fd, write_fd, header, rows[:half], json_cells)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            tail = _format_rows(header, rows[half:], json_cells)
-            head = pipe.read()
-    finally:
-        # with the only read end closed, the child's write fails and it exits
-        status = os.waitpid(pid, 0)[1]
-    head = head.decode("utf-8") if status == 0 else _format_rows(header, rows[:half], json_cells)
-    return "".join([prefix, head, _ROW_SEPARATOR[json_cells], tail, suffix])
+    head, tail = forked.run_beside(
+        lambda: _format_rows(header, rows[:half], json_cells).encode("utf-8"),
+        lambda: _format_rows(header, rows[half:], json_cells),
+    )
+    return "".join([prefix, head.decode("utf-8"), _ROW_SEPARATOR[json_cells], tail, suffix])
 
 
 def render_csv(header: Sequence[str], rows: np.ndarray) -> str:

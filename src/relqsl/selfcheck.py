@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import __version__, config, fock_core, homodyne_trap, metrology
+from . import __version__, config, fock_core, forked, homodyne_trap, metrology
 from . import perturbation, presets, qkd_model, qsl_bounds, states
 from .report import CheckEntry, DiscrepancyEntry, RunReport
 
@@ -124,6 +124,16 @@ def counting_zscores(
     # approximation: (var + 2 var^2) / N
     z_var = abs(var - var_th) / math.sqrt((var_th + 2.0 * var_th * var_th) / shots)
     return float(z_mean), float(z_var)
+
+
+def error_propagation_identity(cfg: homodyne_trap.BhdConfig, t: float) -> tuple[float, bool]:
+    """The epsilon = 0 phase sensitivity at t, and whether it is bitwise the
+    error-propagation quotient sqrt(Var I)/|d<I>/dpsi|."""
+    sensitivity = homodyne_trap.phase_sensitivity(cfg, t, 0.0)
+    quotient = math.sqrt(homodyne_trap.i_diff_variance(cfg)) / abs(
+        homodyne_trap.i_diff_mean_slope(cfg)
+    )
+    return sensitivity, sensitivity == quotient
 
 
 def _check_energy_order(spectra: Spectra) -> CheckEntry:
@@ -303,13 +313,8 @@ def _check_bhd_identity() -> CheckEntry:
     measured = {}
     for label, delta_psi in (("pi_2", math.pi / 2.0), ("pi_3", math.pi / 3.0)):
         cfg = homodyne_trap.BhdConfig(alpha_s=3.0, alpha_lo_mag=3.0, delta_psi=delta_psi)
-        lhs = homodyne_trap.phase_sensitivity(cfg, t=2.0, epsilon=0.0)
-        rhs = math.sqrt(homodyne_trap.i_diff_variance(cfg)) / abs(
-            homodyne_trap.i_diff_mean_slope(cfg)
-        )
-        measured[f"sensitivity_{label}"] = lhs
-        if lhs != rhs:
-            passed = False
+        measured[f"sensitivity_{label}"], identical = error_propagation_identity(cfg, 2.0)
+        passed = passed and identical
     return CheckEntry(
         name="bhd_error_propagation_identity",
         passed=passed,
@@ -318,13 +323,22 @@ def _check_bhd_identity() -> CheckEntry:
     )
 
 
-def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
-    measured = {}
-    for label, delta_psi in (("pi_3", math.pi / 3.0), ("pi_2", math.pi / 2.0)):
+# the homodyne Monte-Carlo check's operating points, in drawing order
+MC_PHASES = (("pi_3", math.pi / 3.0), ("pi_2", math.pi / 2.0))
+
+
+def _homodyne_zscores(rng: np.random.Generator) -> list[float]:
+    """z_mean then z_var of each operating point of MC_PHASES, drawn in order from rng."""
+    zscores = []
+    for _, delta_psi in MC_PHASES:
         cfg = homodyne_trap.BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0, delta_psi=delta_psi)
-        z_mean, z_var = counting_zscores(cfg, MC_SHOTS, rng)
-        measured[f"z_mean_{label}"] = z_mean
-        measured[f"z_var_{label}"] = z_var
+        zscores.extend(counting_zscores(cfg, MC_SHOTS, rng))
+    return zscores
+
+
+def _homodyne_entry(zscores: Sequence[float]) -> CheckEntry:
+    names = [f"z_{moment}_{label}" for label, _ in MC_PHASES for moment in ("mean", "var")]
+    measured = dict(zip(names, zscores))
     return CheckEntry(
         name="homodyne_counting_mc",
         passed=not any(z > Z_LIMIT for z in measured.values()),
@@ -332,6 +346,10 @@ def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
         detail="Poisson two-port counting statistics vs closed mean and variance, 1e6 shots",
         monte_carlo=True,
     )
+
+
+def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
+    return _homodyne_entry(_homodyne_zscores(rng))
 
 
 def _check_rotation_mc(rng: np.random.Generator) -> CheckEntry:
@@ -438,18 +456,14 @@ def _discrepancies() -> list[DiscrepancyEntry]:
     return entries
 
 
-def run_selfcheck(seed: int = 42) -> RunReport:
-    """Run every cross-check and return the structured report.
-
-    Checks 1-12 are deterministic; the two Monte-Carlo checks each use a
-    fresh generator seeded from ``seed`` so reruns reproduce bit-identical
-    reports.
-    """
+def _in_process_checks(seed: int) -> tuple[list[CheckEntry], CheckEntry, list[DiscrepancyEntry]]:
+    """Every check but homodyne_counting_mc: the twelve deterministic ones,
+    qkd_rotation_mc, and the discrepancies."""
     spectra = {
         eps: fock_core.diagonalize(fock_core.build_hamiltonian(ORACLE_DIM, eps))
         for eps in EPS_PAIR
     }
-    checks = [
+    deterministic = [
         _check_energy_order(spectra),
         _check_fidelity("coherent"),
         _check_fidelity("squeezed"),
@@ -462,9 +476,25 @@ def run_selfcheck(seed: int = 42) -> RunReport:
         _check_zero_epsilon(),
         _check_trap_crossover(),
         _check_bhd_identity(),
-        _check_homodyne_mc(np.random.default_rng(seed)),
-        _check_rotation_mc(np.random.default_rng(seed)),
     ]
+    return deterministic, _check_rotation_mc(np.random.default_rng(seed)), _discrepancies()
+
+
+def run_selfcheck(seed: int = 42) -> RunReport:
+    """Run every cross-check and return the structured report.
+
+    Checks 1-12 are deterministic; the two Monte-Carlo checks each use a
+    fresh generator seeded from ``seed`` so reruns reproduce bit-identical
+    reports. The homodyne counting draws run in a forked child beside the
+    other checks (``forked.run_beside``), which sends back their z-scores as
+    float64 bytes, so the report is the same on any number of CPUs. The
+    fork comes before the dense builds, so the child runs no BLAS.
+    """
+    draws, (deterministic, rotation, discrepancies) = forked.run_beside(
+        lambda: np.array(_homodyne_zscores(np.random.default_rng(seed))).tobytes(),
+        lambda: _in_process_checks(seed),
+    )
+    homodyne = _homodyne_entry(np.frombuffer(draws).tolist())
     echo = config.defaults()
     echo["selfcheck"] = {
         "epsilon_pair": list(EPS_PAIR),
@@ -478,6 +508,6 @@ def run_selfcheck(seed: int = 42) -> RunReport:
         version=__version__,
         seed=seed,
         config=echo,
-        checks=checks,
-        discrepancies=_discrepancies(),
+        checks=[*deterministic, homodyne, rotation],
+        discrepancies=discrepancies,
     )

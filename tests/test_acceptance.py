@@ -14,6 +14,7 @@ from relqsl import fock_core, homodyne_trap, presets, qsl_bounds
 from relqsl.selfcheck import (
     _halving,
     counting_zscores,
+    error_propagation_identity,
     fidelity_residuals,
     level_residuals,
     moment_residuals,
@@ -176,8 +177,7 @@ def test_criterion_8_counting_statistics_and_identity():
     cfg = homodyne_trap.BhdConfig(alpha_s=3.0, alpha_lo_mag=3.0, delta_psi=math.pi / 3.0)
     z_mean, z_var = counting_zscores(cfg, MC_SHOTS, np.random.default_rng(42))
     identity = all(
-        homodyne_trap.phase_sensitivity(c, 7.3, 0.0)
-        == math.sqrt(homodyne_trap.i_diff_variance(c)) / abs(homodyne_trap.i_diff_mean_slope(c))
+        error_propagation_identity(c, 7.3)[1]
         for c in (
             cfg,
             homodyne_trap.BhdConfig(alpha_s=3.0, alpha_lo_mag=3.0),

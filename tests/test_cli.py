@@ -254,7 +254,8 @@ def _src_env() -> dict[str, str]:
 
 
 # packages no command may load: optional extras, and process pools whose
-# import would cost every command; a large table is split with bare os.fork
+# import would cost every command; a large table's first half and selfcheck's
+# homodyne draws run in a child made by bare os.fork (relqsl.forked)
 HEAVY_PACKAGES = ("scipy", "mpmath", "multiprocessing", "concurrent")
 
 

@@ -8,12 +8,14 @@ why. ``spectrum`` is left out: its exact eigenvalues end in digits that
 depend on the LAPACK build.
 
 ``selfcheck --seed 42`` is pinned too, text and JSON, from the files in
-``tests/data``. Only the fields read off the dense H(256, eps)
+``tests/data``, on one CPU and on two (where the homodyne Monte-Carlo
+draws run in a forked child). Only the fields read off the dense H(256, eps)
 decomposition (energy_order and the two moment oracles) depend on the
 LAPACK build and its thread count; they are compared at 1e-5 relative and
 every other byte exactly.
 """
 
+import os
 import re
 from pathlib import Path
 
@@ -150,14 +152,17 @@ def _split_dense(text: str) -> tuple[str, list[float]]:
     return DENSE_FIELDS.sub(r"\1<dense>", text), values
 
 
-def test_selfcheck_seed_42_is_pinned(tmp_path, capsys):
-    report = tmp_path / "selfcheck.json"
-    assert run_subcommand(["selfcheck", "--seed", "42", "--out", str(report)]) == 0
-    outputs = {"selfcheck_seed42.txt": capsys.readouterr().out,
-               "selfcheck_seed42.json": report.read_bytes().decode()}
-    for name, got in outputs.items():
-        expected, expected_values = _split_dense((DATA / name).read_bytes().decode())
-        masked, values = _split_dense(got)
-        assert len(expected_values) == 11, name
-        assert masked == expected, name
-        assert values == pytest.approx(expected_values, rel=1e-5), name
+@pytest.mark.usefixtures("no_child_left")
+def test_selfcheck_seed_42_is_pinned(tmp_path, capsys, monkeypatch):
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        report = tmp_path / f"selfcheck_{cpus}.json"
+        assert run_subcommand(["selfcheck", "--seed", "42", "--out", str(report)]) == 0
+        outputs = {"selfcheck_seed42.txt": capsys.readouterr().out,
+                   "selfcheck_seed42.json": report.read_bytes().decode()}
+        for name, got in outputs.items():
+            expected, expected_values = _split_dense((DATA / name).read_bytes().decode())
+            masked, values = _split_dense(got)
+            assert len(expected_values) == 11, name
+            assert masked == expected, name
+            assert values == pytest.approx(expected_values, rel=1e-5), name

@@ -6,9 +6,6 @@ import os
 import random
 import signal
 import stat
-import subprocess
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -27,6 +24,9 @@ from relqsl.report import (
     render_json,
     write_text,
 )
+
+# every test here fails if it leaves a child process unreaped
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 def test_native_unwraps_numpy_scalars():
@@ -306,38 +306,9 @@ report.render_csv(["x"], np.rec.fromarrays([np.linspace(0.0, 1.0, {rows})], name
 """
 
 
-def _has_exited(pid: int) -> bool:
-    """Whether a process (not necessarily this one's child) is gone or a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as status:
-            return status.read().rpartition(")")[2].split()[0] in ("Z", "X")
-    except FileNotFoundError:
-        return True
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-def test_children_of_a_killed_parent_exit():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(report.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = STALLED_PARENT.format(rows=4 * MIN_ROWS_PER_PROCESS)
-    parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env)
-    children = []
-    try:
-        for line in parent.stdout:
-            if line.strip() == "stalled":
-                break
-            children.append(int(line))
-    finally:
-        parent.kill()
-        parent.wait()
-        parent.stdout.close()
+def test_children_of_a_killed_parent_exit(children_of_killed_parent):
+    children, left = children_of_killed_parent(STALLED_PARENT.format(rows=4 * MIN_ROWS_PER_PROCESS))
     assert len(children) == 1
-    deadline = time.monotonic() + 20
-    while not all(map(_has_exited, children)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    left = [pid for pid in children if not _has_exited(pid)]
-    for pid in left:
-        os.kill(pid, signal.SIGKILL)
     assert left == []
 
 

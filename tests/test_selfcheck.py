@@ -1,11 +1,13 @@
 """The cross-validation battery: verdicts, determinism, and failure wiring."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from relqsl import fock_core, perturbation
+from relqsl import fock_core, homodyne_trap, perturbation, selfcheck
+from relqsl.report import render_json
 from relqsl.selfcheck import (
     AMPLITUDES,
     EPS_PAIR,
@@ -40,6 +42,10 @@ EXPECTED_DISCREPANCY_NAMES = {
     "crossover_closed_vs_numeric",
     "ml_normalization_variants",
 }
+
+
+# every test here fails if it leaves a child process unreaped
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +167,86 @@ def test_shared_residuals_reproduce_the_report(report):
         moments = moment_residuals(spectra, kind, par)[EPS_PAIR[0]]
         got = measured[f"{kind}_moment_oracle"]
         assert moments.tolist() == [got["diff_mean"], got["diff_var"]]
+
+
+def _set_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _texts(report) -> tuple[str, str]:
+    return report.render_text(), render_json(report.to_json_obj())
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_homodyne_draws_fork_once_on_two_or_more_cpus(cpus, report, monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    _set_cpus(monkeypatch, cpus)
+    assert _texts(run_selfcheck(42)) == _texts(report)
+    assert len(forks) == (cpus > 1)
+
+
+def test_failed_fork_runs_the_draws_in_process(report, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _set_cpus(monkeypatch, 2)
+    assert _texts(run_selfcheck(42)) == _texts(report)
+
+
+def test_failed_child_is_reaped_and_its_draws_run_in_process(report, monkeypatch):
+    parent, zscores = os.getpid(), selfcheck._homodyne_zscores
+
+    def fails_in_a_child(rng):
+        if os.getpid() != parent:
+            raise RuntimeError("draws fail in the child")
+        return zscores(rng)
+
+    statuses = []
+    waitpid = os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda *a: statuses.append(waitpid(*a)) or statuses[-1])
+    monkeypatch.setattr(selfcheck, "_homodyne_zscores", fails_in_a_child)
+    _set_cpus(monkeypatch, 2)
+    assert _texts(run_selfcheck(42)) == _texts(report)
+    assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_out_of_range_counts_reach_the_caller(cpus, monkeypatch):
+    def overflows(cfg, shots, rng):
+        raise ArithmeticError("photocount of 40000 at port mean 6.5")
+
+    monkeypatch.setattr(homodyne_trap, "simulate_i_diff", overflows)
+    _set_cpus(monkeypatch, cpus)
+    with pytest.raises(ArithmeticError, match="photocount of 40000"):
+        run_selfcheck(42)
+
+
+# A selfcheck that prints its child's pid, then stalls in its own share of the checks
+STALLED_SELFCHECK = """
+import os, time
+from relqsl import selfcheck
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = os.fork
+
+def printing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def stalls_in_the_parent(seed):
+    print("stalled", flush=True)
+    time.sleep(600)
+
+os.fork, selfcheck._in_process_checks = printing_fork, stalls_in_the_parent
+selfcheck.run_selfcheck(42)
+"""
+
+
+def test_child_of_a_killed_selfcheck_exits(children_of_killed_parent):
+    children, left = children_of_killed_parent(STALLED_SELFCHECK)
+    assert len(children) == 1
+    assert left == []
