@@ -61,8 +61,8 @@ class TruncatedOperator:
         if self.entries.shape != (self.dim, self.dim):
             raise ValueError(f"entries shape {self.entries.shape} does not match dim={self.dim}")
 
-    def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return bool(np.all(np.abs(self.entries - self.entries.conj().T) <= atol))
+    def is_hermitian(self) -> bool:
+        return bool(np.all(np.abs(self.entries - self.entries.conj().T) <= HERMITIAN_ATOL))
 
 
 @dataclass(frozen=True, eq=False)

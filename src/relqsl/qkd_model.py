@@ -6,12 +6,11 @@ excess-noise term (estimator-variance inflation plus uncompensated
 deterministic drift), and the asymptotic key rate is beta * I_AB - chi_BE.
 
 The Holevo bound uses the standard entangling-cloner purification. Trusted
-detection noise is modelled by a beamsplitter in front of Bob's detector fed
-from one arm of an EPR pair; the bound is independent of how the
-transmission/port-variance pair is split (only their combination is fixed by
-chi_det), which doubles as a consistency check. The test suite checks the
-floating-point path against an arbitrary-precision twin of the whole
-covariance algebra.
+detection noise is modelled as a loss in front of Bob's detector: a
+beamsplitter with vacuum in its other port, whose transmission chi_det fixes
+(the trusted-detector model of Lodewyck et al., Phys. Rev. A 76, 042305,
+2007, without electronic noise). The test suite checks the floating-point
+path against an arbitrary-precision twin of the whole covariance algebra.
 """
 
 from __future__ import annotations
@@ -170,47 +169,6 @@ def _check_physical(nus: np.ndarray) -> None:
         )
 
 
-def _detector_model(
-    t_chi_det: float, eta: float | None, detection: str
-) -> tuple[float, float] | None:
-    """Beamsplitter transmission and EPR-port variance for trusted detection.
-
-    Homodyne: any (eta, d) with (1 - eta) d / eta = T chi_det represents the
-    same detector. Heterodyne splits off one extra vacuum unit at the
-    detector, and that unit is part of the trusted budget, so the constraint
-    becomes ((1 - eta) d + 1) / eta = T chi_det and chi_det below 1/T has no
-    physical heterodyne realization. The default split puts plain vacuum on
-    the port (d = 1); the bound does not depend on the split. Returns None
-    when the noise target needs no beamsplitter at all.
-    """
-    if detection == "heterodyne":
-        if t_chi_det < 1.0 - 1e-12:
-            raise ValueError(
-                "trusted heterodyne detection noise cannot be below the intrinsic "
-                "vacuum unit: chi_det >= 1/T is required (or use chi_det = 0 for "
-                "the idealized no-penalty bookkeeping)"
-            )
-        if t_chi_det <= 1.0 + 1e-12:
-            return None
-        if eta is None:
-            eta = 2.0 / (1.0 + t_chi_det)
-        if not 0.0 < eta < 1.0:
-            raise ValueError(f"detector transmission must be in (0, 1), got {eta}")
-        d = (eta * t_chi_det - 1.0) / (1.0 - eta)
-    else:
-        if eta is None:
-            eta = 1.0 / (1.0 + t_chi_det)
-        if not 0.0 < eta < 1.0:
-            raise ValueError(f"detector transmission must be in (0, 1), got {eta}")
-        d = eta * t_chi_det / (1.0 - eta)
-    if d < 1.0 - 1e-12:
-        raise ValueError(
-            f"detector split eta={eta} needs port variance {d} < 1 (unphysical); "
-            "increase eta"
-        )
-    return eta, max(d, 1.0)
-
-
 def _conditioned(cov: np.ndarray, detection: str) -> np.ndarray:
     """Covariance of the remaining modes after measuring Bob's (rows 2 and 3)."""
     rest = [i for i in range(cov.shape[0]) if i not in (2, 3)]
@@ -224,40 +182,44 @@ def _conditioned(cov: np.ndarray, detection: str) -> np.ndarray:
 
 
 def _budget_covariance(
-    a: float, b: float, c: float, t_chi_det: float, eta: float | None, detection: str
+    a: float, b: float, c: float, t_chi_det: float, detection: str
 ) -> np.ndarray:
-    """Full pre-measurement covariance from the Alice-Bob entries a, b and c.
+    """Pre-measurement covariance from the Alice-Bob entries a, b and c.
 
-    Modes are ordered (A, B, F'[, G]): Alice's kept half, Bob's detected
-    mode, the detector-port output, and the EPR purifier of the port when
-    its variance is above vacuum.
+    Trusted detector noise x = T chi_det is a beamsplitter in front of Bob's
+    detector with vacuum in its other port: transmission eta = 1/(1 + x) for
+    homodyne. Heterodyne splits off one extra vacuum unit, which is part of
+    the trusted budget, so eta = 2/(1 + x) and chi_det below 1/T has no
+    heterodyne realization. Modes are ordered (A, B[, F]): Alice's kept
+    half, Bob's detected mode and the port output.
     """
     sz = np.diag([1.0, -1.0])
     i2 = np.eye(2)
-    model = None if t_chi_det == 0.0 else _detector_model(t_chi_det, eta, detection)
-    if model is None:
-        return np.block([[a * i2, c * sz], [c * sz, b * i2]])
-    eta, d = model
-    rt, rr = math.sqrt(eta), math.sqrt(1.0 - eta)
-    modes = 4 if d > 1.0 + 1e-12 else 3
-    cov = np.zeros((2 * modes, 2 * modes))
-    cov[0:2, 0:2] = a * i2
-    cov[2:4, 2:4] = (eta * b + (1.0 - eta) * d) * i2
-    cov[4:6, 4:6] = ((1.0 - eta) * b + eta * d) * i2
-    cov[0:2, 2:4] = cov[2:4, 0:2] = rt * c * sz
-    cov[0:2, 4:6] = cov[4:6, 0:2] = -rr * c * sz
-    cov[2:4, 4:6] = cov[4:6, 2:4] = rt * rr * (d - b) * i2
-    if modes == 4:
-        k = math.sqrt(d * d - 1.0)
-        cov[6:8, 6:8] = d * i2
-        cov[2:4, 6:8] = cov[6:8, 2:4] = rr * k * sz
-        cov[4:6, 6:8] = cov[6:8, 4:6] = rt * k * sz
-    return cov
+    cov = np.block([[a * i2, c * sz], [c * sz, b * i2]])
+    if t_chi_det == 0.0:
+        return cov
+    if detection == "heterodyne":
+        if t_chi_det < 1.0 - 1e-12:
+            raise ValueError(
+                "trusted heterodyne detection noise cannot be below the intrinsic "
+                "vacuum unit: chi_det >= 1/T is required (or use chi_det = 0 for "
+                "the idealized no-penalty bookkeeping)"
+            )
+        if t_chi_det <= 1.0 + 1e-12:
+            return cov
+        eta, loss = 2.0 / (1.0 + t_chi_det), (t_chi_det - 1.0) / (1.0 + t_chi_det)
+    else:
+        eta, loss = 1.0 / (1.0 + t_chi_det), t_chi_det / (1.0 + t_chi_det)
+    # 1 - eta comes from its own fraction: 1.0 - eta cancels at small x
+    rt, rr = math.sqrt(eta), math.sqrt(loss)
+    vacuum_port = np.eye(6)
+    vacuum_port[:4, :4] = cov
+    split = np.eye(6)
+    split[2:6, 2:6] = np.kron([[rt, rr], [-rr, rt]], i2)
+    return split @ vacuum_port @ split.T
 
 
-def holevo_bound(
-    link: QkdLinkParams, chi_tot: float, detector_transmission: float | None = None
-) -> float:
+def holevo_bound(link: QkdLinkParams, chi_tot: float) -> float:
     """Eavesdropper information bound chi_BE in bits per symbol.
 
     Entangling-cloner purification of the channel: S(E) comes from the
@@ -265,10 +227,6 @@ def holevo_bound(
     covariance of the unmeasured modes after Bob's homodyne or heterodyne
     click. Trusted chi_det stays out of the channel purification; with
     trusted_detection false it is folded into the channel noise instead.
-
-    detector_transmission overrides the internal beamsplitter split of the
-    trusted-detector model; the result is independent of it, so it exists
-    only for consistency checking.
     """
     if chi_tot < 0:
         raise ValueError("chi_tot must be non-negative")
@@ -296,7 +254,7 @@ def holevo_bound(
     )
     _check_physical(np.array([nu1, nu2]))
 
-    cov = _budget_covariance(a, b, c, t * chi_det, detector_transmission, link.detection)
+    cov = _budget_covariance(a, b, c, t * chi_det, link.detection)
     cond = _conditioned(cov, link.detection)
     nus_cond = _symplectic_eigs(cond)
     _check_physical(nus_cond)

@@ -309,15 +309,14 @@ def _check_trap_crossover() -> CheckEntry:
 
 def _check_bhd_identity() -> CheckEntry:
     """At epsilon = 0 the sensitivity is bitwise the error-propagation quotient."""
-    passed = True
-    measured = {}
+    measured, identical = {}, []
     for label, delta_psi in (("pi_2", math.pi / 2.0), ("pi_3", math.pi / 3.0)):
         cfg = homodyne_trap.BhdConfig(alpha_s=3.0, alpha_lo_mag=3.0, delta_psi=delta_psi)
-        measured[f"sensitivity_{label}"], identical = error_propagation_identity(cfg, 2.0)
-        passed = passed and identical
+        measured[f"sensitivity_{label}"], same = error_propagation_identity(cfg, 2.0)
+        identical.append(same)
     return CheckEntry(
         name="bhd_error_propagation_identity",
-        passed=passed,
+        passed=all(identical),
         measured=measured,
         detail="phase sensitivity at epsilon = 0 equals sqrt(Var I)/|d<I>/dpsi| exactly",
     )

@@ -349,6 +349,24 @@ def test_qkd_negative_rate_is_reported_and_clamped(capsys):
     assert row["beta"] == "0.95"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1 - eta of the detector loss is 5e-5 here and only 5e-8 above the
+        # heterodyne vacuum unit below; both are valid trusted-noise levels
+        ["qkd", "--chi-det", "1e-4"],
+        ["qkd", "--detection", "heterodyne", "--chi-det", "2.0000002"],
+    ],
+)
+def test_qkd_small_trusted_detector_noise_is_answered(argv, capsys):
+    assert run_subcommand(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    row = _csv_row(captured.out)
+    assert float(row["chi_det"]) == float(argv[-1])
+    assert 0.0 < float(row["holevo"]) < float(row["i_ab"])
+
+
 def test_sweep_needs_a_selection(capsys):
     assert run_subcommand(["sweep"]) == 2
     assert "no sweep selected" in capsys.readouterr().err

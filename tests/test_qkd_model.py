@@ -80,9 +80,9 @@ def _holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> floa
             cov[1, 3] = cov[3, 1] = -c
             return cov
 
-        def block_cov() -> tuple[mpmath.matrix, int]:
+        def block_cov() -> mpmath.matrix:
             if t_chi_det == 0:
-                return channel_cov(), 1
+                return channel_cov()
             if link.detection == "heterodyne":
                 if t_chi_det < 1 - mpmath.mpf("1e-12"):
                     raise ValueError(
@@ -90,15 +90,15 @@ def _holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> floa
                         "intrinsic vacuum unit: chi_det >= 1/T is required"
                     )
                 if t_chi_det <= 1 + mpmath.mpf("1e-12"):
-                    return channel_cov(), 1
+                    return channel_cov()
                 eta = 2 * one / (one + t_chi_det)
             else:
                 eta = one / (one + t_chi_det)
-            d = one
+            # vacuum in the beamsplitter's other port
             rt, rr = mpmath.sqrt(eta), mpmath.sqrt(one - eta)
             cov = mpmath.matrix(6)
-            vb = eta * b + (one - eta) * d
-            vf = (one - eta) * b + eta * d
+            vb = eta * b + (one - eta)
+            vf = (one - eta) * b + eta
             for i in range(2):
                 cov[i, i] = a
                 cov[2 + i, 2 + i] = vb
@@ -107,9 +107,9 @@ def _holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> floa
             cov[1, 3] = cov[3, 1] = -rt * c
             cov[0, 4] = cov[4, 0] = -rr * c
             cov[1, 5] = cov[5, 1] = rr * c
-            cov[2, 4] = cov[4, 2] = rt * rr * (d - b)
-            cov[3, 5] = cov[5, 3] = rt * rr * (d - b)
-            return cov, 1
+            cov[2, 4] = cov[4, 2] = rt * rr * (one - b)
+            cov[3, 5] = cov[5, 3] = rt * rr * (one - b)
+            return cov
 
         def symp_eigs(cov: mpmath.matrix) -> list:
             m = cov.rows // 2
@@ -130,9 +130,9 @@ def _holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> floa
         # entropy comes from the plain two-mode Alice-Bob covariance even when
         # the conditional step below runs on the detector-extended matrix.
         nus_eve = symp_eigs(channel_cov())
-        cov, bob = block_cov()
-        bx, bp = 2 * bob, 2 * bob + 1
-        rest = [i for i in range(cov.rows) if i not in (bx, bp)]
+        # modes (A, B[, F]) as in the library: Bob's quadratures are rows 2 and 3
+        cov = block_cov()
+        rest = [i for i in range(cov.rows) if i not in (2, 3)]
         gamma_rest = mpmath.matrix(len(rest))
         for i, ri in enumerate(rest):
             for j, rj in enumerate(rest):
@@ -140,19 +140,19 @@ def _holevo_bound_mp(link: QkdLinkParams, chi_tot: float, dps: int = 50) -> floa
         if link.detection == "homodyne":
             for i, ri in enumerate(rest):
                 for j, rj in enumerate(rest):
-                    gamma_rest[i, j] -= cov[ri, bx] * cov[rj, bx] / cov[bx, bx]
+                    gamma_rest[i, j] -= cov[ri, 2] * cov[rj, 2] / cov[2, 2]
         else:
             gb = mpmath.matrix(2)
-            gb[0, 0] = cov[bx, bx] + 1
-            gb[1, 1] = cov[bp, bp] + 1
-            gb[0, 1] = cov[bx, bp]
-            gb[1, 0] = cov[bp, bx]
+            gb[0, 0] = cov[2, 2] + 1
+            gb[1, 1] = cov[3, 3] + 1
+            gb[0, 1] = cov[2, 3]
+            gb[1, 0] = cov[3, 2]
             gb_inv = gb**-1
             for i, ri in enumerate(rest):
                 for j, rj in enumerate(rest):
                     acc = mpmath.mpf(0)
-                    for u, bu in enumerate((bx, bp)):
-                        for w, bw in enumerate((bx, bp)):
+                    for u, bu in enumerate((2, 3)):
+                        for w, bw in enumerate((2, 3)):
                             acc += cov[ri, bu] * gb_inv[u, w] * cov[rj, bw]
                     gamma_rest[i, j] -= acc
         nus_cond = symp_eigs(gamma_rest)
@@ -220,15 +220,44 @@ def test_holevo_against_arbitrary_precision():
         )
 
 
-def test_holevo_is_independent_of_detector_split():
-    link = _detector_link()
+@pytest.mark.parametrize("transmissivity", [0.05, 0.5, 0.9])
+@pytest.mark.parametrize("chi_det", [1e-17, 1e-12, 1e-8, 1e-6, 1e-4])
+def test_small_homodyne_detector_noise_against_arbitrary_precision(transmissivity, chi_det):
+    # 1 - eta is as small as T chi_det here, so it must not come from 1.0 - eta
+    link = _detector_link(transmissivity=transmissivity, chi_det=chi_det)
     chi = key_rate(link).chi_tot
-    default = holevo_bound(link, chi)
-    assert default == pytest.approx(0.4848939581770295, rel=1e-12)
-    for eta in (0.90, 0.95, 0.99):
-        assert holevo_bound(link, chi, detector_transmission=eta) == pytest.approx(
-            default, abs=1e-9
-        )
+    assert holevo_bound(link, chi) == pytest.approx(_holevo_bound_mp(link, chi), abs=1e-12)
+
+
+@pytest.mark.parametrize("transmissivity", [0.05, 0.5, 0.9])
+@pytest.mark.parametrize("excess", [2e-12, 1e-9, 1e-7, 1e-5])
+def test_heterodyne_just_above_vacuum_unit_against_arbitrary_precision(transmissivity, excess):
+    link = _detector_link(
+        transmissivity=transmissivity, chi_det=(1.0 + excess) / transmissivity,
+        detection="heterodyne",
+    )
+    chi = key_rate(link).chi_tot
+    assert holevo_bound(link, chi) == pytest.approx(_holevo_bound_mp(link, chi), abs=1e-12)
+
+
+@pytest.mark.parametrize("transmissivity", [0.05, 0.5, 0.9])
+def test_vanishing_detector_noise_approaches_the_noiseless_bound(transmissivity):
+    noiseless = key_rate(_detector_link(transmissivity=transmissivity, chi_det=0.0)).holevo
+    gaps = [
+        abs(key_rate(_detector_link(transmissivity=transmissivity, chi_det=c)).holevo - noiseless)
+        for c in (1e-4, 1e-6, 1e-8)
+    ]
+    # the gap is linear in chi_det
+    assert gaps[0] > 50.0 * gaps[1] > 2500.0 * gaps[2] > 0.0
+    tiny = key_rate(_detector_link(transmissivity=transmissivity, chi_det=1e-17)).holevo
+    assert tiny == pytest.approx(noiseless, abs=1e-13)
+
+
+def test_homodyne_trusted_frozen_point():
+    link = _detector_link()
+    assert holevo_bound(link, key_rate(link).chi_tot) == pytest.approx(
+        0.4848939581770295, rel=1e-12
+    )
 
 
 def test_untrusted_detection_gives_eve_more():
@@ -262,13 +291,9 @@ def test_heterodyne_rejects_sub_vacuum_detector_noise():
         holevo_bound(link, chi_line(0.6) + 0.02 + 0.5)
 
 
-def test_detector_split_feasibility_guard():
-    link = _detector_link()
-    chi = key_rate(link).chi_tot
-    with pytest.raises(ValueError, match="increase eta"):
-        holevo_bound(link, chi, detector_transmission=0.3)
+def test_chi_tot_must_contain_trusted_chi_det():
     with pytest.raises(ValueError, match="must contain"):
-        holevo_bound(link, 0.1)
+        holevo_bound(_detector_link(), 0.1)
 
 
 def test_phase_noise_params_validation():
