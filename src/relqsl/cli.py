@@ -131,7 +131,7 @@ def _cmd_trap(args: argparse.Namespace) -> int:
         "nu": cfg.nu,
         "p_lo": cfg.p_lo,
         "kappa": cfg.kappa,
-        "mass": cfg.mass,
+        "mass": params["mass"],
         "epsilon": cfg.epsilon,
         "epsilon_source": epsilon_source,
         "tau": tau,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,20 +70,18 @@ class TrapConfig:
     """Trap readout parameters, all strictly positive.
 
     nu is the cyclotron frequency in Hz, p_lo the local-oscillator power in
-    W, kappa the dimensionless drift-curvature prefactor, epsilon the
-    relativistic expansion parameter, mass the trapped particle's mass in kg.
+    W, kappa the dimensionless drift-curvature prefactor and epsilon the
+    relativistic expansion parameter. Planck's constant is the module's
+    PLANCK_H, the one h that epsilon_from_trap also uses.
     """
 
     nu: float
     p_lo: float
     kappa: float
     epsilon: float
-    mass: float = ELECTRON_MASS
-    planck_h: float = PLANCK_H
 
     def __post_init__(self):
-        for name in ("nu", "p_lo", "kappa", "epsilon", "mass", "planck_h"):
-            value = getattr(self, name)
+        for name, value in asdict(self).items():
             if value <= 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
 
@@ -185,7 +183,7 @@ def _finite_or_named(fn: Callable[..., float]) -> Callable[..., float]:
             value = fn(trap, *tau)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-        inputs = {key: getattr(trap, key) for key in ("nu", "p_lo", "kappa", "epsilon")}
+        inputs = asdict(trap)
         inputs.update(zip(("tau",), tau))
         require_finite(fn.__name__, inputs, "result {!r} is", value)
         return value
@@ -195,7 +193,7 @@ def _finite_or_named(fn: Callable[..., float]) -> Callable[..., float]:
 
 def _shot_noise(trap: TrapConfig, tau: float) -> float:
     return (
-        math.sqrt(trap.planck_h * trap.nu / (4.0 * trap.p_lo))
+        math.sqrt(PLANCK_H * trap.nu / (4.0 * trap.p_lo))
         / (2.0 * math.pi * trap.nu)
         * tau**-1.5
     )
@@ -229,7 +227,7 @@ def crossover_closed(trap: TrapConfig) -> float:
     allan_relativistic analytically gives a different nu-dependence, so this
     generally disagrees with crossover_numeric; selfcheck reports both.
     """
-    return (trap.planck_h * trap.nu / (math.pi**2 * trap.p_lo)) ** 0.2 * (
+    return (PLANCK_H * trap.nu / (math.pi**2 * trap.p_lo)) ** 0.2 * (
         trap.kappa * trap.epsilon**2
     ) ** -0.4
 

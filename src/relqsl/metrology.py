@@ -18,8 +18,6 @@ import numpy as np
 
 from .arrays import Grid, as_arrays, first, libm, native, require_finite, warn_doubtful
 
-X_C_VARIANCE = 0.25  # fixed benchmark quadrature variance
-
 
 @dataclass(frozen=True)
 class EnergyMoments:

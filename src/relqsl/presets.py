@@ -243,8 +243,7 @@ def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
     epsilon, source = params["epsilon"], "config"
     if epsilon == 0.0:
         epsilon, source = epsilon_from_trap(params["nu"], params["mass"]), "derived"
-    given = {key: params[key] for key in ("nu", "p_lo", "kappa", "mass")}
-    return TrapConfig(epsilon=epsilon, **given), source
+    return TrapConfig(params["nu"], params["p_lo"], params["kappa"], epsilon), source
 
 
 def sweep_from_config(section: dict[str, Any]) -> SweepSpec:

@@ -98,13 +98,6 @@ def delta_xi_phase(sigma_phi_sq: float, transmissivity: float, v_a: float) -> fl
     return sigma_phi_sq * (v_a + 1.0 / transmissivity)
 
 
-def sigma_phi_est_sq(p: PhaseNoiseParams) -> float:
-    """Inflated estimator variance sigma_phi0^2 [1 + 2 C eps^2 t^2]."""
-    return p.sigma_phi0_sq * (
-        1.0 + 2.0 * p.c_factor * p.epsilon * p.epsilon * p.t_window * p.t_window
-    )
-
-
 def residual_drift(p: PhaseNoiseParams) -> float:
     """Uncompensated deterministic drift after pilot correction.
 
@@ -121,10 +114,13 @@ def delta_xi_rel(p: PhaseNoiseParams, link: QkdLinkParams) -> float:
     """Relativistic excess-noise addendum, input-referred.
 
     [2 C eps^2 t^2 sigma_phi0^2 + residual_drift^2] (V_A + 1/T). The first
-    term is delta_xi_phase applied to the estimator-variance inflation, the
-    second the squared uncompensated drift; the identity is exact.
+    term is delta_xi_phase applied to the inflation of the estimator variance
+    sigma_phi0^2 [1 + 2 C eps^2 t^2], formed directly so that it does not
+    cancel against sigma_phi0^2; the second is the squared uncompensated drift.
     """
-    inflation = sigma_phi_est_sq(p) - p.sigma_phi0_sq
+    inflation = p.sigma_phi0_sq * (
+        2.0 * p.c_factor * p.epsilon * p.epsilon * p.t_window * p.t_window
+    )
     drift = residual_drift(p)
     return (inflation + drift * drift) * (link.v_a + 1.0 / link.transmissivity)
 
@@ -261,7 +257,7 @@ def holevo_bound(link: QkdLinkParams, chi_tot: float) -> float:
 
     s_eve = _g((nu1 - 1.0) / 2.0) + _g((nu2 - 1.0) / 2.0)
     s_cond = sum(_g((nu - 1.0) / 2.0) for nu in nus_cond)
-    return s_eve - s_cond
+    return float(s_eve - s_cond)
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,14 @@ def _clamp_fidelity(f: np.ndarray) -> np.ndarray:
     return np.where(f < 1.0, f, 1.0)
 
 
-def _report(name: str, inputs: dict[str, np.ndarray], coefficient: np.ndarray,
-            zeroth: np.ndarray, near: np.ndarray) -> BoundReport:
-    """The bound at every point, after the validity warning and the finiteness check."""
+def _report(name: str, inputs: dict[str, np.ndarray], zeroth: np.ndarray, near: np.ndarray,
+            scale: Any, bracket: np.ndarray, shift: np.ndarray, keep: np.ndarray) -> BoundReport:
+    """The bound at every point, after the validity warning and the finiteness check.
+
+    Its coefficient is scale * (bracket + shift) where ``keep`` holds, else scale * bracket.
+    """
     with np.errstate(all="ignore"):
+        coefficient = scale * np.where(keep, bracket + shift, bracket)
         correction = inputs["epsilon"] * coefficient
         report = BoundReport(t=inputs["t"], zeroth=zeroth, correction=correction,
                              coefficient=coefficient, near_revival=near)
@@ -120,14 +124,13 @@ def mt_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
     with np.errstate(all="ignore"):
         cos_t, sin_t, f0, w1, gap, near = _coherent_core(alpha0, t)
         zeroth = w1 / alpha0
-        coefficient = 3.0 / 8.0 * (1.0 + alpha0 * alpha0) / alpha0 * w1
-        shift = (
+        bracket = 3.0 / 8.0 * (1.0 + alpha0 * alpha0) / alpha0 * w1
+        shift = -(
             3.0 / 8.0 * alpha0 * t * (1.0 + alpha0 * alpha0 * cos_t) * sin_t
             * f0 / np.sqrt(gap)
         )
-        coefficient = np.where(near, coefficient, coefficient - shift)
     return _report("mt_coherent", {"alpha0": alpha0, "t": t, "epsilon": epsilon},
-                   coefficient, zeroth, near)
+                   zeroth, near, 1.0, bracket, shift, ~near)
 
 
 def ml_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
@@ -146,12 +149,10 @@ def ml_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:
         w3 = libm(math.pow, 1.0 + 2.0 * a2, 2.0)
         w4 = 1.0 + 4.0 * a2 + 2.0 * a2 * a2
         w5 = 4.0 * a2 * (1.0 + 2.0 * a2)
-        bracket = w4 * w1
-        shift = w5 * f0 * t * (1.0 + a2 * cos_t) * sin_t / np.sqrt(gap)
-        bracket = np.where(near, bracket, bracket - shift)
-        coefficient = 3.0 * w1 / (4.0 * w3 * math.pi) * bracket
+        scale, bracket = 3.0 * w1 / (4.0 * w3 * math.pi), w4 * w1
+        shift = -(w5 * f0 * t * (1.0 + a2 * cos_t) * sin_t / np.sqrt(gap))
     return _report("ml_coherent", {"alpha0": alpha0, "t": t, "epsilon": epsilon},
-                   coefficient, zeroth, near)
+                   zeroth, near, scale, bracket, shift, ~near)
 
 
 # ---------------------------------------------------------------- squeezed
@@ -233,12 +234,10 @@ def mt_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
         y4 = libm(math.cosh, 2.0 * r)
         zeroth = y3 * y1
         keep = ~near & (y7 > 0.0)
-        bracket = 6.0 * y4 * y1
+        scale, bracket = 3.0 * y3 / 32.0, 6.0 * y4 * y1
         shift = _squeezed_shift(8.0, r, t, y2, y6, y7, keep)
-        bracket = np.where(keep, bracket + shift, bracket)
-        coefficient = 3.0 * y3 / 32.0 * bracket
     return _report("mt_squeezed", {"r": r, "t": t, "epsilon": epsilon},
-                   coefficient, zeroth, near)
+                   zeroth, near, scale, bracket, shift, keep)
 
 
 def ml_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
@@ -256,12 +255,10 @@ def ml_squeezed(r: Grid, t: Grid, epsilon: Grid) -> BoundReport:
         x4 = 1.0 + 3.0 * libm(math.cosh, 4.0 * r)
         zeroth = 4.0 * x3 / math.pi * x1 * x1
         keep = ~near & (x7 > 0.0)
-        bracket = x4 * x3 * x1
+        scale, bracket = 3.0 * x3 / (16.0 * math.pi) * x1, x4 * x3 * x1
         shift = _squeezed_shift(32.0, r, t, x2, x6, x7, keep)
-        bracket = np.where(keep, bracket + shift, bracket)
-        coefficient = 3.0 * x3 / (16.0 * math.pi) * x1 * bracket
     return _report("ml_squeezed", {"r": r, "t": t, "epsilon": epsilon},
-                   coefficient, zeroth, near)
+                   zeroth, near, scale, bracket, shift, keep)
 
 
 def t_qsl(mt: BoundReport, ml: BoundReport) -> BoundReport:

@@ -347,10 +347,6 @@ def _homodyne_entry(zscores: Sequence[float]) -> CheckEntry:
     )
 
 
-def _check_homodyne_mc(rng: np.random.Generator) -> CheckEntry:
-    return _homodyne_entry(_homodyne_zscores(rng))
-
-
 def _check_rotation_mc(rng: np.random.Generator) -> CheckEntry:
     link = qkd_model.QkdLinkParams(transmissivity=0.5, v_a=4.0, xi_base=0.01)
     measured = {}

@@ -23,10 +23,9 @@ _EPSILON = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class CoherentSpec:
-    """Coherent state alpha = alpha0 * exp(i theta) with alpha0 = |alpha(0)|."""
+    """Coherent state with real amplitude alpha = alpha0 >= 0."""
 
     alpha0: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if self.alpha0 < 0:
@@ -35,10 +34,9 @@ class CoherentSpec:
 
 @dataclass(frozen=True)
 class SqueezeSpec:
-    """Squeezed vacuum with squeeze parameter r * exp(i theta)."""
+    """Squeezed vacuum with real squeeze parameter r >= 0."""
 
     r: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if self.r < 0:
@@ -78,7 +76,7 @@ def coherent_tail(alpha0: float, dim: int) -> float:
 
 
 def coherent_amplitudes(spec: CoherentSpec, dim: int) -> StateVector:
-    """Poissonian amplitude vector amps[n] = e^{-a0^2/2} (a0 e^{i theta})^n / sqrt(n!)."""
+    """Poissonian amplitude vector amps[n] = e^{-a0^2/2} a0^n / sqrt(n!)."""
     if spec.alpha0 > ALPHA0_FOCK_CAP:
         raise ValueError(
             f"alpha0={spec.alpha0} exceeds the Fock-construction cap {ALPHA0_FOCK_CAP}; "
@@ -101,8 +99,7 @@ def coherent_amplitudes(spec: CoherentSpec, dim: int) -> StateVector:
     logmag = (
         -spec.alpha0 * spec.alpha0 / 2.0 + ns * math.log(spec.alpha0) - _log_factorial(ns) / 2.0
     )
-    amps = np.exp(logmag) * np.exp(1j * spec.theta * ns)
-    return StateVector(dim, amps)
+    return StateVector(dim, np.exp(logmag).astype(np.complex128))
 
 
 def _level_phase_sum(amps: np.ndarray, t: float, epsilon: float) -> complex:
@@ -115,8 +112,7 @@ def coherent_overlap_numeric(spec: CoherentSpec, t: float, epsilon: float, dim: 
     """Overlap <state(0)|state(t)> summed over the Poisson weights.
 
     Each number component advances with the first-order corrected level
-    energy; the phase theta cancels in the weights. Semi-analytic oracle for
-    the closed-form coherent fidelity.
+    energy. Semi-analytic oracle for the closed-form coherent fidelity.
     """
     return _level_phase_sum(coherent_amplitudes(spec, dim).amps, t, epsilon)
 
@@ -124,7 +120,7 @@ def coherent_overlap_numeric(spec: CoherentSpec, t: float, epsilon: float, dim: 
 def squeezed_coeffs(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
     """Even-component amplitudes f(2k) for k = 0..n_pairs-1 via the two-term recursion.
 
-    f(0) = sqrt(sech r); f(2k) = -e^{i theta} tanh(r) sqrt((2k-1)/(2k)) f(2k-2).
+    f(0) = sqrt(sech r); f(2k) = -tanh(r) sqrt((2k-1)/(2k)) f(2k-2).
     """
     if spec.r >= 5.0:
         raise ValueError(f"r={spec.r} is beyond the supported tail-controlled range (r < 5)")
@@ -132,20 +128,18 @@ def squeezed_coeffs(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
         raise ValueError("need at least one pair coefficient")
     coeffs = np.zeros(n_pairs, dtype=np.complex128)
     coeffs[0] = 1.0 / math.sqrt(math.cosh(spec.r))
-    factor = -np.exp(1j * spec.theta) * math.tanh(spec.r)
+    factor = -math.tanh(spec.r)
     for k in range(1, n_pairs):
         coeffs[k] = factor * math.sqrt((2 * k - 1) / (2 * k)) * coeffs[k - 1]
     return coeffs
 
 
 def squeezed_coeffs_closed(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
-    """Closed form f(2n) = sqrt((2n)!) (-tanh r)^n / (2^n n! sqrt(cosh r)), theta = 0 only.
+    """Closed form f(2n) = sqrt((2n)!) (-tanh r)^n / (2^n n! sqrt(cosh r)).
 
     Kept as an independent cross-check of the recursion; assembled in
     log-space so large n does not overflow.
     """
-    if spec.theta != 0.0:
-        raise ValueError("closed-form pair coefficients are defined for theta = 0")
     if spec.r >= 5.0:
         raise ValueError(f"r={spec.r} is beyond the supported range (r < 5)")
     ns = np.arange(n_pairs)
@@ -184,14 +178,12 @@ def squeezed_state(spec: SqueezeSpec, dim: int) -> StateVector:
 
 
 def squeezed_overlap_numeric(spec: SqueezeSpec, t: float, epsilon: float, dim: int) -> complex:
-    """Overlap <state(0)|state(t)> for the squeezed vacuum, theta = 0 propagation.
+    """Overlap <state(0)|state(t)> for the squeezed vacuum.
 
     The k-th pair component |2k> advances with the k-th corrected level
     energy. This pair-index rule keeps the overlap 2*pi periodic in t at
     epsilon = 0 and is the convention under which the closed-form squeezed
     fidelity in qsl_bounds reproduces this sum to O(eps^2).
     """
-    if spec.theta != 0.0:
-        raise ValueError("squeezed propagation is implemented for theta = 0 only")
     amps = squeezed_state(spec, dim).amps
     return _level_phase_sum(amps[0 : 2 * (dim // 2) : 2], t, epsilon)

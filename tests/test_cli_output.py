@@ -70,7 +70,7 @@ PINNED = [
         (
             "transmissivity,v_a,xi_base,chi_det,beta,detection,trusted_detection,predictor,"
             "epsilon,chi_line,delta_xi_rel,chi_tot,i_ab,holevo,key_rate,key_rate_clamped\n"
-            "0.5,4.0,0.01,0.0,0.95,homodyne,true,zoh,0.001,1.0,1.1999999999999987e-06,1.0100012,"
+            "0.5,4.0,0.01,0.0,0.95,homodyne,true,zoh,0.001,1.0,1.2000000000000002e-06,1.0100012,"
             "0.7900844581404615,0.47935291152317716,0.27122732371026115,0.27122732371026115\n"
         ),
     ),

@@ -230,7 +230,7 @@ def test_trap_preset_kwargs():
     cfg, source = trap_config(TRAP_PRESETS["hanneke"])
     assert source == "derived"
     assert cfg.epsilon == epsilon_from_trap(149e9, ELECTRON_MASS)
-    assert (cfg.nu, cfg.p_lo, cfg.kappa, cfg.mass) == (149e9, 1e-3, 200.0, ELECTRON_MASS)
+    assert (cfg.nu, cfg.p_lo, cfg.kappa) == (149e9, 1e-3, 200.0)
     given, source = trap_config(dict(TRAP_PRESETS["hanneke"], epsilon=1e-9))
     assert source == "config"
     assert given.epsilon == 1e-9

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relqsl import selfcheck
+from relqsl import homodyne_trap, selfcheck
 from relqsl.homodyne_trap import (
     ELECTRON_MASS,
     INT16_MAX_PORT_MEAN,
@@ -165,8 +165,8 @@ def test_out_of_range_counts_raise_instead_of_wrapping():
 
 def test_homodyne_mc_check_holds_two_shot_arrays_at_most():
     assert selfcheck.MC_SHOTS == MC_SHOTS
-    entry, peak = _traced_peak(selfcheck._check_homodyne_mc, np.random.default_rng(42))
-    assert entry.passed
+    zscores, peak = _traced_peak(selfcheck._homodyne_zscores, np.random.default_rng(42))
+    assert selfcheck._homodyne_entry(zscores).passed
     # var's float64 deviation array plus the int16 counts
     assert peak <= 10 * MC_SHOTS + MIB
 
@@ -228,6 +228,15 @@ def test_crossover_numeric_follows_analytic_rescaling():
     assert crossover_numeric(trap) == pytest.approx(rescaled, rel=1e-9)
     synthetic = TrapConfig(nu=0.5, p_lo=1e-3, kappa=1.0, epsilon=1e-3)
     assert crossover_numeric(synthetic) == pytest.approx(crossover_closed(synthetic), rel=1e-8)
+
+
+@pytest.mark.parametrize("k", [4.0, 0.01])
+def test_one_planck_constant_for_epsilon_and_shot_noise(monkeypatch, k):
+    trap = _reference_trap()
+    epsilon, shot = epsilon_from_trap(149e9, ELECTRON_MASS), allan_shot_noise(trap, 1.0)
+    monkeypatch.setattr(homodyne_trap, "PLANCK_H", k * PLANCK_H)
+    assert epsilon_from_trap(149e9, ELECTRON_MASS) == pytest.approx(k * epsilon, rel=1e-15, abs=0)
+    assert allan_shot_noise(trap, 1.0) == pytest.approx(math.sqrt(k) * shot, rel=1e-15, abs=0)
 
 
 def test_crossover_sits_between_the_branches():

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from relqsl.metrology import (
-    X_C_VARIANCE,
     EnergyMoments,
     SqueezeFactorPoint,
     coherent_energy,
@@ -135,7 +134,3 @@ def test_squeeze_ratio_validity_guards():
         squeeze_ratio(1.5, 2.0, 0.0, 0.08)
     with pytest.raises(ValueError, match="non-positive"):
         squeeze_ratio(2.0, 0.0, 0.0, 0.5)
-
-
-def test_benchmark_variance_constant():
-    assert X_C_VARIANCE == 0.25

@@ -1,6 +1,7 @@
 """Noise budget, Holevo bound consistency, and key-rate assembly."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from relqsl.qkd_model import (
     key_rate,
     mutual_information,
     residual_drift,
-    sigma_phi_est_sq,
     simulate_rotation_penalty,
 )
 
@@ -189,6 +189,9 @@ def test_frozen_reference_budget():
     budget = key_rate(_reference_link())
     for name, value in EXPECTED_BUDGET.items():
         assert getattr(budget, name) == pytest.approx(value, rel=1e-12), name
+    # Python floats, as annotated, not numpy scalars
+    for name in ("holevo", "key_rate", "key_rate_clamped"):
+        assert type(getattr(budget, name)) is float, name
     assert budget.key_rate_clamped == budget.key_rate
     assert budget.delta_xi_rel == 0.0
 
@@ -308,9 +311,6 @@ def test_estimator_inflation_and_drift_forms():
         sigma_phi0_sq=1e-4, c_factor=3924.0, gamma=1e-5, epsilon=1e-3,
         t_window=2.0, t_pilot=0.5, dt=0.1,
     )
-    assert sigma_phi_est_sq(p) == p.sigma_phi0_sq * (
-        1.0 + 2.0 * p.c_factor * p.epsilon**2 * p.t_window**2
-    )
     assert residual_drift(p) == p.gamma * (2.0 * p.t_pilot * p.dt + p.dt * p.dt)
     linear = PhaseNoiseParams(
         sigma_phi0_sq=1e-4, c_factor=3924.0, gamma=1e-5, epsilon=1e-3,
@@ -340,7 +340,7 @@ def test_addendum_identity_and_zero_case():
         sigma_phi0_sq=1e-4, c_factor=3924.0, gamma=1e-5, epsilon=1e-3,
         t_window=2.0, t_pilot=0.5, dt=0.1,
     )
-    inflation = sigma_phi_est_sq(p) - p.sigma_phi0_sq
+    inflation = p.sigma_phi0_sq * 2.0 * p.c_factor * p.epsilon**2 * p.t_window**2
     drift = residual_drift(p)
     expected = (inflation + drift * drift) * (link.v_a + 1.0 / link.transmissivity)
     assert delta_xi_rel(p, link) == pytest.approx(expected, rel=1e-14)
@@ -349,6 +349,18 @@ def test_addendum_identity_and_zero_case():
         t_window=2.0, t_pilot=0.5, dt=0.1,
     )
     assert delta_xi_rel(off, link) == 0.0
+
+
+@pytest.mark.parametrize("epsilon, rounded", [(1.5e-10, 2.7e-20), (1e-8, 1.2e-16)])
+def test_small_epsilon_addendum_against_exact_arithmetic(epsilon, rounded):
+    # sigma_phi0^2 (1 + 2 C eps^2 t^2) - sigma_phi0^2 loses the term to cancellation
+    link = QkdLinkParams(transmissivity=0.5, v_a=4.0, xi_base=0.01)
+    p = PhaseNoiseParams(sigma_phi0_sq=1e-5, c_factor=100.0, epsilon=epsilon, t_window=10.0)
+    s0, c, eps, t = (Fraction(x) for x in (p.sigma_phi0_sq, p.c_factor, p.epsilon, p.t_window))
+    exact = 2 * c * eps**2 * t**2 * s0 * (Fraction(link.v_a) + 1 / Fraction(link.transmissivity))
+    # abs=0: pytest.approx's default absolute tolerance of 1e-12 would pass any tiny value
+    assert float(exact) == pytest.approx(rounded, rel=1e-12, abs=0.0)
+    assert delta_xi_rel(p, link) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_chi_total_composition():
