@@ -119,11 +119,6 @@ def _cmd_metrology(args: argparse.Namespace) -> int:
 
 def _cmd_trap(args: argparse.Namespace) -> int:
     params = _merged("trap", args)
-    if args.preset is not None:
-        # a preset value replaces the config file's, but not an explicit flag's
-        for key, value in presets.TRAP_PRESETS[args.preset].items():
-            if getattr(args, key, None) is None:
-                params[key] = value
     cfg, epsilon_source = presets.trap_config(params)
     tau = params["tau"]
     shot_1s = homodyne_trap.allan_shot_noise(cfg, 1.0)
@@ -169,14 +164,8 @@ def _cmd_qkd(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    section = _merged("sweep", args)
-    if section["preset"] is None and section["target"] is None:
-        raise ConfigError(
-            "no sweep selected: pass --preset or a [sweep] section with "
-            "a preset or a target and axes"
-        )
     try:
-        spec = presets.sweep_from_config(section)
+        spec = presets.sweep_from_config(_merged("sweep", args))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     header, rows = presets.run_sweep(spec)
@@ -214,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        if name == "trap":
-            p.add_argument("--preset", choices=sorted(presets.TRAP_PRESETS))
         fields = config.SCHEMA[name]
         if name == "sweep":
             # the grid itself is only read from a config file

@@ -111,6 +111,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "theta": FieldSpec(_parse_float, 0.0),
         "epsilon": FieldSpec(_parse_float, 0.0, _nonneg, "epsilon >= 0"),
     },
+    # the defaults are the reference single-electron readout at 149 GHz (1 mW LO, kappa 2.0e2)
     "trap": {
         "nu": FieldSpec(_parse_float, 149e9, _positive, "nu > 0"),
         "p_lo": FieldSpec(_parse_float, 1e-3, _positive, "p_lo > 0"),

@@ -19,7 +19,7 @@ import numpy as np
 from . import metrology, qsl_bounds
 from .arrays import Grid
 from .fock_core import SOLVE_BUDGET_BYTES
-from .homodyne_trap import ELECTRON_MASS, TrapConfig, epsilon_from_trap
+from .homodyne_trap import TrapConfig, epsilon_from_trap
 
 MAX_AXES = 3
 # A grid job peaks below 1 KiB a point, so grids are held to fock_core's
@@ -218,27 +218,13 @@ PRESETS: dict[str, SweepSpec] = {
     ),
 }
 
-TRAP_PRESETS: dict[str, dict[str, float]] = {
-    # single-electron cyclotron readout: 149 GHz, 1 mW local oscillator,
-    # drift prefactor 2.0e2; epsilon is derived from nu and the mass
-    "hanneke": {
-        "nu": 149e9,
-        "p_lo": 1e-3,
-        "kappa": 200.0,
-        "epsilon": 0.0,
-        "mass": ELECTRON_MASS,
-        "tau": 1.0,
-    },
-}
-
 
 def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
     """The TrapConfig for trap parameters, and where its epsilon came from.
 
-    ``params`` is a TRAP_PRESETS entry or a resolved [trap] section; tau is
-    not part of the config and is ignored. epsilon = 0 means derive it from
-    nu and mass (source "derived"); any other value is used as given
-    (source "config").
+    ``params`` is a resolved [trap] section; tau is not part of the config
+    and is ignored. epsilon = 0 means derive it from nu and mass (source
+    "derived"); any other value is used as given (source "config").
     """
     epsilon, source = params["epsilon"], "config"
     if epsilon == 0.0:
@@ -247,16 +233,23 @@ def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
 
 
 def sweep_from_config(section: dict[str, Any]) -> SweepSpec:
-    """Build a SweepSpec from a validated [sweep] config section."""
-    if section.get("preset"):
-        return PRESETS[section["preset"]]
-    target = section.get("target")
+    """Build a SweepSpec from a validated [sweep] section: a preset or a grid, not both."""
+    preset, target = section["preset"], section["target"]
+    # every other key describes a grid, which the preset would silently replace
+    grid_keys = [key for key, value in section.items() if key != "preset" and value is not None]
+    if preset and grid_keys:
+        raise ValueError(f"preset {preset!r} takes no grid keys; got {', '.join(grid_keys)}")
+    if preset:
+        return PRESETS[preset]
     if not target:
-        raise ValueError("sweep needs either preset or target plus axes")
+        raise ValueError(
+            "no sweep selected: pass --preset or a [sweep] section with "
+            "a preset or a target and axes"
+        )
     axes = []
     for i in (1, 2, 3):
-        name = section.get(f"axis{i}_name")
-        parts = [section.get(f"axis{i}_{p}") for p in ("start", "stop", "step")]
+        name = section[f"axis{i}_name"]
+        parts = [section[f"axis{i}_{p}"] for p in ("start", "stop", "step")]
         if name is None and all(p is None for p in parts):
             continue
         if name is None or any(p is None for p in parts):
@@ -264,15 +257,9 @@ def sweep_from_config(section: dict[str, Any]) -> SweepSpec:
         axes.append(Axis(name, *parts))
     if not axes:
         raise ValueError("sweep target given but no axes defined")
-    fixed = {
-        name: section[name]
-        for name in SWEEP_PARAM_NAMES
-        if section.get(name) is not None
-    }
+    fixed = {name: section[name] for name in SWEEP_PARAM_NAMES if section[name] is not None}
     columns_by_target = {s.target: s.columns for s in PRESETS.values()}
-    return SweepSpec(
-        target=target, axes=tuple(axes), fixed=fixed, columns=columns_by_target[target]
-    )
+    return SweepSpec(target, tuple(axes), columns_by_target[target], fixed)
 
 
 def run_sweep(spec: SweepSpec) -> tuple[tuple[str, ...], np.ndarray]:

@@ -91,7 +91,7 @@ def coherent_amplitudes(spec: CoherentSpec, dim: int) -> StateVector:
             f"truncation tail {tail:.3e} at dim={dim} exceeds {TAIL_LIMIT}; "
             f"use dim >= {need}"
         )
-    amps = np.zeros(dim, dtype=np.complex128)
+    amps = np.zeros(dim)
     if spec.alpha0 == 0.0:
         amps[0] = 1.0
         return StateVector(dim, amps)
@@ -99,7 +99,7 @@ def coherent_amplitudes(spec: CoherentSpec, dim: int) -> StateVector:
     logmag = (
         -spec.alpha0 * spec.alpha0 / 2.0 + ns * math.log(spec.alpha0) - _log_factorial(ns) / 2.0
     )
-    return StateVector(dim, np.exp(logmag).astype(np.complex128))
+    return StateVector(dim, np.exp(logmag))
 
 
 def _level_phase_sum(amps: np.ndarray, t: float, epsilon: float) -> complex:
@@ -126,7 +126,7 @@ def squeezed_coeffs(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
         raise ValueError(f"r={spec.r} is beyond the supported tail-controlled range (r < 5)")
     if n_pairs < 1:
         raise ValueError("need at least one pair coefficient")
-    coeffs = np.zeros(n_pairs, dtype=np.complex128)
+    coeffs = np.zeros(n_pairs)
     coeffs[0] = 1.0 / math.sqrt(math.cosh(spec.r))
     factor = -math.tanh(spec.r)
     for k in range(1, n_pairs):
@@ -145,7 +145,7 @@ def squeezed_coeffs_closed(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
     ns = np.arange(n_pairs)
     th = math.tanh(spec.r)
     if th == 0.0:
-        out = np.zeros(n_pairs, dtype=np.complex128)
+        out = np.zeros(n_pairs)
         out[0] = 1.0
         return out
     logmag = (
@@ -155,25 +155,29 @@ def squeezed_coeffs_closed(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
         + ns * math.log(th)
         - math.log(math.cosh(spec.r)) / 2.0
     )
-    return (np.exp(logmag) * (-1.0) ** ns).astype(np.complex128)
+    return np.exp(logmag) * (-1.0) ** ns
 
 
 def _pair_tail(coeffs: np.ndarray) -> float:
     """Probability weight left above the last retained pair of ``coeffs``."""
-    return max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
+    return max(0.0, 1.0 - float(np.sum(coeffs**2)))
 
 
-def squeezed_state(spec: SqueezeSpec, dim: int) -> StateVector:
-    """StateVector with f(2k) at the even indices and zeros elsewhere."""
-    n_pairs = dim // 2
-    coeffs = squeezed_coeffs(spec, n_pairs)
+def _checked_pairs(spec: SqueezeSpec, dim: int) -> np.ndarray:
+    """The dim // 2 pair amplitudes f(2k), refused if their tail passes TAIL_LIMIT."""
+    coeffs = squeezed_coeffs(spec, dim // 2)
     tail = _pair_tail(coeffs)
     if tail > TAIL_LIMIT:
         raise ValueError(
             f"squeezed tail {tail:.3e} at dim={dim} exceeds {TAIL_LIMIT}; increase the cutoff"
         )
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[2 * np.arange(n_pairs)] = coeffs
+    return coeffs
+
+
+def squeezed_state(spec: SqueezeSpec, dim: int) -> StateVector:
+    """StateVector with f(2k) at the even indices and zeros elsewhere."""
+    amps = np.zeros(dim)
+    amps[0 : 2 * (dim // 2) : 2] = _checked_pairs(spec, dim)
     return StateVector(dim, amps)
 
 
@@ -185,5 +189,4 @@ def squeezed_overlap_numeric(spec: SqueezeSpec, t: float, epsilon: float, dim: i
     epsilon = 0 and is the convention under which the closed-form squeezed
     fidelity in qsl_bounds reproduces this sum to O(eps^2).
     """
-    amps = squeezed_state(spec, dim).amps
-    return _level_phase_sum(amps[0 : 2 * (dim // 2) : 2], t, epsilon)
+    return _level_phase_sum(_checked_pairs(spec, dim), t, epsilon)

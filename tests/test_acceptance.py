@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from relqsl import fock_core, homodyne_trap, presets, qsl_bounds
+from relqsl import config, fock_core, homodyne_trap, presets, qsl_bounds
 from relqsl.selfcheck import (
     _halving,
     counting_zscores,
@@ -49,7 +49,7 @@ def spectra512():
 
 
 def test_criterion_1_trap_reference_numbers():
-    trap, _ = presets.trap_config(presets.TRAP_PRESETS["hanneke"])
+    trap, _ = presets.trap_config(config.defaults()["trap"])
     eps_dev = abs(trap.epsilon - 1.5e-10) / 1.5e-10
     crossover = homodyne_trap.crossover_closed(trap)
     cross_dev = abs(crossover - 8.7e2) / 8.7e2

@@ -4,14 +4,18 @@ import argparse
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from relqsl import cli, config, fock_core, presets, report
 from relqsl.cli import build_parser, run_subcommand
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # coherent alpha0 = 1 at t = 3.14159 (epsilon = 0): repr of the zeroth bound
 EXPECTED_QSL_T_MT0 = "1.4350444756094283"
@@ -54,11 +58,11 @@ def test_qsl_json_format(capsys):
     assert rows[0]["t"] == 1.0
 
 
-def test_trap_preset_reports_derived_epsilon(capsys):
-    assert run_subcommand(["trap", "--preset", "hanneke"]) == 0
+def test_trap_defaults_report_derived_epsilon(capsys):
+    assert run_subcommand(["trap"]) == 0
     values = json.loads(capsys.readouterr().out)
     assert values["epsilon_source"] == "derived"
-    assert values["epsilon"] == pytest.approx(1.5073770867001796e-10, rel=1e-12)
+    assert values["epsilon"] == pytest.approx(1.5073770867001796e-10, rel=1e-12, abs=0)
     assert values["crossover_closed_s"] == pytest.approx(865.0455666694274, rel=1e-12)
     assert values["shot_noise_ratio"] == pytest.approx(3.158281621607632, rel=1e-12)
     assert values["reference_shot_noise_1s"] == 5.3e-22
@@ -71,14 +75,22 @@ def test_trap_explicit_epsilon_not_derived(capsys):
     assert values["epsilon"] == 1e-10
 
 
-def test_trap_preset_sits_between_config_file_and_flags(tmp_path, capsys):
+def test_trap_config_file_then_flags(tmp_path, capsys):
     cfg = tmp_path / "trap.cfg"
     cfg.write_text("[trap]\nnu = 1e11\nkappa = 5\n", encoding="utf-8")
-    argv = ["trap", "--config", str(cfg), "--preset", "hanneke", "--kappa", "7"]
+    argv = ["trap", "--config", str(cfg), "--kappa", "7"]
     assert run_subcommand(argv) == 0
     values = json.loads(capsys.readouterr().out)
-    assert (values["nu"], values["kappa"]) == (149e9, 7.0)
+    # nu from the file over its default, kappa from the flag over the file
+    assert (values["nu"], values["p_lo"], values["kappa"]) == (1e11, 1e-3, 7.0)
     assert values["epsilon_source"] == "derived"
+
+
+def test_trap_has_no_preset_flag(capsys):
+    assert run_subcommand(["trap", "--preset", "hanneke"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --preset hanneke" in captured.err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -134,8 +146,6 @@ def test_flags_are_generated_from_the_schema():
             assert dests == {"seed"}
         elif name == "sweep":
             assert dests == {"preset"}
-        elif name == "trap":
-            assert dests == set(config.SCHEMA["trap"]) | {"preset"}
         else:
             assert dests == set(config.SCHEMA[name])
         for action in sub._actions:
@@ -293,7 +303,7 @@ def _seeded_grid_config(path, seed: int) -> None:
     "argv",
     [
         ["selfcheck", "--seed", "42"],
-        ["trap", "--preset", "hanneke"],
+        ["trap"],
         ["qkd"],
         ["spectrum"],
         ["qsl"],
@@ -370,6 +380,33 @@ def test_qkd_small_trusted_detector_noise_is_answered(argv, capsys):
 def test_sweep_needs_a_selection(capsys):
     assert run_subcommand(["sweep"]) == 2
     assert "no sweep selected" in capsys.readouterr().err
+
+
+_FIG2_GRID = (
+    "target = qsl_squeezed\n"
+    "axis1_name = r\naxis1_start = 0.05\naxis1_stop = 0.4\naxis1_step = 0.05\n"
+    "axis2_name = t\naxis2_start = 0.2\naxis2_stop = 6.0\naxis2_step = 0.2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "preset_line, flags, keys",
+    [
+        ("preset = fig2\n", [], "target, axis1_name"),
+        ("", ["--preset", "fig4"], "target, axis1_name"),
+    ],
+    ids=["config-preset", "flag-preset"],
+)
+def test_sweep_preset_with_a_grid_is_refused(preset_line, flags, keys, tmp_path, capsys):
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(f"[sweep]\n{preset_line}{_FIG2_GRID}epsilon = 0.5\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert run_subcommand(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes no grid keys" in captured.err and keys in captured.err
+    assert captured.err.rstrip().endswith("epsilon")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -558,3 +595,21 @@ def test_selfcheck_passes_and_writes_json(tmp_path, capsys):
     assert {c["name"] for c in payload["checks"]} >= {
         "energy_order", "homodyne_counting_mc", "qkd_zero_epsilon_addendum",
     }
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The argv of every ``relqsl ...`` line in README's CLI block, continuations joined."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("relqsl ")]
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.filterwarnings("ignore:mt_squeezed", "ignore:ml_squeezed")
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_examples()
+    assert len(examples) >= 7
+    for argv in examples:
+        assert run_subcommand(argv) == 0, argv

@@ -44,7 +44,7 @@ PINNED = [
         ),
     ),
     (
-        ["trap", "--preset", "hanneke"],
+        ["trap"],
         (
             "{\n"
             '  "nu": 149000000000.0,\n'
@@ -62,6 +62,17 @@ PINNED = [
             '  "crossover_closed_s": 865.0455666694274,\n'
             '  "crossover_numeric_s": 0.022251150905136772\n'
             "}\n"
+        ),
+    ),
+    (
+        ["trap", "--format", "csv"],
+        (
+            "nu,p_lo,kappa,mass,epsilon,epsilon_source,tau,allan_shot_noise,allan_relativistic,"
+            "allan_shot_noise_1s,reference_shot_noise_1s,shot_noise_ratio,crossover_closed_s,"
+            "crossover_numeric_s\n"
+            "149000000000.0,0.001,200.0,9.1093837015e-31,1.5073770867001796e-10,derived,1.0,"
+            "1.6781277400152137e-22,2.2721856815087205e-18,1.6781277400152137e-22,5.3e-22,"
+            "3.158281621607632,865.0455666694274,0.022251150905136772\n"
         ),
     ),
     (
@@ -165,4 +176,4 @@ def test_selfcheck_seed_42_is_pinned(tmp_path, capsys, monkeypatch):
             masked, values = _split_dense(got)
             assert len(expected_values) == 11, name
             assert masked == expected, name
-            assert values == pytest.approx(expected_values, rel=1e-5), name
+            assert values == pytest.approx(expected_values, rel=1e-5, abs=0), name

@@ -9,7 +9,6 @@ from relqsl.config import ConfigError, defaults, load_config, parse_config_text
 from relqsl.homodyne_trap import ELECTRON_MASS, epsilon_from_trap
 from relqsl.presets import (
     PRESETS,
-    TRAP_PRESETS,
     Axis,
     SweepSpec,
     run_sweep,
@@ -189,7 +188,7 @@ def test_sweep_from_config_preset_and_custom():
 
 
 def test_sweep_from_config_rejections():
-    with pytest.raises(ValueError, match="either preset or target"):
+    with pytest.raises(ValueError, match="no sweep selected"):
         sweep_from_config(defaults()["sweep"])
     partial = defaults()["sweep"]
     partial.update(target="qsl_squeezed", axis1_name="r", axis1_start=0.0)
@@ -199,6 +198,10 @@ def test_sweep_from_config_rejections():
     bare["target"] = "qsl_squeezed"
     with pytest.raises(ValueError, match="no axes"):
         sweep_from_config(bare)
+    both = defaults()["sweep"]
+    both.update(preset="fig2", axis1_name="r", epsilon=0.5)
+    with pytest.raises(ValueError, match="'fig2' takes no grid keys; got axis1_name, epsilon$"):
+        sweep_from_config(both)
 
 
 def test_run_sweep_axis_major_order():
@@ -226,14 +229,17 @@ def test_preset_shapes():
     assert theta_axis.values()[-1] == pytest.approx(3.0 * math.pi / 4.0, rel=1e-12)
 
 
-def test_trap_preset_kwargs():
-    cfg, source = trap_config(TRAP_PRESETS["hanneke"])
+def test_trap_config_reads_the_trap_defaults():
+    section = defaults()["trap"]
+    cfg, source = trap_config(section)
     assert source == "derived"
     assert cfg.epsilon == epsilon_from_trap(149e9, ELECTRON_MASS)
     assert (cfg.nu, cfg.p_lo, cfg.kappa) == (149e9, 1e-3, 200.0)
-    given, source = trap_config(dict(TRAP_PRESETS["hanneke"], epsilon=1e-9))
+    given, source = trap_config(dict(section, epsilon=1e-9))
     assert source == "config"
     assert given.epsilon == 1e-9
-    # the stored preset keeps its sentinel and its tau
-    assert TRAP_PRESETS["hanneke"]["epsilon"] == 0.0
-    assert TRAP_PRESETS["hanneke"]["tau"] == 1.0
+    # the reference readout: epsilon derived from nu and the electron mass, tau 1 s
+    assert list(section.items()) == [
+        ("nu", 149e9), ("p_lo", 1e-3), ("kappa", 200.0),
+        ("epsilon", 0.0), ("mass", ELECTRON_MASS), ("tau", 1.0),
+    ]

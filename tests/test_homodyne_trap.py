@@ -209,13 +209,13 @@ def test_allan_power_laws_are_exact():
 
 def test_reference_trap_frozen_numbers():
     trap = _reference_trap()
-    assert trap.epsilon == pytest.approx(EXPECTED_TRAP["epsilon"], rel=1e-13)
+    assert trap.epsilon == pytest.approx(EXPECTED_TRAP["epsilon"], rel=1e-13, abs=0)
     assert crossover_closed(trap) == pytest.approx(EXPECTED_TRAP["crossover_closed_s"], rel=1e-12)
     assert crossover_numeric(trap) == pytest.approx(
         EXPECTED_TRAP["crossover_numeric_s"], rel=1e-9
     )
     assert allan_shot_noise(trap, 1.0) == pytest.approx(
-        EXPECTED_TRAP["allan_shot_noise_1s"], rel=1e-13
+        EXPECTED_TRAP["allan_shot_noise_1s"], rel=1e-13, abs=0
     )
     assert REFERENCE_SHOT_NOISE_1S == 5.3e-22
 
@@ -242,7 +242,9 @@ def test_one_planck_constant_for_epsilon_and_shot_noise(monkeypatch, k):
 def test_crossover_sits_between_the_branches():
     trap = _reference_trap()
     tau = crossover_numeric(trap)
-    assert allan_shot_noise(trap, tau) == pytest.approx(allan_relativistic(trap, tau), rel=1e-8)
+    assert allan_shot_noise(trap, tau) == pytest.approx(
+        allan_relativistic(trap, tau), rel=1e-8, abs=0
+    )
     # shot noise dominates before the crossover, drift after
     assert allan_shot_noise(trap, tau / 10) > allan_relativistic(trap, tau / 10)
     assert allan_shot_noise(trap, tau * 10) < allan_relativistic(trap, tau * 10)

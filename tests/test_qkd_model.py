@@ -343,7 +343,7 @@ def test_addendum_identity_and_zero_case():
     inflation = p.sigma_phi0_sq * 2.0 * p.c_factor * p.epsilon**2 * p.t_window**2
     drift = residual_drift(p)
     expected = (inflation + drift * drift) * (link.v_a + 1.0 / link.transmissivity)
-    assert delta_xi_rel(p, link) == pytest.approx(expected, rel=1e-14)
+    assert delta_xi_rel(p, link) == pytest.approx(expected, rel=1e-14, abs=0)
     off = PhaseNoiseParams(
         sigma_phi0_sq=1e-4, c_factor=3924.0, gamma=0.0, epsilon=0.0,
         t_window=2.0, t_pilot=0.5, dt=0.1,

@@ -51,6 +51,18 @@ def test_frozen_zeroth_orders():
     )
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+@pytest.mark.parametrize("alpha0", [0.5, 1.0, 2.0])
+def test_coherent_short_time_identity(alpha0, epsilon):
+    # |<psi|e^{-iHt}|psi>| = 1 - Var(H) t^2 / 2 + O(t^3), so the closed fidelity's
+    # curvature is the closed variance and the MT bound is saturated as t -> 0
+    t = 1e-3
+    curvature = 2.0 * (1.0 - coherent_fidelity_closed(alpha0, t, epsilon)) / t**2
+    variance = metrology.coherent_energy(alpha0, epsilon).variance
+    assert curvature == pytest.approx(variance, rel=1e-5, abs=0)
+    assert mt_coherent(alpha0, 1e-4, epsilon).zeroth / 1e-4 == pytest.approx(1.0, rel=0, abs=1e-7)
+
+
 def test_report_total_is_exact_sum():
     rep = mt_coherent(0.8, 2.0, 1e-3)
     assert rep.total == rep.zeroth + rep.correction

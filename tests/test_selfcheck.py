@@ -76,13 +76,13 @@ def test_discrepancies_carry_numbers_on_both_sides(report):
     assert spacing["slope_ratio"] == 32.0
 
     shot = by_name["shot_noise_reference_value"].values
-    assert shot["computed_1s"] == pytest.approx(1.6781277400152137e-22, rel=1e-12)
+    assert shot["computed_1s"] == pytest.approx(1.6781277400152137e-22, rel=1e-12, abs=0)
     assert shot["reference_1s"] == 5.3e-22
     assert shot["ratio"] == pytest.approx(shot["reference_1s"] / shot["computed_1s"], rel=1e-12)
 
     crossover = by_name["crossover_closed_vs_numeric"].values
     assert crossover["closed_s"] == pytest.approx(865.0455666694274, rel=1e-12)
-    assert crossover["ratio"] == pytest.approx(crossover["two_nu_factor"], rel=1e-9)
+    assert crossover["ratio"] == pytest.approx(crossover["two_nu_factor"], rel=1e-9, abs=0)
 
     ml = by_name["ml_normalization_variants"].values
     assert ml["angle"] == pytest.approx(math.acos(math.exp(-2.0)), rel=1e-12)

@@ -72,6 +72,18 @@ def test_squeezed_coeff_recursion_vs_closed_form():
         assert np.allclose(rec, closed, rtol=1e-13, atol=1e-300)
 
 
+def test_squeezed_coeffs_closed_at_r_zero_is_the_vacuum():
+    closed = squeezed_coeffs_closed(SqueezeSpec(0.0), 8)
+    assert closed.dtype == np.float64
+    assert closed.tolist() == squeezed_coeffs(SqueezeSpec(0.0), 8).tolist() == [1.0] + [0.0] * 7
+
+
+def test_amplitudes_are_float64():
+    pairs = squeezed_coeffs(SqueezeSpec(0.5), 8), squeezed_coeffs_closed(SqueezeSpec(0.5), 8)
+    vectors = coherent_amplitudes(CoherentSpec(1.0), DIM), squeezed_state(SqueezeSpec(0.5), DIM)
+    assert [a.dtype for a in pairs + tuple(v.amps for v in vectors)] == [np.float64] * 4
+
+
 def test_squeezed_coeffs_validation():
     with pytest.raises(ValueError):
         squeezed_coeffs(SqueezeSpec(5.0), 32)
