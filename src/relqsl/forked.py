@@ -1,17 +1,24 @@
 """One piece of work in a forked child beside the caller's own share.
 
-``run_beside(child_work, parent_work)`` forks one child that runs
-``child_work`` and sends its bytes back through a pipe, while this process
-runs ``parent_work``. Table rendering formats the first half of a large
-table this way, and selfcheck draws its homodyne Monte-Carlo counts. The
-result never depends on whether a child ran: without a second CPU, after a
-failed fork or after a nonzero child exit, ``child_work`` runs in this
-process, and whatever it raises reaches the caller.
+``write_beside(child_work, parent_work, out)`` forks one child that writes
+``child_work``'s bytes straight to ``out``, a descriptor it shares with
+this process (a file or stdout), while this process runs ``parent_work``;
+the caller appends after them. Table rendering writes the first half of a
+large table this way. ``run_beside`` passes the bytes back through an
+unnamed temporary file instead, for selfcheck's homodyne Monte-Carlo
+draws. The result never depends on whether a child ran: without a second
+CPU, after a failed fork or after a nonzero child exit, ``child_work`` runs
+in this process, and whatever it raises reaches the caller. Before that
+rerun, out is cut back to where the failed child began; an out that
+cannot seek (a pipe, a terminal) raises OSError.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
+import tempfile
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -23,52 +30,52 @@ def can_fork() -> bool:
             and len(os.sched_getaffinity(0)) > 1)
 
 
-def _child(read_fd: int, write_fd: int, work: Callable[[], bytes]):
-    """A forked child's whole life: write work's bytes to the pipe, then exit.
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
-    It first closes the read end it inherited, so the parent holds the only
-    reader: should the parent die, even by SIGKILL, the write fails with
-    EPIPE instead of blocking forever. It never returns: os._exit skips the
-    inherited stdio buffers, the atexit handlers and the caller's stack.
-    Status 1 (any exception) tells the parent to run the work itself.
+
+def write_beside(child_work: Callable[[], bytes], parent_work: Callable[[], T], out: int) -> T:
+    """parent_work(), once child_work()'s bytes are in out, written by a
+    forked child when can_fork().
+
+    The child is reaped before this returns or raises, also when
+    parent_work raises. It leaves through os._exit, past the inherited
+    stdio buffers, the atexit handlers and the caller's stack; status 1
+    (any exception) tells this process to run the work itself. Work given
+    to a child should not call BLAS: a child forked beside BLAS threads can
+    wait on a lock that no thread of its own will release.
     """
-    status = 1
+    start = pid = None
+    with contextlib.suppress(OSError):  # a pipe or a terminal cannot seek
+        start = os.lseek(out, 0, os.SEEK_CUR)
+    with contextlib.suppress(OSError):
+        pid = os.fork() if can_fork() else None
+    if pid == 0:
+        status = 1
+        try:
+            _write_all(out, child_work())
+            status = 0
+        finally:
+            os._exit(status)
     try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(work())
-        status = 0
+        mine = parent_work()
     finally:
-        os._exit(status)
+        status = os.waitpid(pid, 0)[1] if pid else 0
+    if status and start is None:
+        raise OSError(errno.ESPIPE, "a failed child's part of the output cannot be taken back")
+    if status:
+        os.ftruncate(out, start)
+        os.lseek(out, start, os.SEEK_SET)
+    if status or pid is None:
+        _write_all(out, child_work())
+    return mine
 
 
 def run_beside(child_work: Callable[[], bytes], parent_work: Callable[[], T]) -> tuple[bytes, T]:
-    """(child_work(), parent_work()), the first made in a forked child when can_fork().
-
-    The child is reaped before this returns or raises, also when
-    parent_work raises, and exits even if this process is killed. Work
-    given to the child should not call BLAS: a child forked beside BLAS
-    threads can wait on a lock that no thread of its own will release.
-    """
-    pid = None
-    if can_fork():
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-    if pid is None:
-        mine = parent_work()
-        return child_work(), mine
-    if pid == 0:
-        _child(read_fd, write_fd, child_work)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            mine = parent_work()
-            theirs = pipe.read()
-    finally:
-        # with the only read end closed, the child's write fails and it exits
-        status = os.waitpid(pid, 0)[1]
-    return (theirs if status == 0 else child_work()), mine
+    """(child_work(), parent_work()), through ``write_beside`` into an unnamed temporary file."""
+    with tempfile.TemporaryFile(buffering=0) as spool:
+        mine = write_beside(child_work, parent_work, spool.fileno())
+        spool.seek(0)
+        return spool.read(), mine

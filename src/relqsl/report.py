@@ -7,20 +7,21 @@ produce byte-identical files. A table is a numpy structured array with one
 field per column; it is formatted one column at a time, with one repr per
 distinct float64 bit pattern, and a JSON table is the same text
 json.dumps(..., indent=2) gives for its list of row objects. From 16,384
-rows on two or more CPUs a table is formatted in two halves, the first in
-one forked child, and the halves are joined in row order, so the bytes do
-not depend on the number of processes. Files are written to a temporary
-sibling and atomically renamed into place; a failed run never leaves a
-partial file.
+rows on two or more CPUs a table is formatted in two halves: a forked
+child writes the first straight into the output while this process formats
+the second and appends it, so the bytes do not depend on the number of
+processes. Files are written to a temporary sibling and atomically renamed
+into place; a failed run never leaves a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from . import forked
 from .arrays import native
 
 # Fewest rows in each half of a split table. In a process that holds the
-# 113,400-row grid (about 100 MB resident, 2 cores), a child costs about 2-4 ms
-# to fork, feed through its pipe and reap, and a row 3-4 us to format, so two
+# 113,400-row grid (about 100 MB resident, 2 cores), a child costs at most 2-4
+# ms to fork, write and reap, and a row 3-4 us to format, so two
 # processes break even near 1,000-2,000 rows a half; a half this long takes
 # about ten times that overhead, and every preset table (fig1: 7,560 rows)
 # stays in one process.
@@ -93,48 +94,56 @@ _ROW_SEPARATOR = {False: "\n", True: "\n  },\n  {\n"}
 
 
 def _format_rows(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> str:
-    """The rows as CSV lines or as JSON object bodies, joined by their separator."""
+    """The rows as CSV lines or as JSON object bodies, joined by their separator:
+    one join over a list whose slots alternate the text before a cell (lead) and the cell."""
     columns = _column_texts(header, rows, json_cells)
     if json_cells:
         # each object is '    "key": value' lines joined by ",\n" between "  {" and "  }"
-        keys = [json.dumps(name).replace("%", "%%") for name in header]
-        template = ",\n".join(f"    {key}: %s" for key in keys)
-        texts = map(template.__mod__, zip(*columns))
+        lead = [f"    {json.dumps(name)}: " for name in header]
+        lead[1:] = [",\n" + text for text in lead[1:]]
     else:
-        texts = map(",".join, zip(*columns))
-    return _ROW_SEPARATOR[json_cells].join(texts)
+        lead = ["", *[","] * (len(header) - 1)]
+    count, width = len(rows), 2 * len(header)
+    # every row but the first starts with the row separator
+    pieces = [_ROW_SEPARATOR[json_cells] + lead[0]] * (count * width)
+    pieces[0] = lead[0]
+    for j, column in enumerate(columns):
+        pieces[2 * j + 1::width] = column
+        if j:
+            pieces[2 * j::width] = [lead[j]] * count
+    return "".join(pieces)
 
 
-def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool,
-                  prefix: str, suffix: str) -> str:
-    """prefix, ``_format_rows`` of the whole table, then suffix, in one copy.
+def _splits(rows: np.ndarray) -> bool:
+    """Whether a table is formatted in two halves, the first in a forked child."""
+    return len(rows) // 2 >= MIN_ROWS_PER_PROCESS and forked.can_fork()
 
-    With two or more available CPUs and MIN_ROWS_PER_PROCESS rows in each
-    half, a forked child formats the first half while this process formats
-    the second (``forked.run_beside``). The child runs only numpy and Python
-    string work, no BLAS routine.
-    """
-    half = len(rows) // 2
-    if half < MIN_ROWS_PER_PROCESS or not forked.can_fork():
+
+def _frame(header: Sequence[str], json_cells: bool) -> tuple[str, str]:
+    """The text before and after the rows of a table with one or more rows."""
+    return ("[\n  {\n", "\n  }\n]\n") if json_cells else (",".join(header) + "\n", "\n")
+
+
+def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> str:
+    """The frame around ``_format_rows`` of the whole table, in one copy; the
+    first half of a table that ``_splits`` comes from ``forked.run_beside``."""
+    prefix, suffix = _frame(header, json_cells)
+    if not _splits(rows):
         return "".join([prefix, _format_rows(header, rows, json_cells), suffix])
-    head, tail = forked.run_beside(
-        lambda: _format_rows(header, rows[:half], json_cells).encode("utf-8"),
-        lambda: _format_rows(header, rows[half:], json_cells),
-    )
+    half = len(rows) // 2
+    head, tail = forked.run_beside(lambda: _format_rows(header, rows[:half], json_cells).encode("utf-8"),
+                                   lambda: _format_rows(header, rows[half:], json_cells))
     return "".join([prefix, head.decode("utf-8"), _ROW_SEPARATOR[json_cells], tail, suffix])
 
 
 def render_csv(header: Sequence[str], rows: np.ndarray) -> str:
     """CSV text of a table: a structured array with one field per header name."""
-    head = ",".join(header) + "\n"
-    return _format_table(header, rows, False, head, "\n") if len(rows) else head
+    return _format_table(header, rows, False) if len(rows) else ",".join(header) + "\n"
 
 
 def _render_json_table(header: Sequence[str], rows: np.ndarray) -> str:
     """The bytes of ``render_json`` for the table's list of row objects, built per column."""
-    if not len(rows):
-        return "[]\n"
-    return _format_table(header, rows, True, "[\n  {\n", "\n  }\n]\n")
+    return _format_table(header, rows, True) if len(rows) else "[]\n"
 
 
 def render_json(obj: Any) -> str:
@@ -157,56 +166,70 @@ def _new_sibling(path: str) -> tuple[int, str]:
             continue
 
 
-def write_text(path: str | None, text: str) -> None:
-    """Write atomically to path, or to stdout when no path is given.
-
-    An OSError (missing directory, a directory as path, no permission, a
-    full device) becomes an OutputError that names path or stdout, not the
-    temporary sibling. A new file gets the umask's mode and a replaced file
-    keeps its mode. After a failed stdout write, stdout's descriptor points
-    at the null device, so the bytes left in its buffer are dropped instead
-    of failing again at the next write or at interpreter exit.
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """A UTF-8 text stream on a new temporary sibling of path, renamed into
+    place when the block ends, or stdout. An OSError (missing directory, a
+    directory as path, no permission, a full device) becomes an OutputError
+    naming path or stdout, and the sibling is removed. A new file gets the
+    umask's mode, a replaced file keeps its own. After a failed stdout
+    write, stdout's descriptor points at the null device, so the bytes left
+    in its buffer are dropped, not written again at the next write or exit.
     """
-    if path is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            try:
-                stdout = sys.stdout.fileno()
-                null = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(null, stdout)
-                os.close(null)
-            except OSError:
-                pass
-            raise OutputError(f"cannot write stdout: {exc.strerror}") from None
-        return
     try:
+        if path is None:
+            try:
+                yield sys.stdout
+                sys.stdout.flush()
+            except OSError:
+                with contextlib.suppress(OSError):
+                    null = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(null, sys.stdout.fileno())
+                    os.close(null)
+                raise
+            return
         fd, tmp_path = _new_sibling(path)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            try:
+                yield handle
+            with contextlib.suppress(FileNotFoundError):
                 os.chmod(tmp_path, os.stat(path).st_mode & 0o7777)
-            except FileNotFoundError:
-                pass
             os.replace(tmp_path, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp_path)
-            except OSError:
-                pass
             raise
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+        raise OutputError(f"cannot write {'stdout' if path is None else path}: {exc.strerror}") from None
+
+
+def write_text(path: str | None, text: str) -> None:
+    """Write text atomically to path, or to stdout when no path is given (``_output``)."""
+    with _output(path) as out:
+        out.write(text)
 
 
 def emit(path: str | None, fmt: str, header: Sequence[str], rows: np.ndarray) -> None:
-    """Write a table (a structured array, one field per header name) as CSV or JSON rows."""
-    if fmt == "csv":
-        write_text(path, render_csv(header, rows))
-    else:
-        write_text(path, _render_json_table(header, rows))
+    """Write a table (a structured array, one field per header name) as CSV or JSON rows.
+
+    A table that ``_splits`` is not joined: after the prefix, a forked child
+    writes its first half through the output's descriptor
+    (``forked.write_beside``) while this process formats the second and
+    then writes the separator, its half and the suffix. A replaced
+    sys.stdout (a capture, a notebook) gets the joined text instead.
+    """
+    json_cells = fmt != "csv"
+    if not _splits(rows) or path is None and sys.stdout is not sys.__stdout__:
+        return write_text(path, (_render_json_table if json_cells else render_csv)(header, rows))
+    prefix, suffix = _frame(header, json_cells)
+    half = len(rows) // 2
+    with _output(path) as out:
+        out.write(prefix)
+        out.flush()
+        tail = forked.write_beside(
+            lambda: _format_rows(header, rows[:half], json_cells).encode(out.encoding, out.errors),
+            lambda: _format_rows(header, rows[half:], json_cells), out.fileno())
+        out.writelines([_ROW_SEPARATOR[json_cells], tail, suffix])
 
 
 @dataclass(frozen=True)

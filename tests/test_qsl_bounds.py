@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqsl import fock_core, metrology
+from relqsl.presets import PRESETS
 from relqsl.qsl_bounds import (
     BoundReport,
     coherent_fidelity_closed,
@@ -61,6 +62,14 @@ def test_coherent_short_time_identity(alpha0, epsilon):
     variance = metrology.coherent_energy(alpha0, epsilon).variance
     assert curvature == pytest.approx(variance, rel=1e-5, abs=0)
     assert mt_coherent(alpha0, 1e-4, epsilon).zeroth / 1e-4 == pytest.approx(1.0, rel=0, abs=1e-7)
+
+
+@pytest.mark.parametrize("alpha0", [0.3, 1.0, 1.7])
+def test_coherent_fidelity_at_zero_epsilon_is_the_exact_overlap(alpha0):
+    # |<alpha|alpha e^{-it}>| = exp(-|alpha|^2 |1 - e^{-it}|^2 / 2) = exp(alpha0^2 (cos t - 1))
+    for t in PRESETS["fig1"].axes[0].values().tolist():
+        exact = math.exp(alpha0 * alpha0 * (math.cos(t) - 1.0))
+        assert coherent_fidelity_closed(alpha0, t, 0.0) == pytest.approx(exact, rel=1e-15, abs=0)
 
 
 def test_report_total_is_exact_sum():

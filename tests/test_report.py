@@ -1,11 +1,15 @@
 """Deterministic table emission and the selfcheck report container."""
 
+import errno
 import json
 import math
 import os
 import random
 import signal
 import stat
+import sys
+
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from relqsl.report import (
     MIN_ROWS_PER_PROCESS,
     CheckEntry,
     DiscrepancyEntry,
+    OutputError,
     RunReport,
     emit,
     format_cell,
@@ -64,8 +69,7 @@ def test_write_text_is_atomic(tmp_path):
     target = tmp_path / "out.csv"
     write_text(str(target), "payload\n")
     assert target.read_text(encoding="utf-8") == "payload\n"
-    leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".partial-")]
-    assert leftovers == []
+    assert _partial_siblings(tmp_path) == []
 
 
 def test_write_text_gives_new_files_the_umask_mode_and_keeps_existing_modes(tmp_path):
@@ -185,18 +189,20 @@ SPLIT_SIZES = [0, 1, MIN_ROWS_PER_PROCESS - 1, MIN_ROWS_PER_PROCESS,
                2 * MIN_ROWS_PER_PROCESS - 1, 2 * MIN_ROWS_PER_PROCESS,
                2 * MIN_ROWS_PER_PROCESS + 1, 3 * MIN_ROWS_PER_PROCESS]
 SPLIT_HEADER = ("n", "x", "y", "z", "flag")
+# JSON keys that need escaping, and a '%' that a printf-style row template would have to double
+ESCAPED_HEADER = ("n %d", 'say "x"', "back\\slash", "50% y", "caf\u00e9 z")
 
 
-def _boundary_table(size: int) -> np.ndarray:
+def _boundary_table(size: int, names: Sequence[str] = SPLIT_HEADER) -> np.ndarray:
     """Seeded floats, with -0.0/0.0, two nan payloads and -inf/inf on the two
-    rows beside the boundary between the halves."""
+    rows beside the boundary between the halves; fields named by names."""
     values = np.random.default_rng(size).standard_normal((3, size))
     before = (-0.0, *NAN_PAYLOADS.view(np.float64)[:1].tolist(), math.inf)
     after = (0.0, *NAN_PAYLOADS.view(np.float64)[1:].tolist(), -math.inf)
     for row, specials in ((size // 2 - 1, before), (size // 2, after)):
         if 0 <= row < size:
             values[:, row] = specials
-    return np.rec.fromarrays([np.arange(size), *values, values[0] > 0], names=SPLIT_HEADER)
+    return np.rec.fromarrays([np.arange(size), *values, values[0] > 0], names=list(names))
 
 
 def _set_cpus(monkeypatch, cpus: int) -> None:
@@ -206,6 +212,16 @@ def _set_cpus(monkeypatch, cpus: int) -> None:
 def _assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _set_stdout(monkeypatch, stream) -> None:
+    """Make stream the interpreter's own stdout, which emit streams into."""
+    monkeypatch.setattr(sys, "stdout", stream)
+    monkeypatch.setattr(sys, "__stdout__", stream)
+
+
+def _partial_siblings(directory) -> list[str]:
+    return [name for name in os.listdir(directory) if name.startswith(".partial-")]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -220,9 +236,26 @@ def test_split_table_matches_one_process_output(size, fmt, monkeypatch, tmp_path
         _set_cpus(monkeypatch, cpus)
         forks.clear()
         emit(str(tmp_path / str(cpus)), fmt, SPLIT_HEADER, table)
+        with open(tmp_path / f"stdout{cpus}", "w", encoding="utf-8", newline="\n") as stdout:
+            _set_stdout(monkeypatch, stdout)
+            emit(None, fmt, SPLIT_HEADER, table)
         _assert_no_child_left()
-        assert len(forks) == (cpus > 1 and size >= 2 * MIN_ROWS_PER_PROCESS)
+        assert len(forks) == 2 * (cpus > 1 and size >= 2 * MIN_ROWS_PER_PROCESS)
         assert (tmp_path / str(cpus)).read_bytes() == want
+        assert (tmp_path / f"stdout{cpus}").read_bytes() == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", [1, 2 * MIN_ROWS_PER_PROCESS + 1])
+def test_header_that_needs_escaping(size, fmt, monkeypatch, tmp_path):
+    table = _boundary_table(size, ESCAPED_HEADER)
+    want = _reference_tables(ESCAPED_HEADER, table.tolist())[fmt == "json"].encode("utf-8")
+    if fmt == "json":
+        assert b'"say \\"x\\""' in want and b'"back\\\\slash"' in want and b'"caf\\u00e9 z"' in want
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        emit(str(tmp_path / "table"), fmt, ESCAPED_HEADER, table)
+        assert (tmp_path / "table").read_bytes() == want
 
 
 def _one_process_and_split(monkeypatch, fmt: str) -> tuple[str, str]:
@@ -252,6 +285,75 @@ def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypa
     assert got == want
     assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
     _assert_no_child_left()
+
+
+def _fails_in_the_child_after_one_chunk(monkeypatch) -> None:
+    """Make a child's first os.write write 4096 bytes and its second raise."""
+    parent, write = os.getpid(), os.write
+    written = []
+
+    def write_once(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        if written:
+            raise OSError(errno.ENOSPC, "device full after the first chunk")
+        written.append(write(fd, data[:4096]))
+        return written[0]
+
+    monkeypatch.setattr(os, "write", write_once)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fails_after_writing", [False, True])
+def test_file_whose_child_fails_is_cut_back_and_finished_in_process(fails_after_writing, fmt,
+                                                                   monkeypatch, tmp_path):
+    table = _boundary_table(2 * MIN_ROWS_PER_PROCESS + 1)
+    want = _reference_tables(SPLIT_HEADER, table.tolist())[fmt == "json"].encode("utf-8")
+    parent, column_texts = os.getpid(), report._column_texts
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter fails in the child")
+        return column_texts(*args)
+
+    if fails_after_writing:
+        _fails_in_the_child_after_one_chunk(monkeypatch)
+    else:
+        monkeypatch.setattr(report, "_column_texts", fails_in_a_child)
+    statuses = []
+    waitpid = os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda *a: statuses.append(waitpid(*a)) or statuses[-1])
+    cuts, ftruncate = [], os.ftruncate
+
+    def recorded_cut(fd, length):
+        cuts.append(os.fstat(fd).st_size)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", recorded_cut)
+    _set_cpus(monkeypatch, 2)
+    emit(str(tmp_path / "table"), fmt, SPLIT_HEADER, table)
+    assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
+    # the file held the prefix, and also the child's first chunk when it failed after writing
+    prefix = len(want.split(b"\n", 1)[0]) + 1 if fmt == "csv" else len("[\n  {\n")
+    assert cuts == [prefix + 4096 * fails_after_writing]
+    assert (tmp_path / "table").read_bytes() == want
+    assert _partial_siblings(tmp_path) == []
+    _assert_no_child_left()
+
+
+def test_stdout_that_cannot_seek_refuses_a_failed_childs_partial_half(monkeypatch):
+    read_fd, write_fd = os.pipe()
+    _fails_in_the_child_after_one_chunk(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    with open(read_fd, "rb") as pipe, open(write_fd, "w", encoding="utf-8") as stdout:
+        _set_stdout(monkeypatch, stdout)
+        with pytest.raises(OutputError, match="cannot write stdout: .*cannot be taken back"):
+            emit(None, "csv", SPLIT_HEADER, _boundary_table(2 * MIN_ROWS_PER_PROCESS))
+        _assert_no_child_left()
+        # the failed write pointed the descriptor at the null device
+        assert os.fstat(write_fd).st_rdev == os.stat(os.devnull).st_rdev
+        stdout.close()
+        assert pipe.read().startswith(b"n,x,y,z,flag\n0,")
 
 
 def _alarm(signum, frame):
