@@ -13,24 +13,35 @@ an odd-n block, and one parity solve serves both solvers: ``diagonalize``
 slices the blocks from the dense ``build_hamiltonian`` matrix (after
 checking that every even-odd entry is zero) and returns the full
 eigenbasis; ``lowest_levels`` builds each block from the closed-form band
-and keeps only the lowest levels. Energy moments of a state are read off
-the eigenvalues by ``SpectralDecomposition.moments``.
+and keeps only the lowest levels. From ``MIN_FORK_DIM`` on two or more
+CPUs the two blocks are solved in two processes: a forked child solves the
+even block and sends back its kept eigenpairs as bytes while this process
+solves the odd one, so the result is bit for bit that of the in-process
+solve. Energy moments of a state are read off the eigenvalues by
+``SpectralDecomposition.moments``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
+from . import forked
+
 MIN_DIM = 8
-# lowest_levels solves one (dim/2) x (dim/2) parity block at a time: the block,
+# Each process solves one (dim/2) x (dim/2) parity block at a time: the block,
 # numpy's copy, its eigenvectors and the ?syevd workspace, about 10 * dim**2
-# bytes plus the first block's kept vectors; at dim 4096, peak RSS above baseline
-# measured 10.4 * dim**2 (count 11) and 11.4 * dim**2 (count dim/4 + 1, spectrum's most).
+# bytes plus the first block's kept vectors; at dim 4096, in one process, peak
+# RSS above baseline measured 10.4 * dim**2 (count 11) and 11.4 * dim**2 (count
+# dim/4 + 1, spectrum's most). A forked solve holds the two blocks at once, one
+# in each process, so it needs twice this within the budget (see ``_forks``).
 SOLVE_BYTES_PER_DIM2 = 12
 # Its verification holds three dim x count arrays and a count x count Gram
 # matrix: at dim 2048, 25.7 * dim * count at count = dim and at most 32.6 where
@@ -38,8 +49,18 @@ SOLVE_BYTES_PER_DIM2 = 12
 _VERIFY_BYTES_PER_DIM_COUNT = 34
 SOLVE_BUDGET_BYTES = 3 * 1024**3
 MAX_DIM = math.isqrt(SOLVE_BUDGET_BYTES // SOLVE_BYTES_PER_DIM2)
-# Lower band rows of H: the quartic term couples n to n+-4.
-BAND_ROWS = 5
+# From this dim, on two or more CPUs, a forked child solves the even block while
+# this process solves the odd one (``_forks``). On 2 cores with OpenBLAS on 1
+# thread, warm in one process (median of 21 alternating calls), the fork lost at
+# dim 448 (diagonalize 10.0 -> 10.9 ms) and won from dim 512 (15.4 -> 14.7 ms).
+# A cold `relqsl spectrum --nmax dim/4` job also pays the child's first touch of
+# its workspace (median of 10): it lost at dim 512 (93.3 -> 94.3 ms), tied at
+# 576 (95.7 -> 95.6 ms) and won from 640 (98.5 -> 97.5 ms; 130.3 -> 116.4 ms
+# at dim 1024).
+MIN_FORK_DIM = 640
+# Stored diagonals of H, at offsets 0, 2 and 4: the quartic term couples n to
+# n+-4, and parity zeroes the odd offsets.
+BAND_ROWS = 3
 EPSILON_WARN_THRESHOLD = 0.1
 HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
@@ -203,18 +224,24 @@ def _parity_solve(dim: int, count: int,
     """Lowest ``count`` eigenpairs of a parity-conserving H, ascending, as full-length vectors.
 
     ``block(parity)`` returns H on the levels n = parity (mod 2), of which
-    ``eigh`` reads the lower triangle. The blocks are built and solved one
-    at a time, the lowest ``count`` pairs of each are kept, and the two sets
-    are merged in ascending order (even first on a tie) and scattered back
-    to full-length vectors.
+    ``eigh`` reads the lower triangle. Each block is built and solved, and
+    the lowest ``count`` pairs of each are kept: where ``_forks(dim)``, the
+    even block in a forked child (``forked.run_beside``) that sends them back
+    as bytes while this process solves the odd one, and otherwise both in
+    this process, one after the other. The two sets are merged in ascending
+    order (even first on a tie) and scattered back to full-length vectors.
     """
-    kept = []
-    for parity in (0, 1):
-        w, v = np.linalg.eigh(block(parity))
-        keep = min(count, w.size)
-        kept.append((w[:keep], v[:, :keep].copy()))  # a copy frees the block's other vectors
-        del w, v
-    (w_even, v_even), (w_odd, v_odd) = kept
+    if _forks(dim):
+        data, (w_odd, v_odd) = forked.run_beside(
+            lambda: b"".join(a.tobytes() for a in _solve_block(block(0), count)),
+            lambda: _solve_block(block(1), count))
+        size = (dim + 1) // 2
+        keep = min(count, size)
+        w_even = np.frombuffer(data, w_odd.dtype, keep)
+        v_even = np.frombuffer(data, v_odd.dtype, offset=w_even.nbytes).reshape(size, keep)
+    else:
+        w_even, v_even = _solve_block(block(0), count)
+        w_odd, v_odd = _solve_block(block(1), count)
     w = np.concatenate([w_even, w_odd])
     order = np.argsort(w, kind="stable")[:count]
     odd = order >= w_even.size
@@ -222,6 +249,55 @@ def _parity_solve(dim: int, count: int,
     v[0::2, ~odd] = v_even[:, order[~odd]]
     v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
     return w[order], v
+
+
+def _forks(dim: int) -> bool:
+    """Whether the even block is solved in a forked child while this process solves the odd.
+
+    Only from ``MIN_FORK_DIM``, while two blocks' workspace fits the budget
+    (dim <= 11,585), where ``forked.can_fork()``, and while BLAS runs one
+    thread: two processes that each run BLAS threads on the same cores
+    oversubscribe them (at dim 1024 on 2 cores, with OpenBLAS on 2 threads,
+    ``lowest_levels`` took 3.9 s forked against 40 ms in one process).
+    """
+    return (MIN_FORK_DIM <= dim and 2 * SOLVE_BYTES_PER_DIM2 * dim * dim <= SOLVE_BUDGET_BYTES
+            and forked.can_fork() and _blas_threads() == 1)
+
+
+# (restype, argtypes) of the OpenBLAS functions looked up by ``_openblas``
+_OPENBLAS_SIGNATURES = {
+    "get_num_threads": (ctypes.c_int, []),
+    "set_num_threads": (None, [ctypes.c_int]),
+}
+
+
+@functools.cache
+def _openblas(name: str) -> Any:
+    """The function ``name`` of the OpenBLAS that numpy's wheel bundles, or None where
+    there is none; numpy 2 bundles scipy-openblas, numpy 1 OpenBLAS with 64-bit ints."""
+    import glob  # only a solve that may fork looks for the library
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)  # the copy numpy loaded: dlopen finds it by its file
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, symbol):
+                function = getattr(lib, symbol)
+                function.restype, function.argtypes = _OPENBLAS_SIGNATURES[name]
+                return function
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads that numpy's BLAS runs now, or None where that cannot be read."""
+    get = _openblas("get_num_threads")
+    return None if get is None else get()
+
+
+def _solve_block(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest ``count`` (at most all) eigenpairs of one block, the vectors C-ordered."""
+    w, v = np.linalg.eigh(h)
+    keep = min(count, w.size)
+    return w[:keep], v[:, :keep].copy()  # a copy frees the block's other vectors
 
 
 def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float) -> None:
@@ -246,8 +322,8 @@ def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float
 def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
     """Lower band of the truncated H of ``build_hamiltonian``, for a solve of ``count`` levels.
 
-    Row k holds the k-th subdiagonal, ``band[k, j] = H[j + k, j]`` (LAPACK
-    lower band storage; rows 1 and 3 are zero by parity). The diagonals are
+    Row k holds the subdiagonal at offset 2k, ``band[k, j] = H[j + 2k, j]``;
+    the odd offsets are zero by parity and not stored. The diagonals are
     closed-form products of the truncated quadratures x and q, where p = i q,
     so p^2 = -q^2 and p^4 = q^2 q^2 keep the truncation edge of the dense
     build. epsilon is checked by the caller, so that the large-epsilon
@@ -275,24 +351,24 @@ def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
     # x^2 - q^2 is diagonal, -2d; q^4 = q^2 q^2 reaches the fourth off-diagonal.
     band = np.zeros((BAND_ROWS, dim))
     band[0] = -d - epsilon * (d * d + s_prev * s_prev + s * s) / 8.0
-    band[2] = -epsilon * s * (d + d_next) / 8.0
-    band[4] = -epsilon * s * s_next / 8.0
+    band[1] = -epsilon * s * (d + d_next) / 8.0
+    band[2] = -epsilon * s * s_next / 8.0
     return band
 
 
 def _band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Return H @ v for the symmetric H whose lower band is ``band``."""
     out = band[0][:, None] * v
-    for k in range(1, band.shape[0]):
-        diag = band[k, :-k, None]
+    for k in range(2, 2 * band.shape[0], 2):
+        diag = band[k // 2, :-k, None]
         out[k:] += diag * v[:-k]
         out[:-k] += diag * v[k:]
     return out
 
 
 def _band_block(band: np.ndarray, parity: int) -> np.ndarray:
-    """H on the levels n = parity (mod 2), filled from band rows 0, 2 and 4 on its lower triangle."""
-    rows = band[::2, parity::2]
+    """H on the levels n = parity (mod 2), filled from the band rows on its lower triangle."""
+    rows = band[:, parity::2]
     size = rows.shape[1]
     block = np.zeros((size, size))
     for k, row in enumerate(rows):

@@ -6,11 +6,12 @@ this process (a file or stdout), while this process runs ``parent_work``;
 the caller appends after them. Table rendering writes the first half of a
 large table this way. ``run_beside`` passes the bytes back through an
 unnamed temporary file instead, for selfcheck's homodyne Monte-Carlo
-draws. The result never depends on whether a child ran: without a second
-CPU, after a failed fork or after a nonzero child exit, ``child_work`` runs
-in this process, and whatever it raises reaches the caller. Before that
-rerun, out is cut back to where the failed child began; an out that
-cannot seek (a pipe, a terminal) raises OSError.
+draws and for the even parity block of a large Fock solve. The result
+never depends on whether a child ran: without a second CPU, after a failed
+fork or after a nonzero child exit, ``child_work`` runs in this process,
+and whatever it raises reaches the caller. Before that rerun, out is cut
+back to where the failed child began; an out that cannot seek (a pipe, a
+terminal) raises OSError.
 """
 
 from __future__ import annotations
@@ -44,8 +45,11 @@ def write_beside(child_work: Callable[[], bytes], parent_work: Callable[[], T], 
     parent_work raises. It leaves through os._exit, past the inherited
     stdio buffers, the atexit handlers and the caller's stack; status 1
     (any exception) tells this process to run the work itself. Work given
-    to a child should not call BLAS: a child forked beside BLAS threads can
-    wait on a lock that no thread of its own will release.
+    to a child may call numpy's BLAS and LAPACK: numpy's OpenBLAS runs its
+    threads on pthreads and shuts its pool down before a fork, so the child
+    starts a pool of its own. A BLAS built with OpenMP is not covered: a
+    child forked after an OpenMP parallel region can wait on threads that
+    do not exist in it.
     """
     start = pid = None
     with contextlib.suppress(OSError):  # a pipe or a terminal cannot seek

@@ -14,6 +14,7 @@ and are flagged in the report.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from collections.abc import Sequence
@@ -35,6 +36,9 @@ FIDELITY_TIMES = (1.0, 2.5)
 MC_SHOTS = 1_000_000
 MC_ROTATION_SAMPLES = 200_000
 Z_LIMIT = 3.0
+# r and t of the squeezed short-time identity discrepancy
+SHORT_TIME_R = (0.2, 0.5, 1.0)
+HALF_CLOCK_TIMES = (0.5, 1.3, 2.9)
 
 
 def _halving(diffs: dict[float, np.ndarray], cap: bool) -> tuple[np.ndarray, bool]:
@@ -446,6 +450,32 @@ def _discrepancies() -> list[DiscrepancyEntry]:
                 "variant_pi": math.pi * s_angle * s_angle / mean_energy,
                 "variant_pi_half": math.pi * s_angle * s_angle / (2.0 * mean_energy),
             },
+        )
+    )
+
+    # |<psi|e^{-iHt}|psi>| = 1 - Var(H) t^2 / 2 + O(t^3) for any pure state
+    t = 1e-3
+    identity = {}
+    for r in SHORT_TIME_R:
+        curvature = 2.0 * (1.0 - qsl_bounds.squeezed_fidelity_closed(r, t, 0.0)) / (t * t)
+        identity[f"var_over_curvature_r{r}"] = metrology.squeezed_energy(r, 0.0).variance / curvature
+        identity[f"mt_zeroth_over_t_r{r}"] = qsl_bounds.mt_squeezed(r, t, 0.0).zeroth / t
+        identity[f"half_clock_diff_r{r}"] = max(
+            abs(qsl_bounds.squeezed_fidelity_closed(r, at, 0.0)
+                - abs(math.cosh(r) ** 2 - math.sinh(r) ** 2 * cmath.exp(-1j * at)) ** -0.5)
+            for at in HALF_CLOCK_TIMES
+        )
+    entries.append(
+        DiscrepancyEntry(
+            name="squeezed_short_time_identity",
+            detail=(
+                "at eps = 0 the squeezed variance over the closed fidelity's curvature "
+                "2(1 - F)/t^2 at t = 1e-3 reads 4 and mt_squeezed's zeroth/t reads 1/2 "
+                "where the short-time identity gives 1 and 1: the closed fidelity at t is "
+                "the exact overlap |cosh^2 r - sinh^2 r e^{-2it}|^{-1/2} at t/2 "
+                "(half_clock_diff, largest over t = 0.5, 1.3, 2.9)"
+            ),
+            values=identity,
         )
     )
     return entries

@@ -153,11 +153,13 @@ def test_flags_are_generated_from_the_schema():
                 assert action.option_strings == ["--" + action.dest.replace("_", "-")]
 
 
+@pytest.mark.usefixtures("no_child_left")
 def test_domain_error_exits_one(capsys):
     assert run_subcommand(["spectrum", "--nmax", "100", "--dim", "256"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("no_child_left")
 def test_spectrum_dim_over_memory_budget_refused(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("the solver must not be reached")
@@ -297,6 +299,24 @@ def _seeded_grid_config(path, seed: int) -> None:
         lines += [f"axis{i}_name = {name}", f"axis{i}_start = {start!r}",
                   f"axis{i}_stop = {start + (count - 1) * step!r}", f"axis{i}_step = {step!r}"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.usefixtures("no_child_left", "one_blas_thread")
+def test_spectrum_bytes_do_not_depend_on_the_fork(monkeypatch, capsys):
+    """On two CPUs spectrum at dim 1024 solves the even block in a forked child,
+    and prints what it prints on one CPU."""
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for fmt in ("csv", "json"):
+            argv = ["spectrum", "--dim", "1024", "--nmax", "256", "--epsilon", "2e-3", "--format", fmt]
+            assert run_subcommand(argv) == 0
+            outputs[cpus, fmt] = capsys.readouterr().out
+    assert len(forks) == 2
+    for fmt in ("csv", "json"):
+        assert outputs[1, fmt] == outputs[2, fmt]
 
 
 @pytest.mark.parametrize(

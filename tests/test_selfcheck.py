@@ -41,6 +41,7 @@ EXPECTED_DISCREPANCY_NAMES = {
     "shot_noise_reference_value",
     "crossover_closed_vs_numeric",
     "ml_normalization_variants",
+    "squeezed_short_time_identity",
 }
 
 
@@ -90,6 +91,14 @@ def test_discrepancies_carry_numbers_on_both_sides(report):
     assert ml["adopted"] == pytest.approx(0.8740164088960273, rel=1e-12)
     assert ml["adopted"] != ml["variant_half"]
     assert ml["variant_pi"] == pytest.approx(4.0 * ml["variant_pi_half"] / 2.0, rel=1e-12)
+
+    # the closed squeezed fidelity runs on half the clock of the short-time identity
+    identity = by_name["squeezed_short_time_identity"].values
+    assert len(identity) == 9
+    for r in (0.2, 0.5, 1.0):
+        assert identity[f"var_over_curvature_r{r}"] == pytest.approx(4.0, rel=1e-5, abs=0)
+        assert identity[f"mt_zeroth_over_t_r{r}"] == pytest.approx(0.5, rel=1e-5, abs=0)
+        assert identity[f"half_clock_diff_r{r}"] <= 1e-15
 
 
 def test_config_echo_carries_defaults(report):
