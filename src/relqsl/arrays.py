@@ -35,6 +35,9 @@ import numpy as np
 Grid = float | np.ndarray
 # a correction above this fraction of its zeroth order makes first order doubtful
 VALIDITY_FRACTION = 0.5
+# the memory one job may hold: a Fock solve (fock_core) and a sweep grid
+# (presets) are both held to it
+SOLVE_BUDGET_BYTES = 3 * 1024**3
 
 
 def as_arrays(*values: Any) -> tuple[np.ndarray, ...]:

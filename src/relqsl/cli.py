@@ -7,23 +7,22 @@ with --out, to an atomically written file. Exit codes: 0 success, 1 domain
 or check failure, 2 usage, flag or config error, or an --out path or
 stdout that cannot be written. Warnings reach stderr as one
 ``warning: <message>`` line each.
+
+Other relqsl modules are reached by module attribute and numpy is imported
+where a handler builds a table, so a command executes only the modules it
+calls (see the package docstring): ``--version`` and ``--help`` load no
+numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 from typing import Any, Callable
 
-import numpy as np
-
-from . import __version__, config, homodyne_trap, metrology, perturbation
-from . import fock_core, presets, qkd_model
-from .config import ConfigError
-from .report import OutputError, emit, render_json, write_text
-from .selfcheck import run_selfcheck
+from . import __version__, config, fock_core, homodyne_trap, metrology, perturbation
+from . import presets, qkd_model, report, selfcheck
 
 
 def _seed_type(text: str) -> int:
@@ -59,6 +58,8 @@ def _merged(section: str, args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    import numpy as np
+
     params = _merged("spectrum", args)
     nmax, eps, dim = params["nmax"], params["epsilon"], params["dim"]
     if nmax > dim // 4:
@@ -71,14 +72,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     closed = perturbation.energy(n, eps)
     header = ("n", "energy_closed", "energy_exact", "residual")
     table = np.rec.fromarrays([n, closed, exact, exact - closed], names=header)
-    emit(args.out, args.format or "csv", header, table)
+    report.emit(args.out, args.format or "csv", header, table)
     return 0
 
 
 def _emit_row(args: argparse.Namespace, row: dict[str, Any]) -> None:
     """Write one row whose keys are the header, in the requested format (csv by default)."""
+    import numpy as np
+
     table = np.rec.fromarrays([[value] for value in row.values()], names=list(row))
-    emit(args.out, args.format or "csv", list(row), table)
+    report.emit(args.out, args.format or "csv", list(row), table)
 
 
 def _cmd_qsl(args: argparse.Namespace) -> int:
@@ -140,7 +143,7 @@ def _cmd_trap(args: argparse.Namespace) -> int:
     }
     fmt = args.format or "json"
     if fmt == "json":
-        write_text(args.out, render_json(values))
+        report.write_text(args.out, report.render_json(values))
     else:
         _emit_row(args, values)
     return 0
@@ -151,6 +154,8 @@ _QKD_NOISE_COLUMNS = ("predictor", "epsilon")
 
 
 def _cmd_qkd(args: argparse.Namespace) -> int:
+    import dataclasses
+
     params = _merged("qkd", args)
     # every dataclass field is read from the [qkd] key of the same name
     link, noise = (
@@ -167,18 +172,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = presets.sweep_from_config(_merged("sweep", args))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise config.ConfigError(str(exc)) from None
     header, rows = presets.run_sweep(spec)
-    emit(args.out, args.format or "csv", header, rows)
+    report.emit(args.out, args.format or "csv", header, rows)
     return 0
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    report = run_selfcheck(args.seed)
-    write_text(None, report.render_text())
+    result = selfcheck.run_selfcheck(args.seed)
+    report.write_text(None, result.render_text())
     if args.out is not None:
-        write_text(args.out, render_json(report.to_json_obj()))
-    return 0 if report.passed else 1
+        report.write_text(args.out, report.render_json(result.to_json_obj()))
+    return 0 if result.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,10 +233,10 @@ def run_subcommand(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OutputError as exc:
+    except report.OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

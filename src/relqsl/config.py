@@ -9,26 +9,39 @@ silently fall back to a default.
 `SCHEMA` is also the only description of the command-line flags: the CLI
 generates one flag per key and passes its value through the same
 `parse_value` check, so a flag and a config line are rejected alike.
+
+The module is stdlib-only, so building the parser executes no physics
+module. The names the schema shares with the physics (sweep parameter
+domains, qkd detection and predictor kinds, the electron mass) are defined
+here and imported from here; the preset and target names are read from
+``presets`` only when such a value is parsed.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, NamedTuple
 
-from .homodyne_trap import ELECTRON_MASS
-from .presets import PRESETS, SWEEP_PARAM_DOMAINS, SWEEP_PARAM_NAMES, TARGETS
-from .qkd_model import DETECTION_KINDS, PREDICTOR_KINDS
+ELECTRON_MASS = 9.1093837015e-31  # kg
+DETECTION_KINDS = frozenset({"homodyne", "heterodyne"})
+PREDICTOR_KINDS = frozenset({"zoh", "linear"})
+# Axis and fixed-parameter names a sweep may use, each with its domain (a check
+# and its description); a SweepSpec checks that the chosen target consumes
+# exactly these. An axis checks its start, a SweepSpec its fixed values.
+SWEEP_PARAM_DOMAINS: dict[str, tuple[Callable[[float], bool], str]] = {
+    "t": (lambda v: v > 0, "t > 0"),
+    **{name: (lambda v: v >= 0, f"{name} >= 0") for name in ("alpha0_sq", "r", "epsilon", "alpha_sq")},
+    "theta": (lambda v: True, ""),
+}
+SWEEP_PARAM_NAMES = tuple(SWEEP_PARAM_DOMAINS)
 
 
 class ConfigError(Exception):
     """Raised for malformed, unknown, mistyped or out-of-range config input."""
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     parse: Callable[[str], Any]
     default: Any
     check: Callable[[Any], bool] = lambda _: True
@@ -60,15 +73,28 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _choice(*options: str) -> Callable[[str], str]:
-    allowed = frozenset(options)
+def _choice_of(options: Callable[[], Iterable[str]]) -> Callable[[str], str]:
+    """Parser for one of ``options()``, which is read only when a value is parsed."""
 
     def parse(text: str) -> str:
+        allowed = sorted(options())
         if text not in allowed:
-            raise ValueError(f"expected one of {sorted(allowed)}, got {text!r}")
+            raise ValueError(f"expected one of {allowed}, got {text!r}")
         return text
 
     return parse
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    return _choice_of(lambda: options)
+
+
+def _presets() -> Any:
+    """The presets module, imported only here: it imports this module, and
+    its presets and targets are numpy objects."""
+    from . import presets
+
+    return presets
 
 
 def _nonneg(v: float) -> bool:
@@ -139,8 +165,8 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "predictor": FieldSpec(_choice(*PREDICTOR_KINDS), "zoh"),
     },
     "sweep": {
-        "preset": FieldSpec(_choice(*PRESETS), None),
-        "target": FieldSpec(_choice(*TARGETS), None),
+        "preset": FieldSpec(_choice_of(lambda: _presets().PRESETS), None),
+        "target": FieldSpec(_choice_of(lambda: _presets().TARGETS), None),
         **_AXIS_FIELDS,
         # fixed values for parameters not swept over
         **{

@@ -34,6 +34,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import forked
+from .arrays import SOLVE_BUDGET_BYTES
 
 MIN_DIM = 8
 # Each process solves one (dim/2) x (dim/2) parity block at a time: the block,
@@ -47,7 +48,6 @@ SOLVE_BYTES_PER_DIM2 = 12
 # matrix: at dim 2048, 25.7 * dim * count at count = dim and at most 32.6 where
 # that exceeds 12 * dim**2. A solve over budget by either term is refused.
 _VERIFY_BYTES_PER_DIM_COUNT = 34
-SOLVE_BUDGET_BYTES = 3 * 1024**3
 MAX_DIM = math.isqrt(SOLVE_BUDGET_BYTES // SOLVE_BYTES_PER_DIM2)
 # From this dim, on two or more CPUs, a forked child solves the even block while
 # this process solves the odd one (``_forks``). On 2 cores with OpenBLAS on 1

@@ -7,7 +7,9 @@ deviation and locates their crossover.
 
 Everything upstream of this module works in natural units; SI constants and
 unit conversion live here and nowhere else, so there is a single boundary
-where dimensions can go wrong.
+where dimensions can go wrong. The one exception is the electron mass, the
+default of the trap's mass parameter: the stdlib-only ``config`` schema
+defines it and this module re-exports it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Callable
 import numpy as np
 
 from .arrays import require_finite
+from .config import ELECTRON_MASS
 
 PLANCK_H = 6.62607015e-34  # J s, exact by definition
 SPEED_OF_LIGHT = 299792458.0  # m / s, exact by definition
-ELECTRON_MASS = 9.1093837015e-31  # kg
 
 #: Widely quoted one-second shot-noise Allan deviation for the reference
 #: 149 GHz / 1 mW trap readout. The closed form below gives a value about

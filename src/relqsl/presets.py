@@ -16,29 +16,18 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import metrology, qsl_bounds
-from .arrays import Grid
-from .fock_core import SOLVE_BUDGET_BYTES
-from .homodyne_trap import TrapConfig, epsilon_from_trap
+from . import homodyne_trap, metrology, qsl_bounds
+from .arrays import SOLVE_BUDGET_BYTES, Grid
+from .config import SWEEP_PARAM_DOMAINS, SWEEP_PARAM_NAMES
 
 MAX_AXES = 3
-# A grid job peaks below 1 KiB a point, so grids are held to fock_core's
+# A grid job peaks below 1 KiB a point, so grids are held to the job memory
 # budget. The 113,400-point qsl_coherent grid, as ru_maxrss of one
 # `relqsl sweep` spawned from a small parent (2 CPUs, so it formats in two
 # processes): 94 MB as JSON, 65 MB over the interpreter's 29 MB; 72 MB as
 # CSV. On one CPU: 130 MB and 106 MB.
 GRID_BYTES_PER_POINT = 1024
 MAX_GRID_POINTS = SOLVE_BUDGET_BYTES // GRID_BYTES_PER_POINT
-
-# Axis and fixed-parameter names a sweep may use, each with its domain (a check
-# and its description); SweepSpec checks that the chosen target consumes
-# exactly these. An axis checks its start, a SweepSpec its fixed values.
-SWEEP_PARAM_DOMAINS: dict[str, tuple[Callable[[float], bool], str]] = {
-    "t": (lambda v: v > 0, "t > 0"),
-    **{name: (lambda v: v >= 0, f"{name} >= 0") for name in ("alpha0_sq", "r", "epsilon", "alpha_sq")},
-    "theta": (lambda v: True, ""),
-}
-SWEEP_PARAM_NAMES = tuple(SWEEP_PARAM_DOMAINS)
 # A point start + k * step counts as within stop up to a relative float noise
 # of 1 / AXIS_NOISE in (stop - start) / step: fig1's alpha0_sq ratio is
 # 28.999999999999996, and the 30th point is meant.
@@ -219,7 +208,7 @@ PRESETS: dict[str, SweepSpec] = {
 }
 
 
-def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
+def trap_config(params: dict[str, Any]) -> tuple[homodyne_trap.TrapConfig, str]:
     """The TrapConfig for trap parameters, and where its epsilon came from.
 
     ``params`` is a resolved [trap] section; tau is not part of the config
@@ -228,8 +217,8 @@ def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
     """
     epsilon, source = params["epsilon"], "config"
     if epsilon == 0.0:
-        epsilon, source = epsilon_from_trap(params["nu"], params["mass"]), "derived"
-    return TrapConfig(params["nu"], params["p_lo"], params["kappa"], epsilon), source
+        epsilon, source = homodyne_trap.epsilon_from_trap(params["nu"], params["mass"]), "derived"
+    return homodyne_trap.TrapConfig(params["nu"], params["p_lo"], params["kappa"], epsilon), source
 
 
 def sweep_from_config(section: dict[str, Any]) -> SweepSpec:

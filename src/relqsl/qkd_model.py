@@ -16,14 +16,12 @@ path against an arbitrary-precision twin of the whole covariance algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .arrays import require_finite
-
-DETECTION_KINDS = frozenset({"homodyne", "heterodyne"})
-PREDICTOR_KINDS = frozenset({"zoh", "linear"})
+from .config import DETECTION_KINDS, PREDICTOR_KINDS
 
 _PHYS_TOL = 1e-9
 
@@ -117,12 +115,17 @@ def delta_xi_rel(p: PhaseNoiseParams, link: QkdLinkParams) -> float:
     term is delta_xi_phase applied to the inflation of the estimator variance
     sigma_phi0^2 [1 + 2 C eps^2 t^2], formed directly so that it does not
     cancel against sigma_phi0^2; the second is the squared uncompensated drift.
+    A result that is not finite (an overflow, or 0 * inf) is refused with a
+    ValueError that names the phase-noise and link inputs.
     """
     inflation = p.sigma_phi0_sq * (
         2.0 * p.c_factor * p.epsilon * p.epsilon * p.t_window * p.t_window
     )
     drift = residual_drift(p)
-    return (inflation + drift * drift) * (link.v_a + 1.0 / link.transmissivity)
+    value = (inflation + drift * drift) * (link.v_a + 1.0 / link.transmissivity)
+    inputs = {**asdict(p), "v_a": link.v_a, "transmissivity": link.transmissivity}
+    require_finite("delta_xi_rel", inputs, "result {!r} is", value)
+    return value
 
 
 def mutual_information(link: QkdLinkParams, chi_tot: float) -> float:

@@ -7,6 +7,8 @@ tests call it. References are read from the syntax tree (names and
 attribute accesses), so a mention in a docstring or a string does not count.
 The refusal of a non-finite result and the first-order validity warning are
 each worded once, in ``arrays``, and the syntax tree is read for copies.
+``cli`` and ``config`` load no numpy at import, so that ``relqsl --version``
+and ``--help`` do not pay for it.
 """
 
 import ast
@@ -100,6 +102,50 @@ def test_import_scan_sees_nested_imports(tmp_path):
         encoding="utf-8",
     )
     assert _imported_top_levels(tmp_path) == {"os", "scipy", "mpmath"}
+
+
+def _eager_numpy_imports(package: pathlib.Path, stem: str) -> list[str]:
+    """Module-level imports in ``<stem>.py`` that load numpy: numpy itself, or a
+    name taken ``from .<mod>`` where ``<mod>`` imports numpy at module level.
+    ``from . import <mod>`` binds the unexecuted submodule and is not one."""
+
+    def module_level(name: str) -> list[ast.stmt]:
+        return ast.parse((package / f"{name}.py").read_text(encoding="utf-8")).body
+
+    def loads_numpy(node: ast.stmt) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.partition(".")[0] == "numpy")
+
+    numpy_modules = {
+        path.stem for path in package.glob("*.py") if any(map(loads_numpy, module_level(path.stem)))
+    }
+    return [
+        ast.unparse(node) for node in module_level(stem)
+        if loads_numpy(node) or (isinstance(node, ast.ImportFrom) and node.level == 1
+                                 and node.module in numpy_modules)
+    ]
+
+
+def test_cli_and_config_import_no_numpy_at_module_level():
+    """Other relqsl modules are reached by attribute, and numpy inside a handler."""
+    for stem in ("cli", "config"):
+        assert _eager_numpy_imports(PACKAGE, stem) == [], stem
+
+
+def test_eager_numpy_scan_sees_module_level_imports_only(tmp_path):
+    (tmp_path / "heavy.py").write_text("import numpy as np\n", encoding="utf-8")
+    (tmp_path / "light.py").write_text("import math\n", encoding="utf-8")
+    (tmp_path / "front.py").write_text(
+        "from numpy.linalg import eigh\nfrom . import heavy\nfrom .heavy import np\n"
+        "from .light import math\n\n\n"
+        "def handler():\n    import numpy\n    from .heavy import np\n",
+        encoding="utf-8",
+    )
+    assert _eager_numpy_imports(tmp_path, "front") == [
+        "from numpy.linalg import eigh", "from .heavy import np",
+    ]
 
 
 def _message_text(node: ast.AST) -> str:

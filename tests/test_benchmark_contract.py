@@ -6,7 +6,9 @@ runs here. The traced benchmark binds ``presets.run_sweep(spec)``,
 ``report.emit(..., rows)`` and ``homodyne_trap.simulate_i_diff(..., shots,
 ...)`` by parameter name, counts points and rows with ``len`` of the table,
 and counts failed checks from ``run_selfcheck(...).checks``. It fails every
-selfcheck job whose check names differ from its ``SELFCHECK_NAMES``.
+selfcheck job whose check names differ from its ``SELFCHECK_NAMES``. After
+``from relqsl import cli`` it reads ``vars()`` of ``sys.modules["relqsl.<layer>"]``
+for each of its ``LAYERS`` to find the functions it wraps.
 """
 
 import ast
@@ -15,6 +17,8 @@ import hashlib
 import inspect
 import json
 import os
+import subprocess
+import sys
 import typing
 
 import pytest
@@ -23,6 +27,7 @@ from relqsl import homodyne_trap, presets, report, selfcheck
 from relqsl.cli import run_subcommand
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 GOLDEN = os.path.join(PERFBENCH, "golden.json")
 
 
@@ -52,15 +57,55 @@ def test_traced_names_and_table_length():
     assert {"passed"} <= {f.name for f in dataclasses.fields(report.CheckEntry)}
 
 
-def _benchmark_selfcheck_names() -> set[str]:
-    """``SELFCHECK_NAMES`` of perfbench/outputs.py, read from its syntax tree."""
-    with open(os.path.join(PERFBENCH, "outputs.py"), encoding="utf-8") as handle:
+def _perfbench_constant(filename: str, name: str) -> ast.expr:
+    """The value expression of the top-level assignment to ``name`` in a perfbench file."""
+    with open(os.path.join(PERFBENCH, filename), encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SELFCHECK_NAMES"]:
-            assert isinstance(node.value, ast.Call) and node.value.func.id == "frozenset"
-            return ast.literal_eval(node.value.args[0])
-    raise AssertionError("perfbench/outputs.py defines no SELFCHECK_NAMES")
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return node.value
+    raise AssertionError(f"perfbench/{filename} defines no {name}")
+
+
+def _benchmark_selfcheck_names() -> set[str]:
+    """``SELFCHECK_NAMES`` of perfbench/outputs.py, read from its syntax tree."""
+    value = _perfbench_constant("outputs.py", "SELFCHECK_NAMES")
+    assert isinstance(value, ast.Call) and value.func.id == "frozenset"
+    return ast.literal_eval(value.args[0])
+
+
+def _public_functions(layer: str) -> list[str]:
+    """Public top-level functions defined in ``src/relqsl/<layer>.py``, by its syntax tree."""
+    with open(os.path.join(SRC, "relqsl", f"{layer}.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    )
+
+
+def test_traced_layers_are_registered_after_the_cli_import():
+    """In a fresh interpreter, ``from relqsl import cli`` leaves every traced
+    layer in sys.modules, and ``vars()`` of each holds its public functions."""
+    layers = ast.literal_eval(_perfbench_constant("layers.py", "LAYERS"))
+    code = (
+        "import inspect, json, sys\n"
+        "from relqsl import cli\n"
+        "found = {}\n"
+        f"for layer in {layers!r}:\n"
+        "    module = sys.modules[f'relqsl.{layer}']\n"
+        "    found[layer] = sorted(\n"
+        "        name for name, obj in vars(module).items()\n"
+        "        if not name.startswith('_') and inspect.isfunction(obj)\n"
+        "        and obj.__module__ == module.__name__)\n"
+        "print(json.dumps(found))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    found = json.loads(done.stdout.splitlines()[-1])
+    assert found == {layer: _public_functions(layer) for layer in layers}
+    assert all(found.values())
 
 
 def test_selfcheck_check_names_match_the_benchmark():

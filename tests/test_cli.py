@@ -220,11 +220,22 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
         (["metrology", "--state", "squeezed", "--r", "118.45"],
          "error: squeezed_second_moment_closed: second moment nan is not finite "
          "at r=118.45, epsilon=0.0\n"),
+        # the qkd phase-noise addendum names itself, not the holevo_bound that
+        # would see chi_tot: sigma_phi0_sq 0 times an inflation bracket of inf
+        (["qkd", "--t-window", "1e200", "--c-factor", "1", "--epsilon", "1"],
+         "error: delta_xi_rel: result nan is not finite at sigma_phi0_sq=0.0, c_factor=1.0, "
+         "gamma=0.0, epsilon=1.0, t_window=1e+200, t_pilot=0.0, dt=0.0, predictor='zoh', "
+         "v_a=4.0, transmissivity=0.5\n"),
+        # the squared drift overflows
+        (["qkd", "--gamma", "1e200", "--dt", "1e200"],
+         "error: delta_xi_rel: result inf is not finite at sigma_phi0_sq=0.0, c_factor=0.0, "
+         "gamma=1e+200, epsilon=0.0, t_window=0.0, t_pilot=0.0, dt=1e+200, predictor='zoh', "
+         "v_a=4.0, transmissivity=0.5\n"),
     ],
     ids=["qsl-alpha0-1e200", "qsl-squeezed-r-1e3", "qsl-squeezed-r-50-t-1e-30",
          "metrology-alpha0-1e200",
          "metrology-alpha0-1e100", "metrology-squeezed-r-1e3", "metrology-alpha0-1e60",
-         "metrology-squeezed-r-118.45"],
+         "metrology-squeezed-r-118.45", "qkd-t-window-1e200", "qkd-gamma-dt-1e200"],
 )
 def test_non_finite_bound_exits_one(argv, message, capsys):
     assert run_subcommand(argv) == 1
@@ -271,21 +282,71 @@ def _src_env() -> dict[str, str]:
 HEAVY_PACKAGES = ("scipy", "mpmath", "multiprocessing", "concurrent")
 
 
-def _heavy_modules_after(code: str) -> str:
-    """Modules of HEAVY_PACKAGES loaded by a fresh interpreter that runs ``code``."""
-    code += (
-        "; import sys; "
-        f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {HEAVY_PACKAGES!r}))"
-    )
+def _last_line_after(code: str) -> str:
+    """The last stdout line of a fresh interpreter that runs ``code``."""
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
     )
     return done.stdout.strip().splitlines()[-1]
 
 
+def _heavy_modules_after(code: str) -> str:
+    """Modules of HEAVY_PACKAGES loaded by a fresh interpreter that runs ``code``."""
+    return _last_line_after(
+        code + "; import sys; "
+        f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {HEAVY_PACKAGES!r}))"
+    )
+
+
 def test_cli_import_loads_neither_scipy_nor_mpmath():
     """scipy and mpmath load on first use, so a cold start does not pay for them."""
     assert _heavy_modules_after("import relqsl.cli") == "[]"
+
+
+# prints the relqsl submodules a fresh interpreter has executed, then whether
+# it loaded numpy; a registered but unexecuted submodule is a lazy module
+_EXECUTED = (
+    "; import sys, types; "
+    "print(sorted(m[7:] for m, mod in sys.modules.items() "
+    "if m.startswith('relqsl.') and type(mod) is types.ModuleType), 'numpy' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize(
+    "code, executed",
+    [
+        ("import relqsl.cli", "['cli']"),
+        ("from relqsl.cli import run_subcommand; assert run_subcommand(['--version']) == 0",
+         "['cli', 'config']"),
+        ("from relqsl.cli import run_subcommand; assert run_subcommand(['--help']) == 0",
+         "['cli', 'config']"),
+    ],
+)
+def test_cold_start_loads_no_numpy(code, executed):
+    """Building the parser executes cli and the stdlib-only config schema alone."""
+    assert _last_line_after(code + _EXECUTED) == f"{executed} False"
+
+
+def test_spectrum_executes_only_the_modules_it_runs():
+    """presets, qsl_bounds, metrology, homodyne_trap, qkd_model, states and
+    selfcheck stay unexecuted; spectrum at dim 256 does not fork."""
+    code = "from relqsl.cli import run_subcommand; assert run_subcommand(['spectrum']) == 0"
+    assert _last_line_after(code + _EXECUTED) == (
+        "['arrays', 'cli', 'config', 'fock_core', 'perturbation', 'report'] True"
+    )
+
+
+@pytest.mark.parametrize(
+    "code, printed",
+    [
+        ("import relqsl; print(relqsl.fock_core.MIN_DIM)", "8"),
+        ("from relqsl import presets; print(sorted(presets.PRESETS))", "['fig1', 'fig2', 'fig4']"),
+        ("import relqsl.qkd_model as q; print(sorted(q.DETECTION_KINDS))",
+         "['heterodyne', 'homodyne']"),
+    ],
+)
+def test_lazy_submodules_execute_on_first_use(code, printed):
+    assert _last_line_after(code) == printed
 
 
 def _seeded_grid_config(path, seed: int) -> None:
