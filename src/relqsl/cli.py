@@ -122,7 +122,7 @@ def _cmd_metrology(args: argparse.Namespace) -> int:
 
 def _cmd_trap(args: argparse.Namespace) -> int:
     params = _merged("trap", args)
-    cfg, epsilon_source = presets.trap_config(params)
+    cfg, epsilon_source = homodyne_trap.trap_config(params)
     tau = params["tau"]
     shot_1s = homodyne_trap.allan_shot_noise(cfg, 1.0)
     values: dict[str, Any] = {

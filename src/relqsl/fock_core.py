@@ -215,7 +215,7 @@ def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
     if np.any(h[0::2, 1::2]) or np.any(h[1::2, 0::2]):
         raise ValueError("diagonalize requires an operator that conserves the parity of n")
     w, v = _parity_solve(op.dim, op.dim, lambda parity: h[parity::2, parity::2])
-    _check_eigenpairs(h @ v, v, w, float(np.linalg.norm(h)))
+    _check_eigenpairs(h @ v, v, w, _norm(h))
     return SpectralDecomposition(op.dim, w, v)
 
 
@@ -300,18 +300,23 @@ def _solve_block(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:keep], v[:, :keep].copy()  # a copy frees the block's other vectors
 
 
+def _norm(a: np.ndarray, axis: int | None = None) -> Any:
+    """``np.linalg.norm(a, axis=axis)``, of ``a`` over its largest |entry| so no square overflows."""
+    big = np.abs(a).max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # nan where a holds inf or nan
+        return np.linalg.norm(a / np.maximum(big, np.finfo(a.dtype).tiny), axis=axis) * big.squeeze(axis)
+
+
 def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float) -> None:
     """Raise ArithmeticError unless the eigenpairs (w, v) of H pass verification.
 
     ``hv`` is H @ v, overwritten with the residual. Each residual column must
-    stay below 1e-9 * ``scale`` (||H||_F), and v orthonormal within 1e-10.
+    stay within 1e-9 * ``scale`` (||H||_F), a finite bound, and v orthonormal within 1e-10.
     """
     hv -= v * w
-    resid = np.linalg.norm(hv, axis=0)
-    if scale > 0 and float(resid.max()) > 1e-9 * scale:
-        raise ArithmeticError(
-            f"eigenpair residual {resid.max():.3e} exceeds 1e-9 * ||H|| = {1e-9*scale:.3e}"
-        )
+    resid, bound = float(_norm(hv, axis=0).max()), 1e-9 * float(scale)
+    if not resid <= bound < math.inf:  # a nan fails
+        raise ArithmeticError(f"eigenpair residual {resid:.3e} is not within 1e-9 * ||H|| = {bound:.3e}")
     defect = v.conj().T @ v
     defect[np.diag_indices_from(defect)] -= 1.0
     ortho = np.abs(defect, out=defect).max()
@@ -387,10 +392,11 @@ def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
     if not 1 <= count <= dim:
         raise ValueError(f"count={count} must lie in 1..dim={dim}")
     _check_epsilon(epsilon)
-    band = _lower_band(dim, epsilon, count)
-    w, v = _parity_solve(dim, count, lambda parity: _band_block(band, parity))
-    scale = math.sqrt(float(np.sum(band[0] ** 2) + 2.0 * np.sum(band[1:] ** 2)))
-    _check_eigenpairs(_band_matvec(band, v), v, w, scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # an H that overflows fails the check
+        band = _lower_band(dim, epsilon, count)
+        w, v = _parity_solve(dim, count, lambda parity: _band_block(band, parity))
+        # ||H||_F, each off-diagonal band row standing for two diagonals
+        _check_eigenpairs(_band_matvec(band, v), v, w, _norm(np.vstack([band, band[1:]])))
     return w
 
 

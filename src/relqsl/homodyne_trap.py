@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -287,3 +287,16 @@ def epsilon_from_trap(nu: float, mass: float) -> float:
     if nu < 0 or mass <= 0:
         raise ValueError("nu must be non-negative and mass positive")
     return PLANCK_H * nu / (8.0 * mass * SPEED_OF_LIGHT**2)
+
+
+def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
+    """The TrapConfig for trap parameters, and where its epsilon came from.
+
+    ``params`` is a resolved [trap] section; tau is not part of the config
+    and is ignored. epsilon = 0 means derive it from nu and mass (source
+    "derived"); any other value is used as given (source "config").
+    """
+    epsilon, source = params["epsilon"], "config"
+    if epsilon == 0.0:
+        epsilon, source = epsilon_from_trap(params["nu"], params["mass"]), "derived"
+    return TrapConfig(params["nu"], params["p_lo"], params["kappa"], epsilon), source

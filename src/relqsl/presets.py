@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import homodyne_trap, metrology, qsl_bounds
+from . import metrology, qsl_bounds
 from .arrays import SOLVE_BUDGET_BYTES, Grid
 from .config import SWEEP_PARAM_DOMAINS, SWEEP_PARAM_NAMES
 
@@ -206,19 +206,6 @@ PRESETS: dict[str, SweepSpec] = {
         columns=("r", "alpha_sq", "theta", "epsilon", "ratio0", "sf_db0", "ratio", "sf_db"),
     ),
 }
-
-
-def trap_config(params: dict[str, Any]) -> tuple[homodyne_trap.TrapConfig, str]:
-    """The TrapConfig for trap parameters, and where its epsilon came from.
-
-    ``params`` is a resolved [trap] section; tau is not part of the config
-    and is ignored. epsilon = 0 means derive it from nu and mass (source
-    "derived"); any other value is used as given (source "config").
-    """
-    epsilon, source = params["epsilon"], "config"
-    if epsilon == 0.0:
-        epsilon, source = homodyne_trap.epsilon_from_trap(params["nu"], params["mass"]), "derived"
-    return homodyne_trap.TrapConfig(params["nu"], params["p_lo"], params["kappa"], epsilon), source
 
 
 def sweep_from_config(section: dict[str, Any]) -> SweepSpec:

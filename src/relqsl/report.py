@@ -6,12 +6,14 @@ Unix newlines, and true/false for booleans, so identical inputs always
 produce byte-identical files. A table is a numpy structured array with one
 field per column; it is formatted one column at a time, with one repr per
 distinct float64 bit pattern, and a JSON table is the same text
-json.dumps(..., indent=2) gives for its list of row objects. From 16,384
-rows on two or more CPUs a table is formatted in two halves: a forked
-child writes the first straight into the output while this process formats
-the second and appends it, so the bytes do not depend on the number of
-processes. Files are written to a temporary sibling and atomically renamed
-into place; a failed run never leaves a partial file.
+json.dumps(..., indent=2) gives for its list of row objects. ``emit`` is
+the one table writer. From 16,384 rows on two or more CPUs it writes a
+table in two halves: a forked child writes the first straight into the
+output while this process formats the second and appends it, so the bytes
+do not depend on the number of processes. Smaller tables, and every table
+for a replaced sys.stdout, are formatted whole in this process. Files are
+written to a temporary sibling and atomically renamed into place; a failed
+run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -114,36 +116,18 @@ def _format_rows(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> s
     return "".join(pieces)
 
 
-def _splits(rows: np.ndarray) -> bool:
-    """Whether a table is formatted in two halves, the first in a forked child."""
-    return len(rows) // 2 >= MIN_ROWS_PER_PROCESS and forked.can_fork()
-
-
 def _frame(header: Sequence[str], json_cells: bool) -> tuple[str, str]:
     """The text before and after the rows of a table with one or more rows."""
     return ("[\n  {\n", "\n  }\n]\n") if json_cells else (",".join(header) + "\n", "\n")
 
 
-def _format_table(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> str:
-    """The frame around ``_format_rows`` of the whole table, in one copy; the
-    first half of a table that ``_splits`` comes from ``forked.run_beside``."""
+def _table_text(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> str:
+    """The whole table as CSV text, or as the text ``render_json`` gives for its
+    list of row objects, formatted in this process."""
+    if not len(rows):
+        return "[]\n" if json_cells else ",".join(header) + "\n"
     prefix, suffix = _frame(header, json_cells)
-    if not _splits(rows):
-        return "".join([prefix, _format_rows(header, rows, json_cells), suffix])
-    half = len(rows) // 2
-    head, tail = forked.run_beside(lambda: _format_rows(header, rows[:half], json_cells).encode("utf-8"),
-                                   lambda: _format_rows(header, rows[half:], json_cells))
-    return "".join([prefix, head.decode("utf-8"), _ROW_SEPARATOR[json_cells], tail, suffix])
-
-
-def render_csv(header: Sequence[str], rows: np.ndarray) -> str:
-    """CSV text of a table: a structured array with one field per header name."""
-    return _format_table(header, rows, False) if len(rows) else ",".join(header) + "\n"
-
-
-def _render_json_table(header: Sequence[str], rows: np.ndarray) -> str:
-    """The bytes of ``render_json`` for the table's list of row objects, built per column."""
-    return _format_table(header, rows, True) if len(rows) else "[]\n"
+    return "".join([prefix, _format_rows(header, rows, json_cells), suffix])
 
 
 def render_json(obj: Any) -> str:
@@ -212,15 +196,19 @@ def write_text(path: str | None, text: str) -> None:
 def emit(path: str | None, fmt: str, header: Sequence[str], rows: np.ndarray) -> None:
     """Write a table (a structured array, one field per header name) as CSV or JSON rows.
 
-    A table that ``_splits`` is not joined: after the prefix, a forked child
+    A table of 2 * ``MIN_ROWS_PER_PROCESS`` rows or more, where
+    ``forked.can_fork()``, is not joined: after the prefix, a forked child
     writes its first half through the output's descriptor
     (``forked.write_beside``) while this process formats the second and
-    then writes the separator, its half and the suffix. A replaced
-    sys.stdout (a capture, a notebook) gets the joined text instead.
+    then writes the separator, its half and the suffix. Any other table is
+    formatted whole in this process and written through ``write_text``, and
+    so is every table for a replaced sys.stdout (a capture, a notebook),
+    which gets all its bytes through its own write().
     """
     json_cells = fmt != "csv"
-    if not _splits(rows) or path is None and sys.stdout is not sys.__stdout__:
-        return write_text(path, (_render_json_table if json_cells else render_csv)(header, rows))
+    if (len(rows) // 2 < MIN_ROWS_PER_PROCESS or not forked.can_fork()
+            or path is None and sys.stdout is not sys.__stdout__):
+        return write_text(path, _table_text(header, rows, json_cells))
     prefix, suffix = _frame(header, json_cells)
     half = len(rows) // 2
     with _output(path) as out:

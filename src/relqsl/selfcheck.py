@@ -393,7 +393,7 @@ def _discrepancies() -> list[DiscrepancyEntry]:
         )
     )
 
-    cfg, _ = presets.trap_config(config.defaults()["trap"])
+    cfg, _ = homodyne_trap.trap_config(config.defaults()["trap"])
     computed = homodyne_trap.allan_shot_noise(cfg, 1.0)
     entries.append(
         DiscrepancyEntry(

@@ -49,7 +49,7 @@ def spectra512():
 
 
 def test_criterion_1_trap_reference_numbers():
-    trap, _ = presets.trap_config(config.defaults()["trap"])
+    trap, _ = homodyne_trap.trap_config(config.defaults()["trap"])
     eps_dev = abs(trap.epsilon - 1.5e-10) / 1.5e-10
     crossover = homodyne_trap.crossover_closed(trap)
     cross_dev = abs(crossover - 8.7e2) / 8.7e2

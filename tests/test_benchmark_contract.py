@@ -8,7 +8,8 @@ runs here. The traced benchmark binds ``presets.run_sweep(spec)``,
 and counts failed checks from ``run_selfcheck(...).checks``. It fails every
 selfcheck job whose check names differ from its ``SELFCHECK_NAMES``. After
 ``from relqsl import cli`` it reads ``vars()`` of ``sys.modules["relqsl.<layer>"]``
-for each of its ``LAYERS`` to find the functions it wraps.
+for each of its ``LAYERS`` to find the functions it wraps, and its
+``Tracer._hooks`` name the wrapped functions whose calls it counts.
 """
 
 import ast
@@ -106,6 +107,28 @@ def test_traced_layers_are_registered_after_the_cli_import():
     found = json.loads(done.stdout.splitlines()[-1])
     assert found == {layer: _public_functions(layer) for layer in layers}
     assert all(found.values())
+
+
+def _tracer_hook_names() -> list[str]:
+    """The keys of ``Tracer._hooks`` in perfbench/layers.py, read from its syntax tree."""
+    with open(os.path.join(PERFBENCH, "layers.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Attribute)
+                and node.target.attr == "_hooks"):
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("perfbench/layers.py assigns no self._hooks")
+
+
+def test_every_tracer_hook_names_a_public_function():
+    """A hooked function that is renamed or deleted would read 0 in its traced
+    count without failing a job, so each hook must name a public function of
+    its layer."""
+    names = _tracer_hook_names()
+    assert names
+    for name in names:
+        layer, _, function = name.partition(".")
+        assert function in _public_functions(layer), name
 
 
 def test_selfcheck_check_names_match_the_benchmark():

@@ -231,11 +231,18 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
          "error: delta_xi_rel: result inf is not finite at sigma_phi0_sq=0.0, c_factor=0.0, "
          "gamma=1e+200, epsilon=0.0, t_window=0.0, t_pilot=0.0, dt=1e+200, predictor='zoh', "
          "v_a=4.0, transmissivity=0.5\n"),
+        # the band of H overflows, so eigh returns nan eigenpairs; this printed nan
+        # energy_exact rows with exit 0, after numpy's overflow warnings
+        pytest.param(["spectrum", "--epsilon", "1e305", "--nmax", "2"],
+                     "error: eigenpair residual nan is not within 1e-9 * ||H|| = nan\n",
+                     marks=[pytest.mark.filterwarnings("ignore:epsilon=.* is large"),
+                            pytest.mark.filterwarnings("error::RuntimeWarning")]),
     ],
     ids=["qsl-alpha0-1e200", "qsl-squeezed-r-1e3", "qsl-squeezed-r-50-t-1e-30",
          "metrology-alpha0-1e200",
          "metrology-alpha0-1e100", "metrology-squeezed-r-1e3", "metrology-alpha0-1e60",
-         "metrology-squeezed-r-118.45", "qkd-t-window-1e200", "qkd-gamma-dt-1e200"],
+         "metrology-squeezed-r-118.45", "qkd-t-window-1e200", "qkd-gamma-dt-1e200",
+         "spectrum-epsilon-1e305"],
 )
 def test_non_finite_bound_exits_one(argv, message, capsys):
     assert run_subcommand(argv) == 1
@@ -327,13 +334,19 @@ def test_cold_start_loads_no_numpy(code, executed):
     assert _last_line_after(code + _EXECUTED) == f"{executed} False"
 
 
-def test_spectrum_executes_only_the_modules_it_runs():
-    """presets, qsl_bounds, metrology, homodyne_trap, qkd_model, states and
-    selfcheck stay unexecuted; spectrum at dim 256 does not fork."""
-    code = "from relqsl.cli import run_subcommand; assert run_subcommand(['spectrum']) == 0"
-    assert _last_line_after(code + _EXECUTED) == (
-        "['arrays', 'cli', 'config', 'fock_core', 'perturbation', 'report'] True"
-    )
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        # spectrum at dim 256 does not fork
+        (["spectrum"], "['arrays', 'cli', 'config', 'fock_core', 'perturbation', 'report']"),
+        (["trap"], "['arrays', 'cli', 'config', 'homodyne_trap', 'report']"),
+    ],
+    ids=["spectrum", "trap"],
+)
+def test_command_executes_only_the_modules_it_runs(argv, executed):
+    """A command leaves every module it does not call unexecuted."""
+    code = f"from relqsl.cli import run_subcommand; assert run_subcommand({argv!r}) == 0"
+    assert _last_line_after(code + _EXECUTED) == f"{executed} True"
 
 
 @pytest.mark.parametrize(

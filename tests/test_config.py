@@ -6,15 +6,8 @@ import warnings
 import pytest
 
 from relqsl.config import ConfigError, defaults, load_config, parse_config_text
-from relqsl.homodyne_trap import ELECTRON_MASS, epsilon_from_trap
-from relqsl.presets import (
-    PRESETS,
-    Axis,
-    SweepSpec,
-    run_sweep,
-    sweep_from_config,
-    trap_config,
-)
+from relqsl.homodyne_trap import ELECTRON_MASS, epsilon_from_trap, trap_config
+from relqsl.presets import PRESETS, Axis, SweepSpec, run_sweep, sweep_from_config
 
 SAMPLE = """
 # reference operating point

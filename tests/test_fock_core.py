@@ -293,6 +293,28 @@ def test_banded_levels_verification_is_live(route, monkeypatch):
         route(op)
 
 
+@pytest.mark.filterwarnings("ignore:epsilon=.* is large", "error::RuntimeWarning")
+@pytest.mark.parametrize("route", ["lowest_levels", "diagonalize"])
+def test_verification_is_live_where_the_squares_overflow(route, monkeypatch):
+    """At epsilon = 1e300 the squares summed for ||H||_F and for the residual
+    norms pass the largest float; the check still passes the exact eigenpairs,
+    without a RuntimeWarning, and still catches perturbed eigenvalues."""
+    solve = {
+        "lowest_levels": lambda: lowest_levels(DIM, 1e300, 5),
+        "diagonalize": lambda: diagonalize(build_hamiltonian(DIM, 1e300)).eigenvalues,
+    }[route]
+    assert np.isfinite(solve()).all()
+    eigh = fock_core.np.linalg.eigh
+
+    def perturbed(*args, **kwargs):
+        w, v = eigh(*args, **kwargs)
+        return w * (1.0 + 1e-6), v
+
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", perturbed)
+    with pytest.raises(ArithmeticError, match="eigenpair residual"):
+        solve()
+
+
 def test_lowest_levels_count_over_memory_budget_refused(monkeypatch):
     """At MAX_DIM the block solve fits the budget, but verifying every level does not."""
     def unreachable(*args, **kwargs):

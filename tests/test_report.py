@@ -1,6 +1,7 @@
 """Deterministic table emission and the selfcheck report container."""
 
 import errno
+import io
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from relqsl.report import (
     RunReport,
     emit,
     format_cell,
-    render_csv,
     render_json,
     write_text,
 )
@@ -51,11 +51,6 @@ def test_format_cell_round_trips_floats():
     assert format_cell(np.bool_(False)) == "false"
     assert format_cell(3) == "3"
     assert format_cell("plain") == "plain"
-
-
-def test_render_csv_layout():
-    text = render_csv(("a", "b"), np.rec.fromarrays([[1.0, 0.5], [True, False]], names="a,b"))
-    assert text == "a,b\n1.0,true\n0.5,false\n"
 
 
 def test_render_json_handles_numpy_and_rejects_junk():
@@ -92,6 +87,11 @@ def test_write_text_gives_new_files_the_umask_mode_and_keeps_existing_modes(tmp_
 def test_write_text_stdout(capsys):
     write_text(None, "to console\n")
     assert capsys.readouterr().out == "to console\n"
+
+
+def test_render_csv_layout(capsys):
+    emit(None, "csv", ("a", "b"), np.rec.fromarrays([[1.0, 0.5], [True, False]], names="a,b"))
+    assert capsys.readouterr().out == "a,b\n1.0,true\n0.5,false\n"
 
 
 def test_emit_both_formats(tmp_path):
@@ -131,7 +131,7 @@ def _reference_tables(header, rows):
 
 
 @pytest.mark.parametrize("size", [0, 1, len(MIXED_CELLS)])
-def test_column_wise_rendering_matches_row_wise_reference(size, tmp_path):
+def test_column_wise_rendering_matches_row_wise_reference(size, tmp_path, capsys):
     header = ("mixed", "float", "float_again", "flag", "count", "label")
     rows = [
         [
@@ -150,7 +150,8 @@ def test_column_wise_rendering_matches_row_wise_reference(size, tmp_path):
         names=header,
     )
     want_csv, want_json = _reference_tables(header, rows)
-    assert render_csv(header, table) == want_csv
+    emit(None, "csv", header, table)
+    assert capsys.readouterr().out == want_csv
     emit(str(tmp_path / "t.csv"), "csv", header, table)
     emit(str(tmp_path / "t.json"), "json", header, table)
     assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want_csv
@@ -258,18 +259,40 @@ def test_header_that_needs_escaping(size, fmt, monkeypatch, tmp_path):
         assert (tmp_path / "table").read_bytes() == want
 
 
-def _one_process_and_split(monkeypatch, fmt: str) -> tuple[str, str]:
-    """A table over the split threshold rendered with one CPU, then with two."""
+def _one_process_and_split(monkeypatch, tmp_path, fmt: str) -> list[bytes]:
+    """A table over the split threshold emitted to the interpreter's stdout, a
+    file, with one CPU, then with two."""
     table = _boundary_table(2 * MIN_ROWS_PER_PROCESS + 1)
-    render = render_csv if fmt == "csv" else report._render_json_table
-    _set_cpus(monkeypatch, 1)
-    want = render(SPLIT_HEADER, table)
-    _set_cpus(monkeypatch, 2)
-    return want, render(SPLIT_HEADER, table)
+    texts = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        with open(tmp_path / f"stdout{cpus}", "w", encoding="utf-8", newline="\n") as stdout:
+            _set_stdout(monkeypatch, stdout)
+            emit(None, fmt, SPLIT_HEADER, table)
+        texts.append((tmp_path / f"stdout{cpus}").read_bytes())
+    return texts
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypatch):
+def test_replaced_stdout_gets_a_split_size_table_formatted_in_process(fmt, monkeypatch, tmp_path):
+    """A capture (redirect_stdout, capsys) has no descriptor of its own, so no child writes."""
+    table = _boundary_table(2 * MIN_ROWS_PER_PROCESS + 1)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    _set_cpus(monkeypatch, 2)
+    emit(str(tmp_path / "table"), fmt, SPLIT_HEADER, table)
+    assert len(forks) == 1
+    forks.clear()
+    captured = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", captured)
+    emit(None, fmt, SPLIT_HEADER, table)
+    assert forks == []
+    assert captured.getvalue().encode("utf-8") == (tmp_path / "table").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypatch, tmp_path):
     parent, column_texts = os.getpid(), report._column_texts
 
     def fails_in_a_child(*args):
@@ -281,7 +304,7 @@ def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypa
     waitpid = os.waitpid
     monkeypatch.setattr(os, "waitpid", lambda *a: statuses.append(waitpid(*a)) or statuses[-1])
     monkeypatch.setattr(report, "_column_texts", fails_in_a_child)
-    want, got = _one_process_and_split(monkeypatch, fmt)
+    want, got = _one_process_and_split(monkeypatch, tmp_path, fmt)
     assert got == want
     assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
     _assert_no_child_left()
@@ -360,7 +383,7 @@ def _alarm(signum, frame):
     raise TimeoutError("the child was not reaped in time")
 
 
-def test_failure_in_the_parent_reaps_every_child(monkeypatch):
+def test_failure_in_the_parent_reaps_every_child(monkeypatch, tmp_path):
     parent, column_texts = os.getpid(), report._column_texts
 
     def fails_in_the_parent(*args):
@@ -375,15 +398,16 @@ def test_failure_in_the_parent_reaps_every_child(monkeypatch):
     signal.alarm(20)
     try:
         with pytest.raises(RuntimeError, match="fails in the parent"):
-            render_csv(SPLIT_HEADER, table)
+            emit(str(tmp_path / "table"), "csv", SPLIT_HEADER, table)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     _assert_no_child_left()
+    assert os.listdir(tmp_path) == []
 
 
-# A parent that splits a table, prints its child's pid, then stalls in its own
-# half; each half's text is far larger than a pipe's buffer
+# A parent that splits a table into a file, prints its child's pid, then stalls
+# in its own half
 STALLED_PARENT = """
 import os, time
 import numpy as np
@@ -404,22 +428,23 @@ def stalls_in_the_parent(*args):
     return format_rows(*args)
 
 os.fork, report._format_rows = printing_fork, stalls_in_the_parent
-report.render_csv(["x"], np.rec.fromarrays([np.linspace(0.0, 1.0, {rows})], names=["x"]))
+report.emit({path!r}, "csv", ["x"], np.rec.fromarrays([np.linspace(0.0, 1.0, {rows})], names=["x"]))
 """
 
 
-def test_children_of_a_killed_parent_exit(children_of_killed_parent):
-    children, left = children_of_killed_parent(STALLED_PARENT.format(rows=4 * MIN_ROWS_PER_PROCESS))
+def test_children_of_a_killed_parent_exit(children_of_killed_parent, tmp_path):
+    children, left = children_of_killed_parent(
+        STALLED_PARENT.format(rows=4 * MIN_ROWS_PER_PROCESS, path=str(tmp_path / "table")))
     assert len(children) == 1
     assert left == []
 
 
-def test_range_whose_fork_fails_is_formatted_in_process(monkeypatch):
+def test_range_whose_fork_fails_is_formatted_in_process(monkeypatch, tmp_path):
     def no_fork():
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    want, got = _one_process_and_split(monkeypatch, "json")
+    want, got = _one_process_and_split(monkeypatch, tmp_path, "json")
     assert got == want
 
 
