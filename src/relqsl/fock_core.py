@@ -1,63 +1,46 @@
 """Truncated Fock-space linear algebra for the quartic-corrected oscillator.
 
 Dense-matrix oracle used to validate every closed form in this package:
-ladder matrices, Hamiltonian assembly H = (p^2 + x^2)/2 - eps*p^4/8,
-spectral decomposition, and exact time evolution. Everything here is in
-natural units (m = omega = hbar = 1) and brute force by design; no
-normal-ordering shortcuts are taken anywhere. The arithmetic is real: with
-p = i q for the real antisymmetric q, H is a real symmetric float64 matrix
-with real eigenvectors, and states are complex only where a phase needs it.
+ladder matrices, Hamiltonian assembly H = (p^2 + x^2)/2 - eps*p^4/8 and
+spectral decomposition. Everything here is in natural units
+(m = omega = hbar = 1) and brute force by design; no normal-ordering
+shortcuts are taken anywhere. The arithmetic is real: with p = i q for the
+real antisymmetric q, H is a real symmetric float64 matrix with real
+eigenvectors.
 
 H couples n only to n+-2 and n+-4, so it splits exactly into an even-n and
 an odd-n block, and one parity solve serves both solvers: ``diagonalize``
 slices the blocks from the dense ``build_hamiltonian`` matrix (after
 checking that every even-odd entry is zero) and returns the full
 eigenbasis; ``lowest_levels`` builds each block from the closed-form band
-and keeps only the lowest levels. From ``MIN_FORK_DIM`` on two or more
-CPUs the two blocks are solved in two processes: a forked child solves the
-even block and sends back its kept eigenpairs as bytes while this process
-solves the odd one, so the result is bit for bit that of the in-process
-solve. Energy moments of a state are read off the eigenvalues by
-``SpectralDecomposition.moments``.
+and keeps only the lowest levels. The even block is solved first and then
+the odd one, both in this process. Energy moments of a state are read off
+the eigenvalues by ``SpectralDecomposition.moments``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from . import forked
 from .arrays import SOLVE_BUDGET_BYTES
 
 MIN_DIM = 8
-# Each process solves one (dim/2) x (dim/2) parity block at a time: the block,
+# The solve holds one (dim/2) x (dim/2) parity block at a time: the block,
 # numpy's copy, its eigenvectors and the ?syevd workspace, about 10 * dim**2
-# bytes plus the first block's kept vectors; at dim 4096, in one process, peak
-# RSS above baseline measured 10.4 * dim**2 (count 11) and 11.4 * dim**2 (count
-# dim/4 + 1, spectrum's most). A forked solve holds the two blocks at once, one
-# in each process, so it needs twice this within the budget (see ``_forks``).
+# bytes plus the first block's kept vectors; at dim 4096 peak RSS above
+# baseline measured 10.4 * dim**2 (count 11) and 11.4 * dim**2 (count
+# dim/4 + 1, spectrum's most).
 SOLVE_BYTES_PER_DIM2 = 12
 # Its verification holds three dim x count arrays and a count x count Gram
 # matrix: at dim 2048, 25.7 * dim * count at count = dim and at most 32.6 where
 # that exceeds 12 * dim**2. A solve over budget by either term is refused.
 _VERIFY_BYTES_PER_DIM_COUNT = 34
 MAX_DIM = math.isqrt(SOLVE_BUDGET_BYTES // SOLVE_BYTES_PER_DIM2)
-# From this dim, on two or more CPUs, a forked child solves the even block while
-# this process solves the odd one (``_forks``). On 2 cores with OpenBLAS on 1
-# thread, warm in one process (median of 21 alternating calls), the fork lost at
-# dim 448 (diagonalize 10.0 -> 10.9 ms) and won from dim 512 (15.4 -> 14.7 ms).
-# A cold `relqsl spectrum --nmax dim/4` job also pays the child's first touch of
-# its workspace (median of 10): it lost at dim 512 (93.3 -> 94.3 ms), tied at
-# 576 (95.7 -> 95.6 ms) and won from 640 (98.5 -> 97.5 ms; 130.3 -> 116.4 ms
-# at dim 1024).
-MIN_FORK_DIM = 640
 # Stored diagonals of H, at offsets 0, 2 and 4: the quartic term couples n to
 # n+-4, and parity zeroes the odd offsets.
 BAND_ROWS = 3
@@ -192,12 +175,18 @@ def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
 
     With p = i q, p^2 = -q q and p^4 = (q q)(q q) are the brute-force products
     ``matrix_power(p, 4)`` takes; H is real symmetric by construction. epsilon
-    above 0.1 is allowed but warns, as first order degrades there.
+    above 0.1 is allowed but warns, as first order degrades there; an epsilon
+    so large that an entry of H overflows raises ArithmeticError.
     """
     _check_epsilon(epsilon)
     x, q = build_quadratures(dim)
     q2 = q.entries @ q.entries
-    h = (x.entries @ x.entries - q2) / 2.0 - epsilon * (q2 @ q2) / 8.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        h = (x.entries @ x.entries - q2) / 2.0 - epsilon * (q2 @ q2) / 8.0
+    if not np.isfinite(h).all():
+        raise ArithmeticError(
+            f"build_hamiltonian(dim={dim}, epsilon={epsilon!r}): H has a non-finite entry; lower epsilon"
+        )
     return TruncatedOperator(dim, h)
 
 
@@ -214,34 +203,28 @@ def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
         raise ValueError("diagonalize requires a Hermitian operator")
     if np.any(h[0::2, 1::2]) or np.any(h[1::2, 0::2]):
         raise ValueError("diagonalize requires an operator that conserves the parity of n")
-    w, v = _parity_solve(op.dim, op.dim, lambda parity: h[parity::2, parity::2])
+    w, v = _parity_solve(op.dim, op.dim, lambda parity: h[parity::2, parity::2],
+                         f"diagonalize(dim={op.dim})")
     _check_eigenpairs(h @ v, v, w, _norm(h))
     return SpectralDecomposition(op.dim, w, v)
 
 
-def _parity_solve(dim: int, count: int,
-                  block: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _parity_solve(dim: int, count: int, block: Callable[[int], np.ndarray],
+                  solve: str) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``count`` eigenpairs of a parity-conserving H, ascending, as full-length vectors.
 
     ``block(parity)`` returns H on the levels n = parity (mod 2), of which
-    ``eigh`` reads the lower triangle. Each block is built and solved, and
-    the lowest ``count`` pairs of each are kept: where ``_forks(dim)``, the
-    even block in a forked child (``forked.run_beside``) that sends them back
-    as bytes while this process solves the odd one, and otherwise both in
-    this process, one after the other. The two sets are merged in ascending
-    order (even first on a tie) and scattered back to full-length vectors.
+    ``eigh`` reads the lower triangle. The even block and then the odd one
+    are built and solved, and the lowest ``count`` pairs of each are kept;
+    a block that ``eigh`` cannot solve raises ArithmeticError naming
+    ``solve``. The two sets are merged in ascending order (even first on a
+    tie) and scattered back to full-length vectors.
     """
-    if _forks(dim):
-        data, (w_odd, v_odd) = forked.run_beside(
-            lambda: b"".join(a.tobytes() for a in _solve_block(block(0), count)),
-            lambda: _solve_block(block(1), count))
-        size = (dim + 1) // 2
-        keep = min(count, size)
-        w_even = np.frombuffer(data, w_odd.dtype, keep)
-        v_even = np.frombuffer(data, v_odd.dtype, offset=w_even.nbytes).reshape(size, keep)
-    else:
+    try:
         w_even, v_even = _solve_block(block(0), count)
         w_odd, v_odd = _solve_block(block(1), count)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"{solve}: eigh failed on a parity block: {exc}") from exc
     w = np.concatenate([w_even, w_odd])
     order = np.argsort(w, kind="stable")[:count]
     odd = order >= w_even.size
@@ -249,48 +232,6 @@ def _parity_solve(dim: int, count: int,
     v[0::2, ~odd] = v_even[:, order[~odd]]
     v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
     return w[order], v
-
-
-def _forks(dim: int) -> bool:
-    """Whether the even block is solved in a forked child while this process solves the odd.
-
-    Only from ``MIN_FORK_DIM``, while two blocks' workspace fits the budget
-    (dim <= 11,585), where ``forked.can_fork()``, and while BLAS runs one
-    thread: two processes that each run BLAS threads on the same cores
-    oversubscribe them (at dim 1024 on 2 cores, with OpenBLAS on 2 threads,
-    ``lowest_levels`` took 3.9 s forked against 40 ms in one process).
-    """
-    return (MIN_FORK_DIM <= dim and 2 * SOLVE_BYTES_PER_DIM2 * dim * dim <= SOLVE_BUDGET_BYTES
-            and forked.can_fork() and _blas_threads() == 1)
-
-
-# (restype, argtypes) of the OpenBLAS functions looked up by ``_openblas``
-_OPENBLAS_SIGNATURES = {
-    "get_num_threads": (ctypes.c_int, []),
-    "set_num_threads": (None, [ctypes.c_int]),
-}
-
-
-@functools.cache
-def _openblas(name: str) -> Any:
-    """The function ``name`` of the OpenBLAS that numpy's wheel bundles, or None where
-    there is none; numpy 2 bundles scipy-openblas, numpy 1 OpenBLAS with 64-bit ints."""
-    import glob  # only a solve that may fork looks for the library
-
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
-        lib = ctypes.CDLL(path)  # the copy numpy loaded: dlopen finds it by its file
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            if hasattr(lib, symbol):
-                function = getattr(lib, symbol)
-                function.restype, function.argtypes = _OPENBLAS_SIGNATURES[name]
-                return function
-    return None
-
-
-def _blas_threads() -> int | None:
-    """Threads that numpy's BLAS runs now, or None where that cannot be read."""
-    get = _openblas("get_num_threads")
-    return None if get is None else get()
 
 
 def _solve_block(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -394,19 +335,11 @@ def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
     _check_epsilon(epsilon)
     with np.errstate(over="ignore", invalid="ignore"):  # an H that overflows fails the check
         band = _lower_band(dim, epsilon, count)
-        w, v = _parity_solve(dim, count, lambda parity: _band_block(band, parity))
+        w, v = _parity_solve(dim, count, lambda parity: _band_block(band, parity),
+                             f"lowest_levels(dim={dim}, epsilon={epsilon!r}, count={count})")
         # ||H||_F, each off-diagonal band row standing for two diagonals
         _check_eigenpairs(_band_matvec(band, v), v, w, _norm(np.vstack([band, band[1:]])))
     return w
-
-
-def evolve(state: StateVector, spec: SpectralDecomposition, t: float) -> StateVector:
-    """Apply exp(-i H t) through the spectral decomposition of H."""
-    if state.dim != spec.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim} vs decomposition {spec.dim}")
-    coeffs = spec.eigenvectors.conj().T @ state.amps
-    out = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t) * coeffs)
-    return StateVector(state.dim, out)
 
 
 def default_cutoff(alpha0: float = 0.0, r: float = 0.0) -> int:

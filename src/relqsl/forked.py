@@ -3,10 +3,10 @@
 ``write_beside(child_work, parent_work, out)`` forks one child that writes
 ``child_work``'s bytes straight to ``out``, a descriptor it shares with
 this process (a file or stdout), while this process runs ``parent_work``;
-the caller appends after them. Table rendering writes the first half of a
-large table this way. ``run_beside`` passes the bytes back through an
-unnamed temporary file instead, for selfcheck's homodyne Monte-Carlo
-draws and for the even parity block of a large Fock solve. The result
+the caller appends after them. It has two users: ``report.emit`` writes
+the first half of a large table this way, and selfcheck's homodyne
+Monte-Carlo draws go through ``run_beside``, which passes the bytes back
+through an unnamed temporary file instead. The result
 never depends on whether a child ran: without a second CPU, after a failed
 fork or after a nonzero child exit, ``child_work`` runs in this process,
 and whatever it raises reaches the caller. Before that rerun, out is cut

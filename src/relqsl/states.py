@@ -134,30 +134,6 @@ def squeezed_coeffs(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
     return coeffs
 
 
-def squeezed_coeffs_closed(spec: SqueezeSpec, n_pairs: int) -> np.ndarray:
-    """Closed form f(2n) = sqrt((2n)!) (-tanh r)^n / (2^n n! sqrt(cosh r)).
-
-    Kept as an independent cross-check of the recursion; assembled in
-    log-space so large n does not overflow.
-    """
-    if spec.r >= 5.0:
-        raise ValueError(f"r={spec.r} is beyond the supported range (r < 5)")
-    ns = np.arange(n_pairs)
-    th = math.tanh(spec.r)
-    if th == 0.0:
-        out = np.zeros(n_pairs)
-        out[0] = 1.0
-        return out
-    logmag = (
-        _log_factorial(2 * ns) / 2.0
-        - ns * math.log(2.0)
-        - _log_factorial(ns)
-        + ns * math.log(th)
-        - math.log(math.cosh(spec.r)) / 2.0
-    )
-    return np.exp(logmag) * (-1.0) ** ns
-
-
 def _pair_tail(coeffs: np.ndarray) -> float:
     """Probability weight left above the last retained pair of ``coeffs``."""
     return max(0.0, 1.0 - float(np.sum(coeffs**2)))

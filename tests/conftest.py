@@ -19,20 +19,6 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def one_blas_thread():
-    """numpy's BLAS on one thread during the test, so that a large Fock solve may fork."""
-    from relqsl import fock_core
-
-    threads = fock_core._blas_threads()
-    if threads is None:
-        pytest.skip("this numpy's BLAS thread count cannot be read, so no Fock solve forks")
-    set_threads = fock_core._openblas("set_num_threads")
-    set_threads(1)
-    yield
-    set_threads(threads)
-
-
 def _has_exited(pid: int) -> bool:
     """Whether a process (not necessarily this one's child) is gone or a zombie."""
     try:

@@ -1,14 +1,15 @@
 """Every public function or class in relqsl pays its way.
 
 A public top-level function or class must be referenced somewhere in
-src/relqsl outside its own definition, be the console entry point
-``cli.main``, or be listed in KEPT with the reason it stays although only
-tests call it. References are read from the syntax tree (names and
-attribute accesses), so a mention in a docstring or a string does not count.
+src/relqsl outside its own definition, or be the console entry point
+``cli.main``; a function that only tests call lives in the tests.
+References are read from the syntax tree (names and attribute accesses),
+so a mention in a docstring or a string does not count.
 The refusal of a non-finite result and the first-order validity warning are
 each worded once, in ``arrays``, and the syntax tree is read for copies.
 ``cli`` and ``config`` load no numpy at import, so that ``relqsl --version``
-and ``--help`` do not pay for it.
+and ``--help`` do not pay for it. Only ``report`` and ``selfcheck`` import
+``forked``, so that a new fork is a deliberate, measured change.
 """
 
 import ast
@@ -18,16 +19,6 @@ import sys
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "relqsl"
 
 ENTRY_POINTS = {("cli", "main")}
-
-KEPT = {
-    "squeezed_coeffs_closed": "closed-form reference that tests hold the amplitude recursion to",
-    "evolve": "planned for the exact-evolution fidelity oracle and the exact speed-limit "
-              "surfaces (ROADMAP items 10 and 11)",
-    "perturbed_eigenstate": "planned for the exact-evolution fidelity oracle (ROADMAP item 10)",
-    "phase_aligned_column": "planned for the one level-labelling rule of the spectral oracle "
-                            "(ROADMAP items 3(a) and 17)",
-}
-
 
 def _unreferenced_public_names(package: pathlib.Path) -> set[str]:
     """Public top-level functions and classes that no other top-level statement references."""
@@ -54,16 +45,11 @@ def _unreferenced_public_names(package: pathlib.Path) -> set[str]:
     }
 
 
-def test_every_public_name_is_referenced_or_kept():
-    unreferenced = _unreferenced_public_names(PACKAGE)
-    stray = sorted(unreferenced - set(KEPT))
-    assert stray == [], (
+def test_every_public_name_is_referenced():
+    assert sorted(_unreferenced_public_names(PACKAGE)) == [], (
         "public names that nothing in src/relqsl references: give each a caller, "
-        "delete it with its tests, or keep it in KEPT with a reason"
+        "or delete it with its tests"
     )
-    called = sorted(set(KEPT) - unreferenced)
-    assert called == [], "KEPT names that now have a caller leave the table"
-    assert all(reason.strip() for reason in KEPT.values())
 
 
 def test_scan_ignores_docstring_mentions_and_self_references(tmp_path):
@@ -102,6 +88,32 @@ def test_import_scan_sees_nested_imports(tmp_path):
         encoding="utf-8",
     )
     assert _imported_top_levels(tmp_path) == {"os", "scipy", "mpmath"}
+
+
+def _importers_of(package: pathlib.Path, target: str) -> set[str]:
+    """Modules of the package that import sibling ``target``, nested imports included."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and (
+                node.module == target
+                or node.module is None and any(alias.name == target for alias in node.names)
+            ):
+                found.add(path.stem)
+    return found
+
+
+def test_only_report_and_selfcheck_fork():
+    """A fork must beat its own cost on the benchmark; the parity solve's did not."""
+    assert _importers_of(PACKAGE, "forked") == {"report", "selfcheck"}
+
+
+def test_importer_scan_sees_every_relative_form(tmp_path):
+    (tmp_path / "a.py").write_text("from . import forked\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("def f():\n    from .forked import run_beside\n", encoding="utf-8")
+    (tmp_path / "c.py").write_text("from . import config, forked as f\n", encoding="utf-8")
+    (tmp_path / "d.py").write_text('"""forked"""\nfrom . import report\nimport forked\n', encoding="utf-8")
+    assert _importers_of(tmp_path, "forked") == {"a", "b", "c"}
 
 
 def _eager_numpy_imports(package: pathlib.Path, stem: str) -> list[str]:

@@ -237,12 +237,19 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
                      "error: eigenpair residual nan is not within 1e-9 * ||H|| = nan\n",
                      marks=[pytest.mark.filterwarnings("ignore:epsilon=.* is large"),
                             pytest.mark.filterwarnings("error::RuntimeWarning")]),
+        # the dim-8 band overflows to inf and eigh does not converge; this
+        # printed numpy's bare message, naming neither the solve nor epsilon
+        pytest.param(["spectrum", "--dim", "8", "--nmax", "2", "--epsilon", "1e307"],
+                     "error: lowest_levels(dim=8, epsilon=1e+307, count=3): eigh failed on a "
+                     "parity block: Eigenvalues did not converge\n",
+                     marks=[pytest.mark.filterwarnings("ignore:epsilon=.* is large"),
+                            pytest.mark.filterwarnings("error::RuntimeWarning")]),
     ],
     ids=["qsl-alpha0-1e200", "qsl-squeezed-r-1e3", "qsl-squeezed-r-50-t-1e-30",
          "metrology-alpha0-1e200",
          "metrology-alpha0-1e100", "metrology-squeezed-r-1e3", "metrology-alpha0-1e60",
          "metrology-squeezed-r-118.45", "qkd-t-window-1e200", "qkd-gamma-dt-1e200",
-         "spectrum-epsilon-1e305"],
+         "spectrum-epsilon-1e305", "spectrum-dim-8-epsilon-1e307"],
 )
 def test_non_finite_bound_exits_one(argv, message, capsys):
     assert run_subcommand(argv) == 1
@@ -337,7 +344,6 @@ def test_cold_start_loads_no_numpy(code, executed):
 @pytest.mark.parametrize(
     "argv, executed",
     [
-        # spectrum at dim 256 does not fork
         (["spectrum"], "['arrays', 'cli', 'config', 'fock_core', 'perturbation', 'report']"),
         (["trap"], "['arrays', 'cli', 'config', 'homodyne_trap', 'report']"),
     ],
@@ -375,22 +381,21 @@ def _seeded_grid_config(path, seed: int) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.usefixtures("no_child_left", "one_blas_thread")
-def test_spectrum_bytes_do_not_depend_on_the_fork(monkeypatch, capsys):
-    """On two CPUs spectrum at dim 1024 solves the even block in a forked child,
-    and prints what it prints on one CPU."""
-    fork, forks = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    outputs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        for fmt in ("csv", "json"):
-            argv = ["spectrum", "--dim", "1024", "--nmax", "256", "--epsilon", "2e-3", "--format", fmt]
-            assert run_subcommand(argv) == 0
-            outputs[cpus, fmt] = capsys.readouterr().out
-    assert len(forks) == 2
-    for fmt in ("csv", "json"):
-        assert outputs[1, fmt] == outputs[2, fmt]
+def test_large_spectrum_solves_in_process():
+    """spectrum at dim 1024 solves both parity blocks in its own process: with
+    two CPUs and OpenBLAS on one thread, it calls os.fork zero times."""
+    code = (
+        "import os\n"
+        "from relqsl.cli import run_subcommand\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "assert run_subcommand(['spectrum', '--dim', '1024', '--nmax', '256', '--out', os.devnull]) == 0\n"
+        "print(len(forks))\n"
+    )
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize(

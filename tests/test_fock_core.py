@@ -1,13 +1,8 @@
-import errno
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import SRC
 
 from relqsl import fock_core
 from relqsl.fock_core import (
@@ -19,12 +14,9 @@ from relqsl.fock_core import (
     build_quadratures,
     default_cutoff,
     diagonalize,
-    evolve,
     lowest_levels,
 )
 from relqsl.states import CoherentSpec, SqueezeSpec, coherent_amplitudes, squeezed_state
-
-pytestmark = pytest.mark.usefixtures("no_child_left")
 
 DIM = 64
 
@@ -120,19 +112,6 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(TruncatedOperator(DIM, m))
 
 
-def test_evolution_phase_of_eigenstate():
-    """exp(-iHt) applied to the ground state is a pure phase e^{-i E0 t}."""
-    spec = diagonalize(build_hamiltonian(DIM, 0.0))
-    amps = np.zeros(DIM, dtype=complex)
-    amps[0] = 1.0
-    state = StateVector(DIM, amps)
-    t = 1.7
-    out = evolve(state, spec, t)
-    overlap = complex(np.vdot(state.amps, out.amps))
-    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
-    assert overlap == pytest.approx(np.exp(-1j * 0.5 * t), abs=1e-10)
-
-
 def test_diagonalize_rejects_parity_coupling():
     """x is Hermitian but couples n to n+-1, so its parity blocks are not all of it."""
     x, _ = build_quadratures(DIM)
@@ -154,9 +133,8 @@ def test_moments_on_ground_state():
 
 def test_dimension_mismatch_raises():
     spec = diagonalize(build_hamiltonian(DIM, 0.0))
-    for method in (spec.moments, lambda state: evolve(state, spec, 1.0)):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            method(_ground_state(2 * DIM))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        spec.moments(_ground_state(2 * DIM))
 
 
 MOMENT_STATES = {
@@ -362,154 +340,33 @@ def test_module_constants():
     assert (fock_core._VERIFY_BYTES_PER_DIM_COUNT * fock_core.MAX_DIM * most
             <= fock_core.SOLVE_BUDGET_BYTES)
     assert fock_core.EPSILON_WARN_THRESHOLD == 0.1
-    assert fock_core.MIN_FORK_DIM == 640
     assert fock_core.BAND_ROWS == 3
 
 
-# odd, so the even block (one level larger) is told apart from the odd one by its size
-FORK_DIM = fock_core.MIN_FORK_DIM + 1
-EVEN_SIZE = (FORK_DIM + 1) // 2
-
-
-def _set_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def _count_forks(monkeypatch, fails: bool = False) -> list[int]:
-    """A list that grows by one at each os.fork, which raises EAGAIN if ``fails``."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        if fails:
-            raise OSError(errno.EAGAIN, "fork refused")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-SOLVED_ROUTES = {
-    "lowest_levels": lambda dim: lowest_levels(dim, 1e-3, dim // 4 + 1),
-    "diagonalize": lambda dim: diagonalize(build_hamiltonian(dim, 1e-3)),
-}
-
-
-@pytest.mark.usefixtures("one_blas_thread")
-@pytest.mark.parametrize("dim", [fock_core.MIN_FORK_DIM - 64, FORK_DIM])
-@pytest.mark.parametrize("route", SOLVED_ROUTES.values(), ids=SOLVED_ROUTES.keys())
-def test_forked_solve_is_bit_identical(route, dim, monkeypatch):
-    """The parity solve's eigenpairs are the same bits on one CPU and on two,
-    and it forks once, on two CPUs from MIN_FORK_DIM, and never otherwise."""
+def test_even_block_error_reaches_the_caller(monkeypatch):
+    """An eigh that raises on the even block raises ArithmeticError naming the solve,
+    and the odd block is never solved."""
+    dim = DIM + 1  # odd, so the even block is told apart from the odd one by its size
     solved = []
-    check = fock_core._check_eigenpairs
-
-    def spy(hv, v, w, scale):
-        solved.append((w.copy(), v.copy()))
-        check(hv, v, w, scale)
-
-    monkeypatch.setattr(fock_core, "_check_eigenpairs", spy)
-    forks = _count_forks(monkeypatch)
-    for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
-        forks.clear()
-        route(dim)
-        assert len(forks) == (cpus == 2 and dim >= fock_core.MIN_FORK_DIM)
-    (w_one, v_one), (w_two, v_two) = solved
-    assert np.array_equal(w_one, w_two)
-    assert np.array_equal(v_one, v_two)
-
-
-def test_fork_gate(monkeypatch):
-    """Forks from MIN_FORK_DIM while two blocks fit the budget, never at MAX_DIM,
-    on one CPU, or beside BLAS threads."""
-    _set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(fock_core, "_blas_threads", lambda: 1)
-    assert not fock_core._forks(fock_core.MIN_FORK_DIM - 1)
-    assert fock_core._forks(fock_core.MIN_FORK_DIM)
-    assert fock_core._forks(11_585)
-    assert not fock_core._forks(11_586)
-    assert not fock_core._forks(fock_core.MAX_DIM)
-    for threads in (2, None):
-        monkeypatch.setattr(fock_core, "_blas_threads", lambda: threads)
-        assert not fock_core._forks(fock_core.MIN_FORK_DIM)
-    monkeypatch.setattr(fock_core, "_blas_threads", lambda: 1)
-    _set_cpus(monkeypatch, 1)
-    assert not fock_core._forks(fock_core.MIN_FORK_DIM)
-
-
-@pytest.mark.usefixtures("one_blas_thread")
-@pytest.mark.parametrize("failure", ["fork", "child"])
-def test_failed_even_solve_is_rerun_in_process(failure, monkeypatch):
-    """After a failed fork, or a child whose eigh raises, this process solves
-    the even block itself, to the same bits."""
-    _set_cpus(monkeypatch, 1)
-    expected = lowest_levels(FORK_DIM, 1e-3, 11)
-    _set_cpus(monkeypatch, 2)
-    forks = _count_forks(monkeypatch, fails=failure == "fork")
-    parent = os.getpid()
-    solve = np.linalg.eigh
-
-    def failing_in_child(a, *args, **kwargs):
-        if os.getpid() != parent:
-            raise np.linalg.LinAlgError("eigh failed in the child")
-        return solve(a, *args, **kwargs)
-
-    monkeypatch.setattr(fock_core.np.linalg, "eigh", failing_in_child)
-    assert np.array_equal(lowest_levels(FORK_DIM, 1e-3, 11), expected)
-    assert len(forks) == 1
-
-
-@pytest.mark.usefixtures("one_blas_thread")
-@pytest.mark.parametrize("fork_fails", [False, True], ids=["child", "fork"])
-def test_even_block_error_reaches_the_caller(fork_fails, monkeypatch):
-    """An eigh that raises on the even block raises from the in-process rerun."""
-    _set_cpus(monkeypatch, 2)
-    forks = _count_forks(monkeypatch, fails=fork_fails)
-    even_solves = []
     solve = np.linalg.eigh
 
     def failing_on_even(a, *args, **kwargs):
-        if a.shape[0] == EVEN_SIZE:
-            even_solves.append(os.getpid())
+        solved.append(a.shape[0])
+        if a.shape[0] == (dim + 1) // 2:
             raise np.linalg.LinAlgError("eigh failed on the even block")
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(fock_core.np.linalg, "eigh", failing_on_even)
-    with pytest.raises(np.linalg.LinAlgError, match="even block"):
-        lowest_levels(FORK_DIM, 1e-3, 11)
-    assert len(forks) == 1
-    # a child's attempt leaves no trace here: this is the rerun
-    assert even_solves == [os.getpid()]
+    with pytest.raises(ArithmeticError, match=rf"lowest_levels\(dim={dim}, epsilon=0.001, count=11\)"
+                                              ".*even block") as raised:
+        lowest_levels(dim, 1e-3, 11)
+    assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+    assert solved == [(dim + 1) // 2]
 
 
-def test_fork_after_threaded_blas():
-    """With OpenBLAS started on two threads, a threaded product runs before the
-    fork; the solve forks only once BLAS is down to one thread, ends, and
-    matches the solve on one CPU bit for bit."""
-    if fock_core._blas_threads() is None:
-        pytest.skip("this numpy's BLAS thread count cannot be read, so no Fock solve forks")
-    code = (
-        "import os\n"
-        "import numpy as np\n"
-        "from relqsl import fock_core\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "fork, forks = os.fork, []\n"
-        "os.fork = lambda: forks.append(1) or fork()\n"
-        "op = fock_core.build_hamiltonian(1024, 1e-3)\n"
-        "fock_core.diagonalize(op)\n"
-        "assert len(forks) == (fock_core._blas_threads() == 1), forks\n"
-        "forks.clear()\n"
-        "fock_core._openblas('set_num_threads')(1)\n"
-        "two = fock_core.diagonalize(op).eigenvalues\n"
-        "assert forks == [1], forks\n"
-        "os.sched_getaffinity = lambda pid: {0}\n"
-        "one = fock_core.diagonalize(op).eigenvalues\n"
-        "assert np.array_equal(two, one)\n"
-    )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+@pytest.mark.filterwarnings("ignore:epsilon=.* is large", "error::RuntimeWarning")
+def test_overflowing_hamiltonian_is_refused_with_epsilon():
+    """An H whose entries overflow is refused where it is built, naming epsilon,
+    not by diagonalize as a non-Hermitian operator, and no RuntimeWarning leaks."""
+    with pytest.raises(ArithmeticError, match=r"build_hamiltonian\(dim=256, epsilon=1e\+305\): H has a non-finite"):
+        diagonalize(build_hamiltonian(256, 1e305))
