@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -343,25 +345,106 @@ def test_module_constants():
     assert fock_core.BAND_ROWS == 3
 
 
-def test_even_block_error_reaches_the_caller(monkeypatch):
-    """An eigh that raises on the even block raises ArithmeticError naming the solve,
-    and the odd block is never solved."""
-    dim = DIM + 1  # odd, so the even block is told apart from the odd one by its size
+# odd, so the even block (one level larger) is told apart from the odd one by
+# its size; on two CPUs the even block at this size was once solved in a
+# forked child, and now must not be
+SOLVE_DIM = 641
+EVEN_SIZE = (SOLVE_DIM + 1) // 2
+
+
+def _set_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _count_forks(monkeypatch, fails: bool = False) -> list[int]:
+    """A list that grows by one at each os.fork, which raises EAGAIN if ``fails``."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        if fails:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+SOLVED_ROUTES = {
+    "lowest_levels": lambda dim: lowest_levels(dim, 1e-3, dim // 4 + 1),
+    "diagonalize": lambda dim: diagonalize(build_hamiltonian(dim, 1e-3)),
+}
+
+
+@pytest.mark.parametrize("dim", [576, SOLVE_DIM])
+@pytest.mark.parametrize("route", SOLVED_ROUTES.values(), ids=SOLVED_ROUTES.keys())
+def test_forked_solve_is_bit_identical(route, dim, monkeypatch):
+    """The parity solve's eigenpairs are the same bits on one CPU and on two,
+    and it calls os.fork on neither."""
+    solved = []
+    check = fock_core._check_eigenpairs
+
+    def spy(hv, v, w, scale):
+        solved.append((w.copy(), v.copy()))
+        check(hv, v, w, scale)
+
+    monkeypatch.setattr(fock_core, "_check_eigenpairs", spy)
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        route(dim)
+    assert forks == []
+    (w_one, v_one), (w_two, v_two) = solved
+    assert np.array_equal(w_one, w_two)
+    assert np.array_equal(v_one, v_two)
+
+
+@pytest.mark.parametrize("failure", ["fork", "child"])
+def test_failed_even_solve_is_rerun_in_process(failure, monkeypatch):
+    """Neither a fork that fails nor an eigh that raises in any other process
+    touches the solve: on two CPUs this process solves the even block itself,
+    to the bits of one CPU, without calling os.fork."""
+    _set_cpus(monkeypatch, 1)
+    expected = lowest_levels(SOLVE_DIM, 1e-3, 11)
+    _set_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch, fails=failure == "fork")
+    parent = os.getpid()
+    solve = np.linalg.eigh
+
+    def failing_in_child(a, *args, **kwargs):
+        if os.getpid() != parent:
+            raise np.linalg.LinAlgError("eigh failed in the child")
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", failing_in_child)
+    assert np.array_equal(lowest_levels(SOLVE_DIM, 1e-3, 11), expected)
+    assert forks == []
+
+
+@pytest.mark.parametrize("fork_fails", [False, True], ids=["child", "fork"])
+def test_even_block_error_reaches_the_caller(fork_fails, monkeypatch):
+    """On two CPUs, whether or not a fork would succeed, an eigh that raises on
+    the even block raises ArithmeticError naming the solve, from this process,
+    without calling os.fork, and the odd block is never solved."""
+    _set_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch, fails=fork_fails)
     solved = []
     solve = np.linalg.eigh
 
     def failing_on_even(a, *args, **kwargs):
-        solved.append(a.shape[0])
-        if a.shape[0] == (dim + 1) // 2:
+        solved.append((a.shape[0], os.getpid()))
+        if a.shape[0] == EVEN_SIZE:
             raise np.linalg.LinAlgError("eigh failed on the even block")
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(fock_core.np.linalg, "eigh", failing_on_even)
-    with pytest.raises(ArithmeticError, match=rf"lowest_levels\(dim={dim}, epsilon=0.001, count=11\)"
+    with pytest.raises(ArithmeticError, match=rf"lowest_levels\(dim={SOLVE_DIM}, epsilon=0.001, count=11\)"
                                               ".*even block") as raised:
-        lowest_levels(dim, 1e-3, 11)
+        lowest_levels(SOLVE_DIM, 1e-3, 11)
     assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
-    assert solved == [(dim + 1) // 2]
+    assert solved == [(EVEN_SIZE, os.getpid())]
+    assert forks == []
 
 
 @pytest.mark.filterwarnings("ignore:epsilon=.* is large", "error::RuntimeWarning")
