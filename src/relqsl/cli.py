@@ -1,11 +1,11 @@
 """Batch front-end: one subcommand per result family, deterministic output.
 
 Precedence for every parameter is defaults < config file < command-line
-flag. The flags are generated from `config.SCHEMA`, so a flag value passes
-the same parse-and-range check as a config line. Outputs go to stdout or,
-with --out, to an atomically written file. Exit codes: 0 success, 1 domain
-or check failure, 2 usage, flag or config error, or an --out path or
-stdout that cannot be written. Warnings reach stderr as one
+flag. The flags come from `config.SCHEMA` and `config.SEED`, so a flag
+value passes the same parse-and-range check as a config line. Outputs go to
+stdout or, with --out, to an atomically written file. Exit codes: 0 success,
+1 domain or check failure, 2 usage, flag or config error, or an --out path
+or stdout that cannot be written. Warnings reach stderr as one
 ``warning: <message>`` line each.
 
 Other relqsl modules are reached by module attribute and numpy is imported
@@ -23,16 +23,6 @@ from typing import Any, Callable
 
 from . import __version__, config, fock_core, homodyne_trap, metrology, perturbation
 from . import presets, qkd_model, report, selfcheck
-
-
-def _seed_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
 
 
 def _flag_type(spec: config.FieldSpec) -> Callable[[str], Any]:
@@ -218,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="run the cross-validation battery")
     p.add_argument("--out", help="JSON report file (the table goes to stdout)")
-    p.add_argument("--seed", type=_seed_type, default=42, help="seed for Monte-Carlo checks")
+    p.add_argument("--seed", type=_flag_type(config.SEED), default=config.SEED.default,
+                   help="seed for Monte-Carlo checks")
     p.set_defaults(handler=_cmd_selfcheck)
 
     return parser

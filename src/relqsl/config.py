@@ -7,14 +7,15 @@ Unknown keys are rejected by name rather than ignored, so a typo cannot
 silently fall back to a default.
 
 `SCHEMA` is also the only description of the command-line flags: the CLI
-generates one flag per key and passes its value through the same
-`parse_value` check, so a flag and a config line are rejected alike.
+generates one flag per key (selfcheck's --seed from `SEED`) and passes its
+value through the same `parse_value` check, so a flag and a config line are
+rejected alike; the parameter dataclasses check theirs by `check_ranges`.
 
 The module is stdlib-only, so building the parser executes no physics
 module. The names the schema shares with the physics (sweep parameter
-domains, qkd detection and predictor kinds, the electron mass) are defined
-here and imported from here; the preset and target names are read from
-``presets`` only when such a value is parsed.
+domains and axis count, qkd detection and predictor kinds, the electron
+mass) are defined here and imported from here; ``presets`` is bound here
+unexecuted and runs only when a preset or target name is parsed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 import re
 from typing import Any, Callable, Iterable, NamedTuple
+
+from . import presets
 
 ELECTRON_MASS = 9.1093837015e-31  # kg
 DETECTION_KINDS = frozenset({"homodyne", "heterodyne"})
@@ -35,6 +38,7 @@ SWEEP_PARAM_DOMAINS: dict[str, tuple[Callable[[float], bool], str]] = {
     "theta": (lambda v: True, ""),
 }
 SWEEP_PARAM_NAMES = tuple(SWEEP_PARAM_DOMAINS)
+MAX_AXES = 3  # axes of a sweep grid
 
 
 class ConfigError(Exception):
@@ -46,6 +50,11 @@ class FieldSpec(NamedTuple):
     default: Any
     check: Callable[[Any], bool] = lambda _: True
     describe: str = ""
+
+    def require(self, value: Any, shown: str) -> Any:
+        if not self.check(value):
+            raise ValueError(f"{shown} violates {self.describe}")
+        return value
 
 
 def _parse_float(text: str) -> float:
@@ -89,14 +98,6 @@ def _choice(*options: str) -> Callable[[str], str]:
     return _choice_of(lambda: options)
 
 
-def _presets() -> Any:
-    """The presets module, imported only here: it imports this module, and
-    its presets and targets are numpy objects."""
-    from . import presets
-
-    return presets
-
-
 def _nonneg(v: float) -> bool:
     return v >= 0
 
@@ -110,7 +111,7 @@ def _unit_interval(v: float) -> bool:
 
 
 _AXIS_FIELDS: dict[str, FieldSpec] = {}
-for _i in (1, 2, 3):
+for _i in range(1, MAX_AXES + 1):
     _AXIS_FIELDS[f"axis{_i}_name"] = FieldSpec(
         _choice(*SWEEP_PARAM_NAMES), None, describe="sweep axis name"
     )
@@ -165,8 +166,8 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "predictor": FieldSpec(_choice(*PREDICTOR_KINDS), "zoh"),
     },
     "sweep": {
-        "preset": FieldSpec(_choice_of(lambda: _presets().PRESETS), None),
-        "target": FieldSpec(_choice_of(lambda: _presets().TARGETS), None),
+        "preset": FieldSpec(_choice_of(lambda: presets.PRESETS), None),
+        "target": FieldSpec(_choice_of(lambda: presets.TARGETS), None),
         **_AXIS_FIELDS,
         # fixed values for parameters not swept over
         **{
@@ -175,6 +176,8 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         },
     },
 }
+
+SEED = FieldSpec(_parse_int, 42, lambda v: 0 <= v < 2**64, "0 <= seed < 2**64")  # selfcheck --seed
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_]+)\]$")
 
@@ -186,10 +189,14 @@ def defaults() -> dict[str, dict[str, Any]]:
 
 def parse_value(spec: FieldSpec, text: str) -> Any:
     """Parse one value and check its range; ValueError says what is wrong."""
-    value = spec.parse(text)
-    if not spec.check(value):
-        raise ValueError(f"{text} violates {spec.describe}")
-    return value
+    return spec.require(spec.parse(text), text)
+
+
+def check_ranges(section: str, obj: Any, names: Iterable[str]) -> None:
+    """Check attributes ``names`` of ``obj`` against the [section] ranges, as a config line is."""
+    for name in names:
+        value = getattr(obj, name)
+        SCHEMA[section][name].require(value, str(value))
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, Any]]:

@@ -80,7 +80,7 @@ class StateVector:
         if self.amps.shape != (self.dim,):
             raise ValueError(f"amps shape {self.amps.shape} does not match dim={self.dim}")
         norm = float(np.linalg.norm(self.amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(
                 f"state norm {norm!r} deviates from 1 by more than {NORM_ATOL}; "
                 "renormalize or increase the cutoff before constructing"
@@ -193,12 +193,19 @@ def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
 def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator that conserves the parity of n.
 
-    Raises if the input is not Hermitian or has a nonzero entry between an
-    even and an odd level. The even and odd blocks go through the parity
-    solve, and the result is verified against the full matrix: eigenpair
-    residuals below 1e-9 * ||H||_F and column orthonormality below 1e-10.
+    A non-finite entry raises ArithmeticError; an input that is not
+    Hermitian, or has a nonzero entry between an even and an odd level,
+    raises ValueError. The even and odd blocks go through the parity solve,
+    and the result is verified against the full matrix: eigenpair residuals
+    below 1e-9 * ||H||_F and column orthonormality below 1e-10.
     """
     h = op.entries
+    finite = np.isfinite(h)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ArithmeticError(
+            f"diagonalize(dim={op.dim}): H has a non-finite entry H[{i}, {j}] = {h[i, j].item()!r}"
+        )
     if not op.is_hermitian():
         raise ValueError("diagonalize requires a Hermitian operator")
     if np.any(h[0::2, 1::2]) or np.any(h[1::2, 0::2]):

@@ -8,8 +8,8 @@ deviation and locates their crossover.
 Everything upstream of this module works in natural units; SI constants and
 unit conversion live here and nowhere else, so there is a single boundary
 where dimensions can go wrong. The one exception is the electron mass, the
-default of the trap's mass parameter: the stdlib-only ``config`` schema
-defines it and this module re-exports it.
+default of the trap's mass parameter, which the stdlib-only ``config``
+schema defines; ``TrapConfig`` checks its ranges through that schema too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .arrays import require_finite
-from .config import ELECTRON_MASS
+from .config import check_ranges
 
 PLANCK_H = 6.62607015e-34  # J s, exact by definition
 SPEED_OF_LIGHT = 299792458.0  # m / s, exact by definition
@@ -61,9 +61,9 @@ class BhdConfig:
     delta_psi: float = math.pi / 2.0
 
     def __post_init__(self):
-        if self.alpha_s <= 0:
+        if not self.alpha_s > 0:
             raise ValueError(f"alpha_s must be positive, got {self.alpha_s}")
-        if self.alpha_lo_mag <= 0:
+        if not self.alpha_lo_mag > 0:
             raise ValueError(f"alpha_lo_mag must be positive, got {self.alpha_lo_mag}")
 
 
@@ -83,9 +83,10 @@ class TrapConfig:
     epsilon: float
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if value <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+        check_ranges("trap", self, ("nu", "p_lo", "kappa"))
+        # a [trap] epsilon of 0 means "derive it", so the schema's range admits 0
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
 
 
 def i_diff_mean(cfg: BhdConfig) -> float:

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import metrology, qsl_bounds
 from .arrays import SOLVE_BUDGET_BYTES, Grid
-from .config import SWEEP_PARAM_DOMAINS, SWEEP_PARAM_NAMES
+from .config import MAX_AXES, SWEEP_PARAM_DOMAINS, SWEEP_PARAM_NAMES
 
-MAX_AXES = 3
 # A grid job peaks below 1 KiB a point, so grids are held to the job memory
 # budget. The 113,400-point qsl_coherent grid, as ru_maxrss of one
 # `relqsl sweep` spawned from a small parent (2 CPUs, so it formats in two
@@ -223,7 +222,7 @@ def sweep_from_config(section: dict[str, Any]) -> SweepSpec:
             "a preset or a target and axes"
         )
     axes = []
-    for i in (1, 2, 3):
+    for i in range(1, MAX_AXES + 1):
         name = section[f"axis{i}_name"]
         parts = [section[f"axis{i}_{p}"] for p in ("start", "stop", "step")]
         if name is None and all(p is None for p in parts):

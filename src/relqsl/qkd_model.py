@@ -11,6 +11,8 @@ beamsplitter with vacuum in its other port, whose transmission chi_det fixes
 (the trusted-detector model of Lodewyck et al., Phys. Rev. A 76, 042305,
 2007, without electronic noise). The test suite checks the floating-point
 path against an arbitrary-precision twin of the whole covariance algebra.
+The parameter dataclasses check their floats against the ``config``
+[qkd] schema, so a range is written once and nan is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .arrays import require_finite
-from .config import DETECTION_KINDS, PREDICTOR_KINDS
+from .config import DETECTION_KINDS, PREDICTOR_KINDS, check_ranges
 
 _PHYS_TOL = 1e-9
 
@@ -39,16 +41,7 @@ class QkdLinkParams:
     trusted_detection: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity must be in (0, 1], got {self.transmissivity}")
-        if self.v_a <= 0:
-            raise ValueError(f"v_a must be positive, got {self.v_a}")
-        if self.xi_base < 0:
-            raise ValueError(f"xi_base must be non-negative, got {self.xi_base}")
-        if self.chi_det < 0:
-            raise ValueError(f"chi_det must be non-negative, got {self.chi_det}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        check_ranges("qkd", self, ("transmissivity", "v_a", "xi_base", "chi_det", "beta"))
         if self.detection not in DETECTION_KINDS:
             raise ValueError(f"detection must be one of {sorted(DETECTION_KINDS)}")
 
@@ -74,10 +67,8 @@ class PhaseNoiseParams:
     predictor: str = "zoh"
 
     def __post_init__(self):
-        for name in ("sigma_phi0_sq", "c_factor", "gamma", "epsilon", "t_window", "t_pilot", "dt"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        check_ranges("qkd", self, ("sigma_phi0_sq", "c_factor", "gamma", "epsilon",
+                                   "t_window", "t_pilot", "dt"))
         if self.predictor not in PREDICTOR_KINDS:
             raise ValueError(f"predictor must be one of {sorted(PREDICTOR_KINDS)}")
 

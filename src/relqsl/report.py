@@ -51,8 +51,6 @@ def format_cell(value: Any) -> str:
 _BOOL_TEXT = {True: "true", False: "false"}
 # json spells the non-finite floats differently from repr
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# a JSON table cell sits two levels deep, inside its row object
-_JSON_CELL_INDENT = "\n    "
 
 
 def _json_default(value: Any) -> Any:
@@ -63,7 +61,7 @@ def _json_default(value: Any) -> Any:
 
 
 def _json_cell(value: Any) -> str:
-    return json.dumps(value, indent=2, default=_json_default).replace("\n", _JSON_CELL_INDENT)
+    return json.dumps(value, default=_json_default)
 
 
 def _column_texts(header: Sequence[str], rows: np.ndarray, json_cells: bool) -> list[list[str]]:

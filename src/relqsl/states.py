@@ -28,7 +28,7 @@ class CoherentSpec:
     alpha0: float
 
     def __post_init__(self):
-        if self.alpha0 < 0:
+        if not self.alpha0 >= 0:
             raise ValueError(f"alpha0 must be non-negative, got {self.alpha0}")
 
 
@@ -39,7 +39,7 @@ class SqueezeSpec:
     r: float
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:
             raise ValueError(f"r must be non-negative, got {self.r}")
 
 
@@ -59,9 +59,12 @@ def coherent_tail(alpha0: float, dim: int) -> float:
     This is the regularized lower incomplete gamma P(dim, alpha0^2), summed
     as its series of Poisson terms n >= dim. Each term is formed in log space,
     so neither alpha0^(2n) nor n! overflows, and the sum stops once the terms
-    fall past the mean and below the last bit of the total.
+    fall past the mean and below the last bit of the total, which a
+    non-finite mean never does, so one is refused.
     """
     mean = alpha0 * alpha0
+    if not mean < math.inf:
+        raise ValueError(f"coherent_tail needs a finite mean alpha0^2, got alpha0={alpha0!r}")
     if mean == 0.0:  # alpha0 = 0, or alpha0^2 underflows
         return 0.0
     log_mean = math.log(mean)

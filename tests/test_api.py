@@ -5,8 +5,10 @@ src/relqsl outside its own definition, or be the console entry point
 ``cli.main``; a function that only tests call lives in the tests.
 References are read from the syntax tree (names and attribute accesses),
 so a mention in a docstring or a string does not count.
-The refusal of a non-finite result and the first-order validity warning are
-each worded once, in ``arrays``, and the syntax tree is read for copies.
+Every name a module imports at module level is used in that module, so
+nothing is silently re-exported. The refusal of a non-finite result and the
+first-order validity warning are each worded once, in ``arrays``, and the
+syntax tree is read for copies.
 ``cli`` and ``config`` load no numpy at import, so that ``relqsl --version``
 and ``--help`` do not pay for it. Only ``report`` and ``selfcheck`` import
 ``forked``, so that a new fork is a deliberate, measured change.
@@ -61,6 +63,42 @@ def test_scan_ignores_docstring_mentions_and_self_references(tmp_path):
         encoding="utf-8",
     )
     assert _unreferenced_public_names(tmp_path) == {"helper", "caller"}
+
+
+def _unused_imports(package: pathlib.Path) -> set[tuple[str, str]]:
+    """(module, name) of each name bound by a module-level import and never used in its module."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        found.update((path.stem, name) for name in bound - used)
+    return found
+
+
+def test_every_module_level_import_is_used():
+    assert sorted(_unused_imports(PACKAGE)) == [], (
+        "names imported but unused in their module: use each, or import it where it is used"
+    )
+
+
+def test_unused_import_scan_sees_module_level_bindings_only(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""reexported and other are mentioned here only."""\n'
+        "from __future__ import annotations\n\n"
+        "import json as j\nimport os.path\nimport shutil\n"
+        "from . import other, sibling\nfrom .names import reexported, used_name\n\n\n"
+        "def f(x: used_name) -> str:\n"
+        "    import csv\n"
+        "    return os.path.join(j.dumps(x), sibling.shutil)\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(tmp_path) == {("mod", "shutil"), ("mod", "other"), ("mod", "reexported")}
 
 
 def _imported_top_levels(package: pathlib.Path) -> set[str]:

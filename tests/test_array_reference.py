@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relqsl import metrology, presets, qsl_bounds
+from relqsl import config, metrology, presets, qsl_bounds
 from relqsl.arrays import require_finite
 
 POINTS = 20_000
@@ -372,7 +372,7 @@ def _value(draw, name):
 def sweep_specs(draw, target):
     """A SweepSpec of ``target`` with 1 to 3 axes of up to 5 points in any order."""
     names = draw(st.permutations(sorted(presets.TARGETS[target].required)))
-    n_axes = draw(st.integers(1, presets.MAX_AXES))
+    n_axes = draw(st.integers(1, config.MAX_AXES))
     axes = []
     for name in names[:n_axes]:
         start, count = _value(draw, name), draw(st.integers(1, 5))

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -37,6 +38,18 @@ def test_version_and_usage_exit_codes(capsys):
         err = capsys.readouterr().err
         assert f"argument --seed: expected an integer, got '{seed}'" in err
         assert "_seed_type" not in err
+
+
+def test_seed_takes_the_whole_unsigned_64_bit_range():
+    for seed in (0, 2**64 - 1):
+        assert build_parser().parse_args(["selfcheck", "--seed", str(seed)]).seed == seed
+    assert build_parser().parse_args(["selfcheck"]).seed == 42
+
+
+def test_selfcheck_help_lists_only_seed_and_out(capsys):
+    assert run_subcommand(["selfcheck", "--help"]) == 0
+    options = re.findall(r"^  (--?[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert options == ["-h", "--out", "--seed"]
 
 
 def test_qsl_frozen_row(capsys):
@@ -125,6 +138,10 @@ def test_bad_config_reports_line_number(tmp_path, capsys):
         (["qsl", "--threads", "2"], "unrecognized arguments: --threads"),
         (["qsl", "--seed", "1"], "unrecognized arguments: --seed"),
         (["selfcheck", "--config", "x"], "unrecognized arguments: --config"),
+        # the seed is parsed by the schema code too, outside every section
+        (["selfcheck", "--seed", "-1"], "argument --seed: -1 violates 0 <= seed < 2**64"),
+        (["selfcheck", "--seed", str(2**64)], f"argument --seed: {2**64} violates 0 <= seed"),
+        (["selfcheck", "--seed", "abc"], "argument --seed: expected an integer, got 'abc'"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error(argv, fragment, capsys):
@@ -132,6 +149,7 @@ def test_bad_flag_value_is_a_usage_error(argv, fragment, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert fragment in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_flags_are_generated_from_the_schema():

@@ -1,13 +1,15 @@
 """Config schema validation and the declarative sweep machinery."""
 
+import dataclasses
 import math
 import warnings
 
 import pytest
 
-from relqsl.config import ConfigError, defaults, load_config, parse_config_text
-from relqsl.homodyne_trap import ELECTRON_MASS, epsilon_from_trap, trap_config
+from relqsl.config import ELECTRON_MASS, ConfigError, defaults, load_config, parse_config_text
+from relqsl.homodyne_trap import TrapConfig, epsilon_from_trap, trap_config
 from relqsl.presets import PRESETS, Axis, SweepSpec, run_sweep, sweep_from_config
+from relqsl.qkd_model import PhaseNoiseParams, QkdLinkParams
 
 SAMPLE = """
 # reference operating point
@@ -236,3 +238,52 @@ def test_trap_config_reads_the_trap_defaults():
         ("nu", 149e9), ("p_lo", 1e-3), ("kappa", 200.0),
         ("epsilon", 0.0), ("mass", ELECTRON_MASS), ("tau", 1.0),
     ]
+
+
+# valid arguments of each parameter dataclass that checks its ranges through the schema
+VALID_PARAMS = {
+    QkdLinkParams: {"transmissivity": 0.5, "v_a": 4.0},
+    PhaseNoiseParams: {},
+    TrapConfig: {"nu": 149e9, "p_lo": 1e-3, "kappa": 200.0, "epsilon": 1.5e-10},
+}
+NUMERIC_FIELDS = [
+    (cls, f.name) for cls in VALID_PARAMS for f in dataclasses.fields(cls) if f.type == "float"
+]
+
+
+def test_numeric_fields_cover_the_dataclasses():
+    counts = {cls.__name__: sum(c is cls for c, _ in NUMERIC_FIELDS) for cls in VALID_PARAMS}
+    assert counts == {"QkdLinkParams": 5, "PhaseNoiseParams": 7, "TrapConfig": 4}
+
+
+@pytest.mark.parametrize(
+    "cls, name", NUMERIC_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS]
+)
+def test_every_numeric_dataclass_field_refuses_nan_by_name(cls, name):
+    with pytest.raises(ValueError) as refused:
+        cls(**{**VALID_PARAMS[cls], name: math.nan})
+    assert "nan" in str(refused.value) and name in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "section, cls, key, bad",
+    [
+        ("qkd", QkdLinkParams, "transmissivity", 1.5),
+        ("qkd", QkdLinkParams, "v_a", -1.0),
+        ("qkd", QkdLinkParams, "beta", 0.0),
+        ("qkd", PhaseNoiseParams, "t_pilot", -0.25),
+        ("trap", TrapConfig, "kappa", 0.0),
+        ("trap", TrapConfig, "nu", -1e9),
+    ],
+)
+def test_config_line_and_dataclass_word_a_range_alike(section, cls, key, bad):
+    with pytest.raises(ConfigError) as from_config:
+        parse_config_text(f"[{section}]\n{key} = {bad!r}\n")
+    with pytest.raises(ValueError) as from_class:
+        cls(**{**VALID_PARAMS[cls], key: bad})
+    assert str(from_class.value).startswith(f"{bad!r} violates ")
+    assert str(from_config.value) == f"line 2: key {key!r}: {from_class.value}"
+
+
+def test_the_seed_has_no_config_section():
+    assert "selfcheck" not in defaults()

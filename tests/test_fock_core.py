@@ -2,6 +2,7 @@ import errno
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ def test_diagonalize_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         diagonalize(TruncatedOperator(DIM, m))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_diagonalize_names_a_non_finite_entry_without_a_warning(bad):
+    m = np.eye(8)
+    m[2, 6] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError) as refused:
+            diagonalize(TruncatedOperator(8, m))
+    assert str(refused.value) == f"diagonalize(dim=8): H has a non-finite entry H[2, 6] = {bad!r}"
+
+
+def test_state_vector_refuses_nan_amplitudes():
+    amps = np.zeros(DIM)
+    amps[0] = math.nan
+    with pytest.raises(ValueError, match="state norm nan deviates from 1"):
+        StateVector(DIM, amps)
 
 
 def test_diagonalize_rejects_parity_coupling():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from relqsl import homodyne_trap, selfcheck
+from relqsl.config import ELECTRON_MASS
 from relqsl.homodyne_trap import (
-    ELECTRON_MASS,
     INT16_MAX_PORT_MEAN,
     PLANCK_H,
     REFERENCE_SHOT_NOISE_1S,
@@ -59,6 +59,13 @@ def test_difference_intensity_moments():
     balanced = BhdConfig(alpha_s=2.0, alpha_lo_mag=3.0)
     assert abs(i_diff_mean(balanced)) < 1e-15
     assert i_diff_mean_slope(balanced) == -12.0
+
+
+def test_bhd_config_refuses_nan():
+    with pytest.raises(ValueError, match="alpha_s must be positive, got nan"):
+        BhdConfig(alpha_s=math.nan, alpha_lo_mag=1.0)
+    with pytest.raises(ValueError, match="alpha_lo_mag must be positive, got nan"):
+        BhdConfig(alpha_s=1.0, alpha_lo_mag=math.nan)
 
 
 def test_config_validation():

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +62,34 @@ def test_spec_validation():
         CoherentSpec(-0.1)
     with pytest.raises(ValueError):
         SqueezeSpec(-0.5)
+
+
+def test_specs_refuse_nan():
+    with pytest.raises(ValueError, match="alpha0 must be non-negative, got nan"):
+        CoherentSpec(math.nan)
+    with pytest.raises(ValueError, match="r must be non-negative, got nan"):
+        SqueezeSpec(math.nan)
+
+
+@pytest.mark.parametrize("alpha0", ["nan", "inf", "1e200"])
+def test_coherent_tail_refuses_a_non_finite_mean_in_finite_time(alpha0):
+    """Its stop test never holds for such a mean, so a fresh interpreter, bounded
+    by a timeout, shows a hang as a failure instead of stalling the suite."""
+    code = (
+        "from relqsl.states import coherent_tail\n"
+        "try:\n"
+        f"    coherent_tail(float({alpha0!r}), 256)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30, check=True)
+    assert done.stdout == (
+        f"coherent_tail needs a finite mean alpha0^2, got alpha0={float(alpha0)!r}\n"
+    )
 
 
 def test_coherent_amplitudes_poissonian():
