@@ -9,11 +9,11 @@ silently fall back to a default.
 `SCHEMA` is also the only description of the command-line flags: the CLI
 generates one flag per key (selfcheck's --seed from `SEED`) and passes its
 value through the same `parse_value` check, so a flag and a config line are
-rejected alike; the parameter dataclasses check theirs by `check_ranges`.
+rejected alike, and `check_ranges` checks each dataclass field a section holds.
 
 The module is stdlib-only, so building the parser executes no physics
 module. The names the schema shares with the physics (sweep parameter
-domains and axis count, qkd detection and predictor kinds, the electron
+specs and axis count, qkd detection and predictor kinds, the electron
 mass) are defined here and imported from here; ``presets`` is bound here
 unexecuted and runs only when a preset or target name is parsed.
 """
@@ -29,15 +29,6 @@ from . import presets
 ELECTRON_MASS = 9.1093837015e-31  # kg
 DETECTION_KINDS = frozenset({"homodyne", "heterodyne"})
 PREDICTOR_KINDS = frozenset({"zoh", "linear"})
-# Axis and fixed-parameter names a sweep may use, each with its domain (a check
-# and its description); a SweepSpec checks that the chosen target consumes
-# exactly these. An axis checks its start, a SweepSpec its fixed values.
-SWEEP_PARAM_DOMAINS: dict[str, tuple[Callable[[float], bool], str]] = {
-    "t": (lambda v: v > 0, "t > 0"),
-    **{name: (lambda v: v >= 0, f"{name} >= 0") for name in ("alpha0_sq", "r", "epsilon", "alpha_sq")},
-    "theta": (lambda v: True, ""),
-}
-SWEEP_PARAM_NAMES = tuple(SWEEP_PARAM_DOMAINS)
 MAX_AXES = 3  # axes of a sweep grid
 
 
@@ -110,6 +101,16 @@ def _unit_interval(v: float) -> bool:
     return 0 < v <= 1
 
 
+# Axis and fixed-parameter names a sweep may use, each with its [sweep] spec
+# and domain; a SweepSpec checks that the chosen target consumes exactly
+# these. An axis checks its start, a SweepSpec its fixed values.
+SWEEP_PARAMS: dict[str, FieldSpec] = {
+    "t": FieldSpec(_parse_float, None, _positive, "t > 0"),
+    **{name: FieldSpec(_parse_float, None, _nonneg, f"{name} >= 0")
+       for name in ("alpha0_sq", "r", "epsilon", "alpha_sq")},
+    "theta": FieldSpec(_parse_float, None),
+}
+SWEEP_PARAM_NAMES = tuple(SWEEP_PARAMS)
 _AXIS_FIELDS: dict[str, FieldSpec] = {}
 for _i in range(1, MAX_AXES + 1):
     _AXIS_FIELDS[f"axis{_i}_name"] = FieldSpec(
@@ -169,11 +170,7 @@ SCHEMA: dict[str, dict[str, FieldSpec]] = {
         "preset": FieldSpec(_choice_of(lambda: presets.PRESETS), None),
         "target": FieldSpec(_choice_of(lambda: presets.TARGETS), None),
         **_AXIS_FIELDS,
-        # fixed values for parameters not swept over
-        **{
-            name: FieldSpec(_parse_float, None, check, describe)
-            for name, (check, describe) in SWEEP_PARAM_DOMAINS.items()
-        },
+        **SWEEP_PARAMS,  # fixed values for parameters not swept over
     },
 }
 
@@ -192,11 +189,13 @@ def parse_value(spec: FieldSpec, text: str) -> Any:
     return spec.require(spec.parse(text), text)
 
 
-def check_ranges(section: str, obj: Any, names: Iterable[str]) -> None:
-    """Check attributes ``names`` of ``obj`` against the [section] ranges, as a config line is."""
-    for name in names:
-        value = getattr(obj, name)
-        SCHEMA[section][name].require(value, str(value))
+def check_ranges(section: str, obj: Any) -> None:
+    """Check each dataclass field of ``obj`` that [section] holds, in field order, as a line is."""
+    fields = SCHEMA[section]
+    for name in obj.__dataclass_fields__:
+        if name in fields:
+            value = getattr(obj, name)
+            fields[name].require(value, str(value))
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, Any]]:

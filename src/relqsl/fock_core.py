@@ -160,7 +160,7 @@ def _check_epsilon(epsilon: float) -> None:
 
     The warning points at the caller of the public function that checks.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if epsilon > EPSILON_WARN_THRESHOLD:
         warnings.warn(

@@ -83,10 +83,10 @@ class TrapConfig:
     epsilon: float
 
     def __post_init__(self):
-        check_ranges("trap", self, ("nu", "p_lo", "kappa"))
         # a [trap] epsilon of 0 means "derive it", so the schema's range admits 0
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be strictly positive, got {self.epsilon}")
+        check_ranges("trap", self)
 
 
 def i_diff_mean(cfg: BhdConfig) -> float:
@@ -160,17 +160,20 @@ def phase_sensitivity(cfg: BhdConfig, t: float, epsilon: float) -> float:
     sqrt(|a|^2 + alpha_s^2) / (2 |a| alpha_s |sin delta_psi|) * [1 + C eps^2 t^2].
     The epsilon = 0 value is, bit for bit, the error-propagation quotient
     sqrt(i_diff_variance) / |i_diff_mean_slope|. delta_psi at a multiple of
-    pi is a zero-slope point and is rejected.
+    pi is a zero-slope point and is rejected; so is a non-finite result.
     """
     if abs(math.sin(cfg.delta_psi)) <= MIN_SIN_DELTA_PSI:
         raise ValueError(
             "delta_psi is at (or within 1e-9 of) a multiple of pi, where the "
             "interference slope vanishes and phase readout is undefined"
         )
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     base = math.sqrt(i_diff_variance(cfg)) / abs(i_diff_mean_slope(cfg))
-    return base * (1.0 + sensitivity_bracket_c(cfg) * epsilon * epsilon * t * t)
+    value = base * (1.0 + sensitivity_bracket_c(cfg) * epsilon * epsilon * t * t)
+    inputs = {**asdict(cfg), "t": t, "epsilon": epsilon}
+    require_finite("phase_sensitivity", inputs, "result {!r} is", value)
+    return value
 
 
 def _finite_or_named(fn: Callable[..., float]) -> Callable[..., float]:
@@ -285,7 +288,7 @@ def crossover_numeric(trap: TrapConfig) -> float:
 
 def epsilon_from_trap(nu: float, mass: float) -> float:
     """Relativistic expansion parameter h nu / (8 m c^2) for a trapped particle."""
-    if nu < 0 or mass <= 0:
+    if not (nu >= 0 and mass > 0):
         raise ValueError("nu must be non-negative and mass positive")
     return PLANCK_H * nu / (8.0 * mass * SPEED_OF_LIGHT**2)
 

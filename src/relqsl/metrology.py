@@ -117,14 +117,14 @@ def squeezed_second_moment_closed(r: Grid, epsilon: Grid) -> Any:
 
 def qfi_time(variance: float) -> float:
     """Fisher information for time estimation on a pure state: 4 * variance."""
-    if variance < 0:
+    if not variance >= 0:
         raise ValueError("variance must be non-negative")
     return 4.0 * variance
 
 
 def qcrb(qfi: float) -> float:
     """Cramer-Rao limit 1/sqrt(F) on the time estimate."""
-    if qfi <= 0:
+    if not qfi > 0:
         raise ValueError(
             "Fisher information must be positive; a state with zero energy "
             "variance does not evolve and carries no timing information"

@@ -2,7 +2,8 @@
 
 A sweep is data: up to three axes (name, start, stop, step), a map of fixed
 parameters, a target that turns parameter arrays over an open grid into
-result arrays, and the column selection for the output file. The named
+result arrays, and the column selection for the output file; axis starts
+and fixed values are checked against ``config.SWEEP_PARAMS``. The named
 presets reproduce the standard surfaces (speed-limit times over time and
 coherent amplitude, squeezed bounds over time and squeeze parameter, squeeze
 factor over its full domain) without any preset-specific code.
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import metrology, qsl_bounds
 from .arrays import SOLVE_BUDGET_BYTES, Grid
-from .config import MAX_AXES, SWEEP_PARAM_DOMAINS, SWEEP_PARAM_NAMES
+from .config import MAX_AXES, SWEEP_PARAM_NAMES, SWEEP_PARAMS
 
 # A grid job peaks below 1 KiB a point, so grids are held to the job memory
 # budget. The 113,400-point qsl_coherent grid, as ru_maxrss of one
@@ -47,15 +48,13 @@ class Axis:
             raise ValueError(
                 f"unknown axis name {self.name!r}; choose from {SWEEP_PARAM_NAMES}"
             )
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError(f"axis {self.name}: step must be positive, got {self.step}")
         if self.start > self.stop:
             raise ValueError(
                 f"axis {self.name}: start {self.start} exceeds stop {self.stop}"
             )
-        check, describe = SWEEP_PARAM_DOMAINS[self.name]
-        if not check(self.start):
-            raise ValueError(f"axis {self.name}: start {self.start} violates {describe}")
+        SWEEP_PARAMS[self.name].require(self.start, f"axis {self.name}: start {self.start}")
 
     @property
     def count(self) -> int:
@@ -96,9 +95,7 @@ class SweepSpec:
                 f"got {sorted(supplied)}"
             )
         for name, value in self.fixed.items():
-            check, describe = SWEEP_PARAM_DOMAINS[name]
-            if not check(value):
-                raise ValueError(f"fixed {name}: value {value} violates {describe}")
+            SWEEP_PARAMS[name].require(value, f"fixed {name}: value {value}")
         points = math.prod(axis.count for axis in self.axes)
         if points > MAX_GRID_POINTS:
             shown = f"{points:,}" if points < 10**15 else f"at least 10^{len(str(points)) - 1}"

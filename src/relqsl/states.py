@@ -56,11 +56,11 @@ def _log_factorial(n):
 def coherent_tail(alpha0: float, dim: int) -> float:
     """Poisson weight beyond the cutoff, P(N >= dim) for mean alpha0^2.
 
-    This is the regularized lower incomplete gamma P(dim, alpha0^2), summed
-    as its series of Poisson terms n >= dim. Each term is formed in log space,
-    so neither alpha0^(2n) nor n! overflows, and the sum stops once the terms
-    fall past the mean and below the last bit of the total, which a
-    non-finite mean never does, so one is refused.
+    This is the regularized lower incomplete gamma P(dim, alpha0^2). At or
+    below the mean it is one minus the dim Poisson terms n < dim; above it,
+    the series of terms n >= dim, which stops once they fall below the last
+    bit of the total (a non-finite mean never does, so one is refused). Each
+    term is formed in log space, so neither alpha0^(2n) nor n! overflows.
     """
     mean = alpha0 * alpha0
     if not mean < math.inf:
@@ -68,13 +68,16 @@ def coherent_tail(alpha0: float, dim: int) -> float:
     if mean == 0.0:  # alpha0 = 0, or alpha0^2 underflows
         return 0.0
     log_mean = math.log(mean)
+    if dim <= mean:
+        head = sum(math.exp(n * log_mean - mean - _log_factorial(n)) for n in range(dim))
+        return max(0.0, 1.0 - head)
     total = 0.0
     n = dim
     while True:
         term = math.exp(n * log_mean - mean - _log_factorial(n))
         total += term
         n += 1
-        if n > mean and term <= total * _EPSILON:
+        if term <= total * _EPSILON:
             return min(total, 1.0)
 
 

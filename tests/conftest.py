@@ -1,4 +1,4 @@
-"""Fixtures shared by the tests of the forked work in ``relqsl.forked``."""
+"""Fixtures shared by the tests that fork, reap children or read the CPU count."""
 
 import os
 import signal
@@ -9,6 +9,16 @@ import time
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """A function that makes ``os.sched_getaffinity`` report ``cpus`` CPUs for the test."""
+
+    def set_to(cpus: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    return set_to
 
 
 @pytest.fixture

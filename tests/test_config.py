@@ -4,12 +4,37 @@ import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from relqsl.config import ELECTRON_MASS, ConfigError, defaults, load_config, parse_config_text
-from relqsl.homodyne_trap import TrapConfig, epsilon_from_trap, trap_config
+from relqsl.config import (
+    ELECTRON_MASS,
+    SCHEMA,
+    SEED,
+    ConfigError,
+    FieldSpec,
+    check_ranges,
+    defaults,
+    load_config,
+    parse_config_text,
+)
+from relqsl.fock_core import build_hamiltonian, lowest_levels
+from relqsl.homodyne_trap import (
+    BhdConfig,
+    TrapConfig,
+    epsilon_from_trap,
+    phase_sensitivity,
+    trap_config,
+)
+from relqsl.metrology import qcrb, qfi_time
 from relqsl.presets import PRESETS, Axis, SweepSpec, run_sweep, sweep_from_config
-from relqsl.qkd_model import PhaseNoiseParams, QkdLinkParams
+from relqsl.qkd_model import (
+    PhaseNoiseParams,
+    QkdLinkParams,
+    delta_xi_phase,
+    mutual_information,
+    simulate_rotation_penalty,
+)
 
 SAMPLE = """
 # reference operating point
@@ -287,3 +312,90 @@ def test_config_line_and_dataclass_word_a_range_alike(section, cls, key, bad):
 
 def test_the_seed_has_no_config_section():
     assert "selfcheck" not in defaults()
+
+
+def test_check_ranges_checks_a_field_nobody_listed():
+    @dataclasses.dataclass(frozen=True)
+    class Unlisted:
+        label: str = "outside the schema"
+        v_a: float = -1.0
+
+    with pytest.raises(ValueError, match=r"^-1\.0 violates v_a > 0$"):
+        check_ranges("qkd", Unlisted())
+
+
+CHECKED_SPECS = {
+    f"{section}.{key}": spec
+    for section, fields in SCHEMA.items()
+    for key, spec in fields.items()
+    if spec.check is not FieldSpec._field_defaults["check"]
+}
+CHECKED_SPECS["seed"] = SEED
+
+
+@pytest.mark.parametrize("name", list(CHECKED_SPECS))
+def test_every_checked_spec_refuses_nan(name):
+    with pytest.raises(ValueError, match=r"^nan violates "):
+        CHECKED_SPECS[name].require(math.nan, "nan")
+
+
+def test_the_nan_scan_sees_a_range_in_every_section():
+    assert {name.split(".")[0] for name in CHECKED_SPECS} == {*SCHEMA, "seed"}
+
+
+_LINK = QkdLinkParams(0.5, 4.0)
+_NOT_FINITE = "phase_sensitivity: result nan is not finite at alpha_s=1.0, alpha_lo_mag=1.0, "
+# each scalar range test outside the schema, and what it says when given a nan
+NAN_REFUSALS = {
+    "phase_sensitivity-delta_psi": (
+        lambda: phase_sensitivity(BhdConfig(1.0, 1.0, delta_psi=math.nan), 1.0, 0.1),
+        _NOT_FINITE + "delta_psi=nan, t=1.0, epsilon=0.1",
+    ),
+    "phase_sensitivity-t": (
+        lambda: phase_sensitivity(BhdConfig(1.0, 1.0), math.nan, 0.1),
+        "t must be non-negative",
+    ),
+    "phase_sensitivity-epsilon": (
+        lambda: phase_sensitivity(BhdConfig(1.0, 1.0), 1.0, math.nan),
+        _NOT_FINITE + f"delta_psi={math.pi / 2!r}, t=1.0, epsilon=nan",
+    ),
+    "delta_xi_phase": (
+        lambda: delta_xi_phase(math.nan, 0.5, 4.0), "sigma_phi_sq must be non-negative"
+    ),
+    "mutual_information": (
+        lambda: mutual_information(_LINK, math.nan), "chi_tot must be non-negative"
+    ),
+    "simulate_rotation_penalty": (
+        lambda: simulate_rotation_penalty(_LINK, math.nan, 10, np.random.default_rng(0)),
+        "sigma_phi_sq must be non-negative",
+    ),
+    "qfi_time": (lambda: qfi_time(math.nan), "variance must be non-negative"),
+    "qcrb": (
+        lambda: qcrb(math.nan),
+        "Fisher information must be positive; a state with zero energy "
+        "variance does not evolve and carries no timing information",
+    ),
+    "epsilon_from_trap-nu": (
+        lambda: epsilon_from_trap(math.nan, 9e-31), "nu must be non-negative and mass positive"
+    ),
+    "epsilon_from_trap-mass": (
+        lambda: epsilon_from_trap(149e9, math.nan), "nu must be non-negative and mass positive"
+    ),
+    "lowest_levels": (
+        lambda: lowest_levels(256, math.nan, 11), "epsilon must be non-negative, got nan"
+    ),
+    "build_hamiltonian": (
+        lambda: build_hamiltonian(64, math.nan), "epsilon must be non-negative, got nan"
+    ),
+    "Axis-step": (lambda: Axis("t", 0.5, 1.0, math.nan), "axis t: step must be positive, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_REFUSALS))
+def test_scalar_range_tests_refuse_nan(case):
+    call, message = NAN_REFUSALS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call()
+    assert str(refused.value) == message

@@ -371,10 +371,6 @@ SOLVE_DIM = 641
 EVEN_SIZE = (SOLVE_DIM + 1) // 2
 
 
-def _set_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _count_forks(monkeypatch, fails: bool = False) -> list[int]:
     """A list that grows by one at each os.fork, which raises EAGAIN if ``fails``."""
     forks = []
@@ -398,7 +394,7 @@ SOLVED_ROUTES = {
 
 @pytest.mark.parametrize("dim", [576, SOLVE_DIM])
 @pytest.mark.parametrize("route", SOLVED_ROUTES.values(), ids=SOLVED_ROUTES.keys())
-def test_forked_solve_is_bit_identical(route, dim, monkeypatch):
+def test_forked_solve_is_bit_identical(route, dim, monkeypatch, set_cpus):
     """The parity solve's eigenpairs are the same bits on one CPU and on two,
     and it calls os.fork on neither."""
     solved = []
@@ -411,7 +407,7 @@ def test_forked_solve_is_bit_identical(route, dim, monkeypatch):
     monkeypatch.setattr(fock_core, "_check_eigenpairs", spy)
     forks = _count_forks(monkeypatch)
     for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         route(dim)
     assert forks == []
     (w_one, v_one), (w_two, v_two) = solved
@@ -420,13 +416,13 @@ def test_forked_solve_is_bit_identical(route, dim, monkeypatch):
 
 
 @pytest.mark.parametrize("failure", ["fork", "child"])
-def test_failed_even_solve_is_rerun_in_process(failure, monkeypatch):
+def test_failed_even_solve_is_rerun_in_process(failure, monkeypatch, set_cpus):
     """Neither a fork that fails nor an eigh that raises in any other process
     touches the solve: on two CPUs this process solves the even block itself,
     to the bits of one CPU, without calling os.fork."""
-    _set_cpus(monkeypatch, 1)
+    set_cpus(1)
     expected = lowest_levels(SOLVE_DIM, 1e-3, 11)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     forks = _count_forks(monkeypatch, fails=failure == "fork")
     parent = os.getpid()
     solve = np.linalg.eigh
@@ -442,11 +438,11 @@ def test_failed_even_solve_is_rerun_in_process(failure, monkeypatch):
 
 
 @pytest.mark.parametrize("fork_fails", [False, True], ids=["child", "fork"])
-def test_even_block_error_reaches_the_caller(fork_fails, monkeypatch):
+def test_even_block_error_reaches_the_caller(fork_fails, monkeypatch, set_cpus):
     """On two CPUs, whether or not a fork would succeed, an eigh that raises on
     the even block raises ArithmeticError naming the solve, from this process,
     without calling os.fork, and the odd block is never solved."""
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     forks = _count_forks(monkeypatch, fails=fork_fails)
     solved = []
     solve = np.linalg.eigh

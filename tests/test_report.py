@@ -206,10 +206,6 @@ def _boundary_table(size: int, names: Sequence[str] = SPLIT_HEADER) -> np.ndarra
     return np.rec.fromarrays([np.arange(size), *values, values[0] > 0], names=list(names))
 
 
-def _set_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -227,14 +223,14 @@ def _partial_siblings(directory) -> list[str]:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("size", SPLIT_SIZES)
-def test_split_table_matches_one_process_output(size, fmt, monkeypatch, tmp_path):
+def test_split_table_matches_one_process_output(size, fmt, monkeypatch, set_cpus, tmp_path):
     table = _boundary_table(size)
     want = _reference_tables(SPLIT_HEADER, table.tolist())[fmt == "json"].encode("utf-8")
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     for cpus in (1, 2, 3):
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         forks.clear()
         emit(str(tmp_path / str(cpus)), fmt, SPLIT_HEADER, table)
         with open(tmp_path / f"stdout{cpus}", "w", encoding="utf-8", newline="\n") as stdout:
@@ -248,24 +244,24 @@ def test_split_table_matches_one_process_output(size, fmt, monkeypatch, tmp_path
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("size", [1, 2 * MIN_ROWS_PER_PROCESS + 1])
-def test_header_that_needs_escaping(size, fmt, monkeypatch, tmp_path):
+def test_header_that_needs_escaping(size, fmt, set_cpus, tmp_path):
     table = _boundary_table(size, ESCAPED_HEADER)
     want = _reference_tables(ESCAPED_HEADER, table.tolist())[fmt == "json"].encode("utf-8")
     if fmt == "json":
         assert b'"say \\"x\\""' in want and b'"back\\\\slash"' in want and b'"caf\\u00e9 z"' in want
     for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         emit(str(tmp_path / "table"), fmt, ESCAPED_HEADER, table)
         assert (tmp_path / "table").read_bytes() == want
 
 
-def _one_process_and_split(monkeypatch, tmp_path, fmt: str) -> list[bytes]:
+def _one_process_and_split(monkeypatch, set_cpus, tmp_path, fmt: str) -> list[bytes]:
     """A table over the split threshold emitted to the interpreter's stdout, a
     file, with one CPU, then with two."""
     table = _boundary_table(2 * MIN_ROWS_PER_PROCESS + 1)
     texts = []
     for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         with open(tmp_path / f"stdout{cpus}", "w", encoding="utf-8", newline="\n") as stdout:
             _set_stdout(monkeypatch, stdout)
             emit(None, fmt, SPLIT_HEADER, table)
@@ -274,13 +270,14 @@ def _one_process_and_split(monkeypatch, tmp_path, fmt: str) -> list[bytes]:
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_replaced_stdout_gets_a_split_size_table_formatted_in_process(fmt, monkeypatch, tmp_path):
+def test_replaced_stdout_gets_a_split_size_table_formatted_in_process(fmt, monkeypatch, set_cpus,
+                                                                       tmp_path):
     """A capture (redirect_stdout, capsys) has no descriptor of its own, so no child writes."""
     table = _boundary_table(2 * MIN_ROWS_PER_PROCESS + 1)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     emit(str(tmp_path / "table"), fmt, SPLIT_HEADER, table)
     assert len(forks) == 1
     forks.clear()
@@ -292,7 +289,8 @@ def test_replaced_stdout_gets_a_split_size_table_formatted_in_process(fmt, monke
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypatch, tmp_path):
+def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypatch, set_cpus,
+                                                                    tmp_path):
     parent, column_texts = os.getpid(), report._column_texts
 
     def fails_in_a_child(*args):
@@ -304,7 +302,7 @@ def test_failed_child_is_reaped_and_its_range_formatted_in_process(fmt, monkeypa
     waitpid = os.waitpid
     monkeypatch.setattr(os, "waitpid", lambda *a: statuses.append(waitpid(*a)) or statuses[-1])
     monkeypatch.setattr(report, "_column_texts", fails_in_a_child)
-    want, got = _one_process_and_split(monkeypatch, tmp_path, fmt)
+    want, got = _one_process_and_split(monkeypatch, set_cpus, tmp_path, fmt)
     assert got == want
     assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
     _assert_no_child_left()
@@ -329,7 +327,7 @@ def _fails_in_the_child_after_one_chunk(monkeypatch) -> None:
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("fails_after_writing", [False, True])
 def test_file_whose_child_fails_is_cut_back_and_finished_in_process(fails_after_writing, fmt,
-                                                                   monkeypatch, tmp_path):
+                                                                   monkeypatch, set_cpus, tmp_path):
     table = _boundary_table(2 * MIN_ROWS_PER_PROCESS + 1)
     want = _reference_tables(SPLIT_HEADER, table.tolist())[fmt == "json"].encode("utf-8")
     parent, column_texts = os.getpid(), report._column_texts
@@ -353,7 +351,7 @@ def test_file_whose_child_fails_is_cut_back_and_finished_in_process(fails_after_
         ftruncate(fd, length)
 
     monkeypatch.setattr(os, "ftruncate", recorded_cut)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     emit(str(tmp_path / "table"), fmt, SPLIT_HEADER, table)
     assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
     # the file held the prefix, and also the child's first chunk when it failed after writing
@@ -364,10 +362,10 @@ def test_file_whose_child_fails_is_cut_back_and_finished_in_process(fails_after_
     _assert_no_child_left()
 
 
-def test_stdout_that_cannot_seek_refuses_a_failed_childs_partial_half(monkeypatch):
+def test_stdout_that_cannot_seek_refuses_a_failed_childs_partial_half(monkeypatch, set_cpus):
     read_fd, write_fd = os.pipe()
     _fails_in_the_child_after_one_chunk(monkeypatch)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     with open(read_fd, "rb") as pipe, open(write_fd, "w", encoding="utf-8") as stdout:
         _set_stdout(monkeypatch, stdout)
         with pytest.raises(OutputError, match="cannot write stdout: .*cannot be taken back"):
@@ -383,7 +381,7 @@ def _alarm(signum, frame):
     raise TimeoutError("the child was not reaped in time")
 
 
-def test_failure_in_the_parent_reaps_every_child(monkeypatch, tmp_path):
+def test_failure_in_the_parent_reaps_every_child(monkeypatch, set_cpus, tmp_path):
     parent, column_texts = os.getpid(), report._column_texts
 
     def fails_in_the_parent(*args):
@@ -392,7 +390,7 @@ def test_failure_in_the_parent_reaps_every_child(monkeypatch, tmp_path):
         return column_texts(*args)
 
     monkeypatch.setattr(report, "_column_texts", fails_in_the_parent)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     table = _boundary_table(2 * MIN_ROWS_PER_PROCESS)
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(20)
@@ -439,12 +437,12 @@ def test_children_of_a_killed_parent_exit(children_of_killed_parent, tmp_path):
     assert left == []
 
 
-def test_range_whose_fork_fails_is_formatted_in_process(monkeypatch, tmp_path):
+def test_range_whose_fork_fails_is_formatted_in_process(monkeypatch, set_cpus, tmp_path):
     def no_fork():
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    want, got = _one_process_and_split(monkeypatch, tmp_path, "json")
+    want, got = _one_process_and_split(monkeypatch, set_cpus, tmp_path, "json")
     assert got == want
 
 

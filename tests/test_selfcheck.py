@@ -178,34 +178,30 @@ def test_shared_residuals_reproduce_the_report(report):
         assert moments.tolist() == [got["diff_mean"], got["diff_var"]]
 
 
-def _set_cpus(monkeypatch, cpus: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _texts(report) -> tuple[str, str]:
     return report.render_text(), render_json(report.to_json_obj())
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_homodyne_draws_fork_once_on_two_or_more_cpus(cpus, report, monkeypatch):
+def test_homodyne_draws_fork_once_on_two_or_more_cpus(cpus, report, monkeypatch, set_cpus):
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    _set_cpus(monkeypatch, cpus)
+    set_cpus(cpus)
     assert _texts(run_selfcheck(42)) == _texts(report)
     assert len(forks) == (cpus > 1)
 
 
-def test_failed_fork_runs_the_draws_in_process(report, monkeypatch):
+def test_failed_fork_runs_the_draws_in_process(report, monkeypatch, set_cpus):
     def no_fork():
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     assert _texts(run_selfcheck(42)) == _texts(report)
 
 
-def test_failed_child_is_reaped_and_its_draws_run_in_process(report, monkeypatch):
+def test_failed_child_is_reaped_and_its_draws_run_in_process(report, monkeypatch, set_cpus):
     parent, zscores = os.getpid(), selfcheck._homodyne_zscores
 
     def fails_in_a_child(rng):
@@ -217,18 +213,18 @@ def test_failed_child_is_reaped_and_its_draws_run_in_process(report, monkeypatch
     waitpid = os.waitpid
     monkeypatch.setattr(os, "waitpid", lambda *a: statuses.append(waitpid(*a)) or statuses[-1])
     monkeypatch.setattr(selfcheck, "_homodyne_zscores", fails_in_a_child)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     assert _texts(run_selfcheck(42)) == _texts(report)
     assert [os.waitstatus_to_exitcode(status) for _, status in statuses] == [1]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_out_of_range_counts_reach_the_caller(cpus, monkeypatch):
+def test_out_of_range_counts_reach_the_caller(cpus, monkeypatch, set_cpus):
     def overflows(cfg, shots, rng):
         raise ArithmeticError("photocount of 40000 at port mean 6.5")
 
     monkeypatch.setattr(homodyne_trap, "simulate_i_diff", overflows)
-    _set_cpus(monkeypatch, cpus)
+    set_cpus(cpus)
     with pytest.raises(ArithmeticError, match="photocount of 40000"):
         run_selfcheck(42)
 

@@ -71,6 +71,15 @@ def test_specs_refuse_nan():
         SqueezeSpec(math.nan)
 
 
+def _stdout_within_30_s(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter, which fails the test after 30 s."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30, check=True).stdout
+
+
 @pytest.mark.parametrize("alpha0", ["nan", "inf", "1e200"])
 def test_coherent_tail_refuses_a_non_finite_mean_in_finite_time(alpha0):
     """Its stop test never holds for such a mean, so a fresh interpreter, bounded
@@ -82,12 +91,7 @@ def test_coherent_tail_refuses_a_non_finite_mean_in_finite_time(alpha0):
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=30, check=True)
-    assert done.stdout == (
+    assert _stdout_within_30_s(code) == (
         f"coherent_tail needs a finite mean alpha0^2, got alpha0={float(alpha0)!r}\n"
     )
 
@@ -235,6 +239,10 @@ def test_coherent_tail_matches_gammainc():
     for alpha0 in np.linspace(0.05, 30.0, 200):
         crossing = int(np.argmax(gammainc(np.arange(1, 2048), alpha0 * alpha0) <= TAIL_LIMIT))
         pairs += [(alpha0, dim) for dim in range(crossing, crossing + 3)]
+    # both sides of the mean, where one minus the head gives way to the upward series
+    for alpha0 in (0.5, 1.0, 1.5, 3.3, 10.0, 30.0, 60.0):
+        mean = int(alpha0 * alpha0)
+        pairs += [(alpha0, dim) for dim in (1, max(1, mean // 2), *range(max(1, mean - 2), mean + 4))]
     compared = 0
     for alpha0, dim in pairs:
         expected = float(gammainc(dim, alpha0 * alpha0))
@@ -244,6 +252,13 @@ def test_coherent_tail_matches_gammainc():
             assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (alpha0, dim)
             compared += 1
     assert compared > 1000
+
+
+def test_coherent_tail_far_below_a_large_mean_is_one_in_finite_time():
+    """The upward series alone would step once per unit of the mean, 1e8 steps,
+    so a fresh interpreter bounded by a timeout shows a hang as a failure."""
+    code = "from relqsl.states import coherent_tail\nprint(repr(coherent_tail(1e4, 256)))\n"
+    assert _stdout_within_30_s(code) == "1.0\n"
 
 
 def test_coherent_tail_of_an_underflowing_mean_is_zero():
