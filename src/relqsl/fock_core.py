@@ -1,21 +1,23 @@
 """Truncated Fock-space linear algebra for the quartic-corrected oscillator.
 
-Dense-matrix oracle used to validate every closed form in this package:
-ladder matrices, Hamiltonian assembly H = (p^2 + x^2)/2 - eps*p^4/8 and
-spectral decomposition. Everything here is in natural units
-(m = omega = hbar = 1) and brute force by design; no normal-ordering
-shortcuts are taken anywhere. The arithmetic is real: with p = i q for the
-real antisymmetric q, H is a real symmetric float64 matrix with real
-eigenvectors.
+Exact-diagonalization oracle used to validate every closed form in this
+package: H = (p^2 + x^2)/2 - eps*p^4/8 on the lowest ``dim`` Fock levels and
+its spectral decomposition, in natural units (m = omega = hbar = 1). H is
+defined once, by ``_lower_band``: its diagonals in closed form, as the
+products of the truncated quadratures x and q (p = i q) give them. So H is a
+real symmetric float64 matrix with real eigenvectors. The brute force that
+this band is checked against, H from ladder matrices and ``matrix_power(p,
+4)``, lives in the tests, not here.
 
 H couples n only to n+-2 and n+-4, so it splits exactly into an even-n and
 an odd-n block, and one parity solve serves both solvers: ``diagonalize``
-slices the blocks from the dense ``build_hamiltonian`` matrix (after
-checking that every even-odd entry is zero) and returns the full
-eigenbasis; ``lowest_levels`` builds each block from the closed-form band
-and keeps only the lowest levels. The even block is solved first and then
-the odd one, both in this process. Energy moments of a state are read off
-the eigenvalues by ``SpectralDecomposition.moments``.
+slices the blocks from a dense matrix such as ``build_hamiltonian``'s
+expansion of the band (after checking that every even-odd entry is zero)
+and returns the full eigenbasis; ``lowest_levels`` builds each block from
+the band and keeps only the lowest levels. The two see identical blocks of
+H, so their lowest eigenvalues agree bit for bit. The even block is solved
+first and then the odd one, both in this process. Energy moments of a state
+are read off the eigenvalues by ``SpectralDecomposition.moments``.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ NORM_ATOL = 1e-10
 class TruncatedOperator:
     """Operator on the lowest ``dim`` (at least MIN_DIM) Fock levels.
 
-    ``entries`` is a dim x dim matrix, float64 from every builder here; the
-    checked floor and shape are what ``diagonalize`` relies on.
+    ``entries`` is a dim x dim matrix, float64 from ``build_hamiltonian``;
+    the checked floor and shape are what ``diagonalize`` relies on.
     """
 
     dim: int
@@ -134,27 +136,6 @@ def _check_min_dim(dim: int) -> None:
         )
 
 
-def build_ladder(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Return the real truncated annihilation and creation matrices (a0, a0dag).
-
-    a0[n-1, n] = sqrt(n); a0dag is its transpose. On the truncated space
-    [a0, a0dag] equals the identity everywhere except the last diagonal
-    entry, which is a cutoff artifact.
-    """
-    a = np.zeros((dim, dim))
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return TruncatedOperator(dim, a), TruncatedOperator(dim, a.T)
-
-
-def build_quadratures(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Return the real x = (a0dag + a0)/sqrt2 (symmetric) and q = (a0dag - a0)/sqrt2; p = i q."""
-    a, adag = build_ladder(dim)
-    x = (adag.entries + a.entries) / np.sqrt(2.0)
-    q = (adag.entries - a.entries) / np.sqrt(2.0)
-    return TruncatedOperator(dim, x), TruncatedOperator(dim, q)
-
-
 def _check_epsilon(epsilon: float) -> None:
     """Reject negative epsilon; warn above 0.1, where first order degrades.
 
@@ -171,18 +152,20 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
-    """Assemble H = (p^2 + x^2)/2 - epsilon * p^4 / 8 on the truncated space.
+    """The dense truncated H = (p^2 + x^2)/2 - epsilon * p^4 / 8, its band mirrored across the diagonal.
 
-    With p = i q, p^2 = -q q and p^4 = (q q)(q q) are the brute-force products
-    ``matrix_power(p, 4)`` takes; H is real symmetric by construction. epsilon
-    above 0.1 is allowed but warns, as first order degrades there; an epsilon
-    so large that an entry of H overflows raises ArithmeticError.
+    epsilon above 0.1 is allowed but warns, as first order degrades there. A
+    dim whose full solve and verification by ``diagonalize`` would exceed the
+    memory budget is refused before H is allocated, and an epsilon so large
+    that an entry of H overflows raises ArithmeticError.
     """
     _check_epsilon(epsilon)
-    x, q = build_quadratures(dim)
-    q2 = q.entries @ q.entries
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        h = (x.entries @ x.entries - q2) / 2.0 - epsilon * (q2 @ q2) / 8.0
+        band = _lower_band(dim, epsilon, dim)
+    h = np.zeros((dim, dim))
+    for k, row in zip(range(0, 2 * BAND_ROWS, 2), band):
+        idx = np.arange(dim - k)
+        h[idx + k, idx] = h[idx, idx + k] = row[: dim - k]
     if not np.isfinite(h).all():
         raise ArithmeticError(
             f"build_hamiltonian(dim={dim}, epsilon={epsilon!r}): H has a non-finite entry; lower epsilon"
@@ -273,16 +256,16 @@ def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float
 
 
 def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
-    """Lower band of the truncated H of ``build_hamiltonian``, for a solve of ``count`` levels.
+    """Lower band of the truncated H, for a solve of ``count`` levels.
 
     Row k holds the subdiagonal at offset 2k, ``band[k, j] = H[j + 2k, j]``;
     the odd offsets are zero by parity and not stored. The diagonals are
     closed-form products of the truncated quadratures x and q, where p = i q,
-    so p^2 = -q^2 and p^4 = q^2 q^2 keep the truncation edge of the dense
-    build. epsilon is checked by the caller, so that the large-epsilon
-    warning points at the code that called it. A solve whose block or
-    verification would exceed ``SOLVE_BUDGET_BYTES`` is refused here,
-    before anything is allocated.
+    so p^2 = -q^2 and p^4 = q^2 q^2 keep the truncation edge of the
+    brute-force matrix products. epsilon is checked by the caller, so that
+    the large-epsilon warning points at the code that called it. A solve
+    whose block or verification would exceed ``SOLVE_BUDGET_BYTES`` is
+    refused here, before anything is allocated.
     """
     _check_min_dim(dim)
     need = max(SOLVE_BYTES_PER_DIM2 * dim * dim, _VERIFY_BYTES_PER_DIM_COUNT * dim * count)

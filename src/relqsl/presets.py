@@ -55,6 +55,9 @@ class Axis:
                 f"axis {self.name}: start {self.start} exceeds stop {self.stop}"
             )
         SWEEP_PARAMS[self.name].require(self.start, f"axis {self.name}: start {self.start}")
+        for role, value in (("start", self.start), ("stop", self.stop), ("step", self.step)):
+            if not math.isfinite(value):
+                raise ValueError(f"axis {self.name}: {role} must be finite, got {value}")
 
     @property
     def count(self) -> int:

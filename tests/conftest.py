@@ -1,4 +1,5 @@
-"""Fixtures shared by the tests that fork, reap children or read the CPU count."""
+"""Fixtures shared by the tests that fork, reap children or read the CPU count,
+and the Hypothesis profile every property test runs under."""
 
 import os
 import signal
@@ -7,6 +8,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import settings
+
+# The same examples on every run, and no example database to replay: a
+# property test passes or fails the same way each time it is run.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

@@ -88,6 +88,18 @@ def test_trap_explicit_epsilon_not_derived(capsys):
     assert values["epsilon"] == 1e-10
 
 
+def test_trap_underflowing_derived_epsilon_names_nu_and_mass(capsys):
+    """h nu / (8 m c^2) underflows to 0 at nu = 1e-300; the refusal blames the
+    derivation, not an epsilon the user never set."""
+    assert run_subcommand(["trap", "--nu", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: epsilon derived as h*nu/(8*mass*c^2) from nu=1e-300 and mass=9.1093837015e-31 "
+        "is 0.0, not strictly positive; give epsilon explicitly\n"
+    )
+
+
 def test_trap_config_file_then_flags(tmp_path, capsys):
     cfg = tmp_path / "trap.cfg"
     cfg.write_text("[trap]\nnu = 1e11\nkappa = 5\n", encoding="utf-8")

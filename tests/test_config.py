@@ -136,6 +136,20 @@ def test_axis_start_must_lie_in_the_parameter_domain():
     assert Axis("theta", -1.0, 1.0, 0.5).count == 5
 
 
+@pytest.mark.parametrize("axis,message", [
+    (("t", 0.5, math.nan, 0.5), "axis t: stop must be finite, got nan"),
+    (("theta", math.nan, 1.0, 0.5), "axis theta: start must be finite, got nan"),
+    (("t", 0.5, math.inf, 0.5), "axis t: stop must be finite, got inf"),
+    (("theta", -math.inf, 1.0, 0.5), "axis theta: start must be finite, got -inf"),
+    (("t", 0.5, 1.0, math.inf), "axis t: step must be finite, got inf"),
+])
+def test_axis_refuses_a_non_finite_bound_or_step(axis, message):
+    """Refused where the axis is built, naming it, not later by Axis.count."""
+    with pytest.raises(ValueError) as refused:
+        Axis(*axis)
+    assert str(refused.value) == message
+
+
 def test_sweep_spec_fixed_values_must_lie_in_the_parameter_domain():
     # refused where the spec is built, before run_sweep can meet a sqrt of a
     # negative amplitude and a "bound nan is not finite" error

@@ -13,8 +13,6 @@ from relqsl.fock_core import (
     StateVector,
     TruncatedOperator,
     build_hamiltonian,
-    build_ladder,
-    build_quadratures,
     default_cutoff,
     diagonalize,
     lowest_levels,
@@ -30,28 +28,40 @@ EXPECTED_CUTOFFS = {
 }
 
 
+def _ladder(dim: int) -> np.ndarray:
+    """The real truncated annihilation matrix a0, a0[n-1, n] = sqrt(n), entry by entry; a0dag = a0.T."""
+    a = np.zeros((dim, dim))
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a
+
+
+def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real x = (a0dag + a0)/sqrt2 (symmetric) and q = (a0dag - a0)/sqrt2; p = i q."""
+    a = _ladder(dim)
+    return (a.T + a) / np.sqrt(2.0), (a.T - a) / np.sqrt(2.0)
+
+
 def test_ladder_matrix_elements():
-    a, adag = build_ladder(8)
+    a = _ladder(8)
     for n in range(1, 8):
-        assert a.entries[n - 1, n] == pytest.approx(math.sqrt(n), rel=1e-15)
+        assert a[n - 1, n] == pytest.approx(math.sqrt(n), rel=1e-15)
     # everything off the superdiagonal is exactly zero
     mask = np.ones((8, 8), dtype=bool)
     mask[np.arange(7), np.arange(1, 8)] = False
-    assert np.all(a.entries[mask] == 0)
-    assert np.array_equal(adag.entries, a.entries.T)
+    assert np.all(a[mask] == 0)
 
 
 def test_ladder_small_block():
     # top-left 3x3 block is the standard truncated annihilation matrix
-    a, _ = build_ladder(8)
-    block = a.entries[:3, :3]
+    block = _ladder(8)[:3, :3]
     ref = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]], dtype=complex)
     assert np.allclose(block, ref, atol=0, rtol=1e-15)
 
 
 def test_commutator_is_identity_in_interior():
-    a, adag = build_ladder(DIM)
-    comm = a.entries @ adag.entries - adag.entries @ a.entries
+    a = _ladder(DIM)
+    comm = a @ a.T - a.T @ a
     assert np.allclose(comm[: DIM - 1, : DIM - 1], np.eye(DIM - 1), atol=1e-12)
     # the last diagonal entry is the truncation artifact
     assert comm[DIM - 1, DIM - 1] == pytest.approx(1 - DIM)
@@ -59,11 +69,11 @@ def test_commutator_is_identity_in_interior():
 
 def test_quadratures_hermitian_and_canonical():
     """x is symmetric and q antisymmetric, so p = i q is Hermitian and [x, p] = i [x, q] = i."""
-    x, q = build_quadratures(DIM)
-    assert x.entries.dtype == q.entries.dtype == np.float64
-    assert np.array_equal(x.entries, x.entries.T)
-    assert np.array_equal(q.entries, -q.entries.T)
-    comm = x.entries @ q.entries - q.entries @ x.entries
+    x, q = _quadratures(DIM)
+    assert x.dtype == q.dtype == np.float64
+    assert np.array_equal(x, x.T)
+    assert np.array_equal(q, -q.T)
+    comm = x @ q - q @ x
     assert np.allclose(comm[: DIM - 1, : DIM - 1], np.eye(DIM - 1), atol=1e-12)
 
 
@@ -88,7 +98,7 @@ def test_epsilon_validation():
 
 def test_min_dim_enforced():
     with pytest.raises(ValueError):
-        build_ladder(7)
+        build_hamiltonian(7, 0.0)
     with pytest.raises(ValueError):
         TruncatedOperator(4, np.zeros((4, 4), dtype=complex))
     with pytest.raises(ValueError):
@@ -135,7 +145,7 @@ def test_state_vector_refuses_nan_amplitudes():
 
 def test_diagonalize_rejects_parity_coupling():
     """x is Hermitian but couples n to n+-1, so its parity blocks are not all of it."""
-    x, _ = build_quadratures(DIM)
+    x = TruncatedOperator(DIM, _quadratures(DIM)[0])
     assert x.is_hermitian()
     with pytest.raises(ValueError, match="parity"):
         diagonalize(x)
@@ -177,27 +187,17 @@ def test_moments_equal_the_carried_state_route(state):
     assert spec.moments(bare) == (pytest.approx(mean, rel=1e-12), pytest.approx(var, rel=1e-12))
 
 
-def _band_to_dense(band: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose diagonal at offset 2k is band row k."""
-    dim = band.shape[1]
-    full = np.zeros((dim, dim))
-    for k, row in zip(range(0, 2 * len(band), 2), band):
-        idx = np.arange(dim - k)
-        full[idx + k, idx] = row[: dim - k]
-        full[idx, idx + k] = row[: dim - k]
-    return full
-
-
 TIE_CASES = [
     (dim, eps) for dim in (64, 256, 512) for eps in (0.0, 1e-3, 1.0 / dim)
 ] + [(256, 0.08)]
 
 
 def _complex_reference_hamiltonian(dim: int, eps: float) -> np.ndarray:
-    """H from complex ladder matrices, p = i(a0dag - a0)/sqrt2, and matrix_power(p, 4)."""
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
+    """H from complex ladder matrices, p = i(a0dag - a0)/sqrt2, and matrix_power(p, 4).
+
+    The one construction of H that is independent of the band it checks.
+    """
+    a = _ladder(dim).astype(np.complex128)
     adag = a.conj().T
     x = (adag + a) / np.sqrt(2.0)
     p = 1j * (adag - a) / np.sqrt(2.0)
@@ -207,7 +207,7 @@ def _complex_reference_hamiltonian(dim: int, eps: float) -> np.ndarray:
 @pytest.mark.filterwarnings("ignore:epsilon=")
 @pytest.mark.parametrize("dim,eps", TIE_CASES)
 def test_real_hamiltonian_matches_complex_reference(dim, eps):
-    """The real build is the complex one up to summation order in the last bit."""
+    """The band's expansion is the brute-force complex H up to summation order in the last bit."""
     op = build_hamiltonian(dim, eps)
     h = op.entries
     ref = _complex_reference_hamiltonian(dim, eps)
@@ -235,13 +235,9 @@ def _assert_solvers_match_eigvalsh(op: TruncatedOperator, eps: float, counts) ->
 @pytest.mark.filterwarnings("ignore:epsilon=")
 @pytest.mark.parametrize("dim,eps", TIE_CASES)
 def test_banded_levels_tie_to_dense_reference(dim, eps):
-    """The band is the dense H, and both solvers return its lowest levels."""
-    op = build_hamiltonian(dim, eps)
-    h = op.entries
-    band = fock_core._lower_band(dim, eps, 1)
-    assert band.shape == (fock_core.BAND_ROWS, dim)
-    assert np.abs(_band_to_dense(band) - h).max() <= 1e-12 * np.abs(h).max()
-    _assert_solvers_match_eigvalsh(op, eps, sorted({1, 11, dim // 4}))
+    """Both solvers return the lowest levels of the band's dense expansion."""
+    assert fock_core._lower_band(dim, eps, 1).shape == (fock_core.BAND_ROWS, dim)
+    _assert_solvers_match_eigvalsh(build_hamiltonian(dim, eps), eps, sorted({1, 11, dim // 4}))
     if eps == 0.08:
         # past the cutoff turnover 8/(3 eps) both routes report the same
         # spurious ground state; the swap neither hides nor adds the defect
@@ -261,11 +257,20 @@ PARITY_EDGE_CASES = [
 @pytest.mark.parametrize("dim,eps,count", PARITY_EDGE_CASES)
 def test_parity_levels_edge_cases_match_dense_reference(dim, eps, count):
     """Unequal blocks, one level, and every level all merge to the dense lowest levels."""
-    op = build_hamiltonian(dim, eps)
-    h = op.entries
-    assert np.abs(_band_to_dense(fock_core._lower_band(dim, eps, count)) - h).max() <= (
-        1e-12 * np.abs(h).max())
-    _assert_solvers_match_eigvalsh(op, eps, [count])
+    _assert_solvers_match_eigvalsh(build_hamiltonian(dim, eps), eps, [count])
+
+
+BIT_CASES = [(dim, eps, sorted({1, 11, dim // 4, dim})) for dim, eps in TIE_CASES] + [
+    (dim, eps, [count]) for dim, eps, count in PARITY_EDGE_CASES]
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=")
+@pytest.mark.parametrize("dim,eps,counts", BIT_CASES)
+def test_diagonalize_and_lowest_levels_agree_bit_for_bit(dim, eps, counts):
+    """Both solvers see the same parity blocks of the one H, so their levels are the same bits."""
+    levels = diagonalize(build_hamiltonian(dim, eps)).eigenvalues
+    for count in counts:
+        assert np.array_equal(levels[:count], lowest_levels(dim, eps, count))
 
 
 VERIFIED_ROUTES = {
@@ -314,16 +319,33 @@ def test_verification_is_live_where_the_squares_overflow(route, monkeypatch):
         solve()
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the solver must not be reached")
+
+
 def test_lowest_levels_count_over_memory_budget_refused(monkeypatch):
     """At MAX_DIM the block solve fits the budget, but verifying every level does not."""
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the solver must not be reached")
-
-    monkeypatch.setattr(fock_core.np.linalg, "eigh", unreachable)
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", _unreachable)
     dim = fock_core.MAX_DIM
     need = fock_core._VERIFY_BYTES_PER_DIM_COUNT * dim * dim
     with pytest.raises(ValueError, match=f"dim={dim} with count={dim} needs about {need} bytes"):
         lowest_levels(dim, 1e-3, dim)
+
+
+def test_build_hamiltonian_over_memory_budget_refused(monkeypatch):
+    """At MAX_DIM diagonalize could not verify every level within the budget, so
+    the dense build is refused before a dim x dim array is allocated."""
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", _unreachable)
+    dim = fock_core.MAX_DIM
+    need = fock_core._VERIFY_BYTES_PER_DIM_COUNT * dim * dim
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"dim={dim} with count={dim} needs about {need} bytes"):
+            build_hamiltonian(dim, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim
 
 
 def test_lowest_levels_traced_peak():
