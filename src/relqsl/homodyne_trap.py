@@ -299,15 +299,16 @@ def trap_config(params: dict[str, Any]) -> tuple[TrapConfig, str]:
     ``params`` is a resolved [trap] section; tau is not part of the config
     and is ignored. epsilon = 0 means derive it from nu and mass (source
     "derived"); any other value is used as given (source "config"). A
-    derived epsilon that underflows to 0 is refused, naming nu and mass.
+    derived epsilon that underflows to 0 or overflows to inf is refused,
+    naming nu and mass.
     """
     epsilon, source = params["epsilon"], "config"
     if epsilon == 0.0:
         nu, mass = params["nu"], params["mass"]
         epsilon, source = epsilon_from_trap(nu, mass), "derived"
-        if not epsilon > 0:
+        if not 0 < epsilon < math.inf:
             raise ValueError(
                 f"epsilon derived as h*nu/(8*mass*c^2) from nu={nu!r} and mass={mass!r} is "
-                f"{epsilon!r}, not strictly positive; give epsilon explicitly"
+                f"{epsilon!r}, not positive and finite; give epsilon explicitly"
             )
     return TrapConfig(params["nu"], params["p_lo"], params["kappa"], epsilon), source

@@ -56,15 +56,15 @@ def _halving(diffs: dict[float, np.ndarray], cap: bool) -> tuple[np.ndarray, boo
     return ratios, passed
 
 
-# the verified dense decomposition of H(dim, eps), keyed by eps
-Spectra = dict[float, fock_core.SpectralDecomposition]
+# the verified lowest_levels(dim, eps, dim) of H, keyed by eps
+Spectra = dict[float, np.ndarray]
 
 
 def level_residuals(spectra: Spectra) -> dict[float, np.ndarray]:
     """|exact - first-order| energy of levels n = 0..10, keyed by epsilon."""
     return {
-        eps: np.abs(spec.eigenvalues[:11] - perturbation.energy(np.arange(11), eps))
-        for eps, spec in spectra.items()
+        eps: np.abs(levels[:11] - perturbation.energy(np.arange(11), eps))
+        for eps, levels in spectra.items()
     }
 
 
@@ -90,12 +90,31 @@ def fidelity_residuals(
     }
 
 
+def spectral_moments(bare: states.StateVector, levels: np.ndarray) -> tuple[float, float]:
+    """Exact <H> and Var(H) of the bare amplitudes carried onto the eigenvectors of ``levels``.
+
+    Bare level n goes onto the n-th lowest eigenvector, so with weights
+    p_n = |c_n|^2 the moments are sum p_n E_n and sum p_n E_n^2 - <H>^2.
+    The variance is clamped at zero within -1e-12.
+    """
+    if bare.dim != levels.size:
+        raise ValueError(f"dimension mismatch: state {bare.dim} vs {levels.size} levels")
+    weights = np.abs(bare.amps) ** 2
+    mean = float(weights @ levels)
+    var = float(weights @ levels**2) - mean * mean
+    if var < 0.0:
+        if var < -1e-12:
+            raise ArithmeticError(f"variance {var!r} is negative beyond tolerance")
+        var = 0.0
+    return mean, var
+
+
 def moment_residuals(spectra: Spectra, kind: str, par: float) -> dict[float, np.ndarray]:
     """|closed - exact| energy (mean, variance) of the constructed state, keyed by epsilon.
 
     ``par`` is alpha0 for the coherent family and r for the squeezed one.
     """
-    dim = next(iter(spectra.values())).dim
+    dim = next(iter(spectra.values())).size
     if kind == "coherent":
         bare = states.coherent_amplitudes(states.CoherentSpec(par), dim)
         closed = metrology.coherent_energy
@@ -103,8 +122,8 @@ def moment_residuals(spectra: Spectra, kind: str, par: float) -> dict[float, np.
         bare = states.squeezed_state(states.SqueezeSpec(par), dim)
         closed = metrology.squeezed_energy
     diffs = {}
-    for eps, spec in spectra.items():
-        mean, var = spec.moments(bare)
+    for eps, levels in spectra.items():
+        mean, var = spectral_moments(bare, levels)
         moments = closed(par, eps)
         diffs[eps] = np.array([abs(mean - moments.mean), abs(var - moments.variance)])
     return diffs
@@ -484,10 +503,7 @@ def _discrepancies() -> list[DiscrepancyEntry]:
 def _in_process_checks(seed: int) -> tuple[list[CheckEntry], CheckEntry, list[DiscrepancyEntry]]:
     """Every check but homodyne_counting_mc: the twelve deterministic ones,
     qkd_rotation_mc, and the discrepancies."""
-    spectra = {
-        eps: fock_core.diagonalize(fock_core.build_hamiltonian(ORACLE_DIM, eps))
-        for eps in EPS_PAIR
-    }
+    spectra = {eps: fock_core.lowest_levels(ORACLE_DIM, eps, ORACLE_DIM) for eps in EPS_PAIR}
     deterministic = [
         _check_energy_order(spectra),
         _check_fidelity("coherent"),
@@ -513,7 +529,7 @@ def run_selfcheck(seed: int = 42) -> RunReport:
     reports. The homodyne counting draws run in a forked child beside the
     other checks (``forked.run_beside``), which sends back their z-scores as
     float64 bytes, so the report is the same on any number of CPUs. The
-    fork comes before the dense builds, so the child runs no BLAS.
+    fork comes before the exact solves, so the child runs no BLAS.
     """
     draws, (deterministic, rotation, discrepancies) = forked.run_beside(
         lambda: np.array(_homodyne_zscores(np.random.default_rng(seed))).tobytes(),

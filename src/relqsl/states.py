@@ -13,12 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import StateVector
 from .perturbation import energy
 
 TAIL_LIMIT = 1e-12
 ALPHA0_FOCK_CAP = 30.0
 _EPSILON = np.finfo(float).eps
+NORM_ATOL = 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class StateVector:
+    """Normalized state on the lowest ``dim`` Fock levels."""
+
+    dim: int
+    amps: np.ndarray
+
+    def __post_init__(self):
+        if self.amps.shape != (self.dim,):
+            raise ValueError(f"amps shape {self.amps.shape} does not match dim={self.dim}")
+        norm = float(np.linalg.norm(self.amps))
+        if not abs(norm - 1.0) <= NORM_ATOL:
+            raise ValueError(
+                f"state norm {norm!r} deviates from 1 by more than {NORM_ATOL}; "
+                "renormalize or increase the cutoff before constructing"
+            )
 
 
 @dataclass(frozen=True)

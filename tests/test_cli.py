@@ -96,7 +96,19 @@ def test_trap_underflowing_derived_epsilon_names_nu_and_mass(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: epsilon derived as h*nu/(8*mass*c^2) from nu=1e-300 and mass=9.1093837015e-31 "
-        "is 0.0, not strictly positive; give epsilon explicitly\n"
+        "is 0.0, not positive and finite; give epsilon explicitly\n"
+    )
+
+
+def test_trap_overflowing_derived_epsilon_names_nu_and_mass(capsys):
+    """h nu / (8 m c^2) overflows to inf at nu = 1e300, mass = 1e-300; the
+    refusal blames the derivation, not the first Allan branch that sees inf."""
+    assert run_subcommand(["trap", "--nu", "1e300", "--mass", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: epsilon derived as h*nu/(8*mass*c^2) from nu=1e+300 and mass=1e-300 "
+        "is inf, not positive and finite; give epsilon explicitly\n"
     )
 
 
@@ -264,7 +276,8 @@ def test_overflow_exits_one_without_traceback(argv, capsys):
         # the band of H overflows, so eigh returns nan eigenpairs; this printed nan
         # energy_exact rows with exit 0, after numpy's overflow warnings
         pytest.param(["spectrum", "--epsilon", "1e305", "--nmax", "2"],
-                     "error: eigenpair residual nan is not within 1e-9 * ||H|| = nan\n",
+                     "error: lowest_levels(dim=256, epsilon=1e+305, count=3): eigenpair residual "
+                     "nan is not within 1e-9 * ||H|| = nan\n",
                      marks=[pytest.mark.filterwarnings("ignore:epsilon=.* is large"),
                             pytest.mark.filterwarnings("error::RuntimeWarning")]),
         # the dim-8 band overflows to inf and eigh does not converge; this

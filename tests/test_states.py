@@ -14,6 +14,7 @@ from relqsl.states import (
     TAIL_LIMIT,
     CoherentSpec,
     SqueezeSpec,
+    StateVector,
     coherent_amplitudes,
     coherent_overlap_numeric,
     coherent_tail,
@@ -135,6 +136,20 @@ def test_squeezed_coeffs_closed_at_r_zero_is_the_vacuum():
     closed = squeezed_coeffs_closed(SqueezeSpec(0.0), 8)
     assert closed.dtype == np.float64
     assert closed.tolist() == squeezed_coeffs(SqueezeSpec(0.0), 8).tolist() == [1.0] + [0.0] * 7
+
+
+def test_state_vector_norm_check():
+    amps = np.zeros(DIM, dtype=complex)
+    amps[0] = 0.9
+    with pytest.raises(ValueError):
+        StateVector(DIM, amps)
+
+
+def test_state_vector_refuses_nan_amplitudes():
+    amps = np.zeros(DIM)
+    amps[0] = math.nan
+    with pytest.raises(ValueError, match="state norm nan deviates from 1"):
+        StateVector(DIM, amps)
 
 
 def test_amplitudes_are_float64():
