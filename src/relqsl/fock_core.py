@@ -115,7 +115,7 @@ def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float
     if not resid <= bound < math.inf:  # a nan fails
         raise ArithmeticError(
             f"{solve}: eigenpair residual {resid:.3e} is not within 1e-9 * ||H|| = {bound:.3e}")
-    defect = v.conj().T @ v
+    defect = v.T @ v
     defect[np.diag_indices_from(defect)] -= 1.0
     ortho = np.abs(defect, out=defect).max()
     if float(ortho) > 1e-10:
