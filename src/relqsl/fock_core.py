@@ -1,26 +1,30 @@
 """Truncated Fock-space linear algebra for the quartic-corrected oscillator.
 
 Exact-diagonalization oracle used to validate every closed form in this
-package: the lowest levels of H = (p^2 + x^2)/2 - eps*p^4/8 on the lowest
-``dim`` Fock levels, in natural units (m = omega = hbar = 1). H is defined
-once, by ``_lower_band``: its diagonals in closed form, as the products of
-the truncated quadratures x and q (p = i q) give them. So H is a real
-symmetric float64 matrix with real eigenvectors. The brute force that this
-band is checked against, H from ladder matrices and ``matrix_power(p, 4)``,
-and the band's dense expansion live in the tests, not here.
+package: H = (p^2 + x^2)/2 - eps*p^4/8 on the lowest ``dim`` Fock levels and
+its spectral decomposition, in natural units (m = omega = hbar = 1). H is
+defined once, by ``_lower_band``: its diagonals in closed form, as the
+products of the truncated quadratures x and q (p = i q) give them. So H is a
+real symmetric float64 matrix with real eigenvectors. The brute force that
+this band is checked against, H from ladder matrices and ``matrix_power(p,
+4)``, lives in the tests, not here.
 
 H couples n only to n+-2 and n+-4, so it splits exactly into an even-n and
-an odd-n block. ``lowest_levels`` builds each block from the band, solves
-the even block and then the odd one in this process, keeps the lowest
-levels and verifies them against the band, so no dim x dim matrix is
-formed.
+an odd-n block, and one parity solve serves both solvers: ``diagonalize``
+slices the blocks from a dense matrix such as ``build_hamiltonian``'s
+expansion of the band (after checking that every even-odd entry is zero)
+and returns the full eigenbasis; ``lowest_levels`` builds each block from
+the band and keeps only the lowest levels. The two see identical blocks of
+H, so their lowest eigenvalues agree bit for bit. The even block is solved
+first and then the odd one, both in this process.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,6 +46,48 @@ MAX_DIM = math.isqrt(SOLVE_BUDGET_BYTES // SOLVE_BYTES_PER_DIM2)
 # n+-4, and parity zeroes the odd offsets.
 BAND_ROWS = 3
 EPSILON_WARN_THRESHOLD = 0.1
+HERMITIAN_ATOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class TruncatedOperator:
+    """Operator on the lowest ``dim`` (at least MIN_DIM) Fock levels.
+
+    ``entries`` is a dim x dim matrix, float64 from ``build_hamiltonian``;
+    the checked floor and shape are what ``diagonalize`` relies on.
+    """
+
+    dim: int
+    entries: np.ndarray
+
+    def __post_init__(self):
+        _check_min_dim(self.dim)
+        if self.entries.shape != (self.dim, self.dim):
+            raise ValueError(f"entries shape {self.entries.shape} does not match dim={self.dim}")
+
+    def is_hermitian(self) -> bool:
+        return bool(np.all(np.abs(self.entries - self.entries.conj().T) <= HERMITIAN_ATOL))
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralDecomposition:
+    """Eigen-decomposition of a Hermitian truncated operator.
+
+    ``eigenvalues`` ascending, ``eigenvectors`` column-orthonormal, so that
+    H = V diag(w) V^dagger.
+    """
+
+    dim: int
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        if self.eigenvalues.shape != (self.dim,):
+            raise ValueError("eigenvalue count does not match dim")
+        if self.eigenvectors.shape != (self.dim, self.dim):
+            raise ValueError("eigenvector matrix shape does not match dim")
+        if np.any(np.diff(self.eigenvalues) < 0):
+            raise ValueError("eigenvalues must be sorted ascending")
 
 
 def _check_min_dim(dim: int) -> None:
@@ -67,24 +113,74 @@ def _check_epsilon(epsilon: float) -> None:
         )
 
 
-def _parity_solve(band: np.ndarray, count: int, solve: str) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``count`` eigenpairs of the H whose lower band is ``band``, ascending, as full-length vectors.
+def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
+    """The dense truncated H = (p^2 + x^2)/2 - epsilon * p^4 / 8, its band mirrored across the diagonal.
 
-    The even-n block and then the odd-n one are built from the band and
-    solved, and the lowest ``count`` pairs of each are kept; a block that
-    ``eigh`` cannot solve raises ArithmeticError naming ``solve``. The two
-    sets are merged in ascending order (even first on a tie) and scattered
-    back to full-length vectors.
+    epsilon above 0.1 is allowed but warns, as first order degrades there. A
+    dim whose full solve and verification by ``diagonalize`` would exceed the
+    memory budget is refused before H is allocated, and an epsilon so large
+    that an entry of H overflows raises ArithmeticError.
+    """
+    _check_epsilon(epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        band = _lower_band(dim, epsilon, dim)
+    h = np.zeros((dim, dim))
+    for k, row in zip(range(0, 2 * BAND_ROWS, 2), band):
+        idx = np.arange(dim - k)
+        h[idx + k, idx] = h[idx, idx + k] = row[: dim - k]
+    if not np.isfinite(h).all():
+        raise ArithmeticError(
+            f"build_hamiltonian(dim={dim}, epsilon={epsilon!r}): H has a non-finite entry; lower epsilon"
+        )
+    return TruncatedOperator(dim, h)
+
+
+def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian operator that conserves the parity of n.
+
+    A non-finite entry raises ArithmeticError; an input that is not
+    Hermitian, or has a nonzero entry between an even and an odd level,
+    raises ValueError. The even and odd blocks go through the parity solve,
+    and the result is verified against the full matrix: eigenpair residuals
+    below 1e-9 * ||H||_F and column orthonormality below 1e-10.
+    """
+    h = op.entries
+    finite = np.isfinite(h)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ArithmeticError(
+            f"diagonalize(dim={op.dim}): H has a non-finite entry H[{i}, {j}] = {h[i, j].item()!r}"
+        )
+    if not op.is_hermitian():
+        raise ValueError("diagonalize requires a Hermitian operator")
+    if np.any(h[0::2, 1::2]) or np.any(h[1::2, 0::2]):
+        raise ValueError("diagonalize requires an operator that conserves the parity of n")
+    w, v = _parity_solve(op.dim, op.dim, lambda parity: h[parity::2, parity::2],
+                         f"diagonalize(dim={op.dim})")
+    _check_eigenpairs(h @ v, v, w, _norm(h))
+    return SpectralDecomposition(op.dim, w, v)
+
+
+def _parity_solve(dim: int, count: int, block: Callable[[int], np.ndarray],
+                  solve: str) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``count`` eigenpairs of a parity-conserving H, ascending, as full-length vectors.
+
+    ``block(parity)`` returns H on the levels n = parity (mod 2), of which
+    ``eigh`` reads the lower triangle. The even block and then the odd one
+    are built and solved, and the lowest ``count`` pairs of each are kept;
+    a block that ``eigh`` cannot solve raises ArithmeticError naming
+    ``solve``. The two sets are merged in ascending order (even first on a
+    tie) and scattered back to full-length vectors.
     """
     try:
-        w_even, v_even = _solve_block(_band_block(band, 0), count)
-        w_odd, v_odd = _solve_block(_band_block(band, 1), count)
+        w_even, v_even = _solve_block(block(0), count)
+        w_odd, v_odd = _solve_block(block(1), count)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"{solve}: eigh failed on a parity block: {exc}") from exc
     w = np.concatenate([w_even, w_odd])
     order = np.argsort(w, kind="stable")[:count]
     odd = order >= w_even.size
-    v = np.zeros((band.shape[1], count))
+    v = np.zeros((dim, count), dtype=np.result_type(v_even, v_odd))
     v[0::2, ~odd] = v_even[:, order[~odd]]
     v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
     return w[order], v
@@ -104,8 +200,8 @@ def _norm(a: np.ndarray, axis: int | None = None) -> Any:
         return np.linalg.norm(a / np.maximum(big, np.finfo(a.dtype).tiny), axis=axis) * big.squeeze(axis)
 
 
-def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float, solve: str) -> None:
-    """Raise ArithmeticError, naming ``solve``, unless the eigenpairs (w, v) of H pass verification.
+def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float) -> None:
+    """Raise ArithmeticError unless the eigenpairs (w, v) of H pass verification.
 
     ``hv`` is H @ v, overwritten with the residual. Each residual column must
     stay within 1e-9 * ``scale`` (||H||_F), a finite bound, and v orthonormal within 1e-10.
@@ -113,13 +209,12 @@ def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float
     hv -= v * w
     resid, bound = float(_norm(hv, axis=0).max()), 1e-9 * float(scale)
     if not resid <= bound < math.inf:  # a nan fails
-        raise ArithmeticError(
-            f"{solve}: eigenpair residual {resid:.3e} is not within 1e-9 * ||H|| = {bound:.3e}")
-    defect = v.T @ v
+        raise ArithmeticError(f"eigenpair residual {resid:.3e} is not within 1e-9 * ||H|| = {bound:.3e}")
+    defect = v.conj().T @ v
     defect[np.diag_indices_from(defect)] -= 1.0
     ortho = np.abs(defect, out=defect).max()
     if float(ortho) > 1e-10:
-        raise ArithmeticError(f"{solve}: eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
+        raise ArithmeticError(f"eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
 
 
 def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
@@ -185,19 +280,17 @@ def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
 
     The even-n and odd-n blocks are built from the band and go through the
     parity solve, and the result through the eigenpair check against the
-    full band with a banded mat-vec, so no dim x dim matrix is formed. A
-    failed solve or check raises ArithmeticError naming dim, epsilon and
-    count; an epsilon so large that H overflows fails the check.
+    full band with a banded mat-vec, so no dim x dim matrix is formed.
     """
     if not 1 <= count <= dim:
         raise ValueError(f"count={count} must lie in 1..dim={dim}")
     _check_epsilon(epsilon)
-    solve = f"lowest_levels(dim={dim}, epsilon={epsilon!r}, count={count})"
     with np.errstate(over="ignore", invalid="ignore"):  # an H that overflows fails the check
         band = _lower_band(dim, epsilon, count)
-        w, v = _parity_solve(band, count, solve)
+        w, v = _parity_solve(dim, count, lambda parity: _band_block(band, parity),
+                             f"lowest_levels(dim={dim}, epsilon={epsilon!r}, count={count})")
         # ||H||_F, each off-diagonal band row standing for two diagonals
-        _check_eigenpairs(_band_matvec(band, v), v, w, _norm(np.vstack([band, band[1:]])), solve)
+        _check_eigenpairs(_band_matvec(band, v), v, w, _norm(np.vstack([band, band[1:]])))
     return w
 
 

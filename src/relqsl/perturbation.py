@@ -1,7 +1,7 @@
 """First-order perturbative spectrum for the -eps*p^4/8 correction.
 
 Closed forms for the shifted levels and the level spacing, validated
-elsewhere against the exact levels of ``fock_core.lowest_levels``.
+elsewhere against the dense matrices in fock_core.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ def _halving(diffs: dict[float, np.ndarray], cap: bool) -> tuple[np.ndarray, boo
     return ratios, passed
 
 
-# the verified lowest_levels(dim, eps, dim) of H, keyed by eps
+# every verified level of H(dim, eps), ascending, keyed by eps
 Spectra = dict[float, np.ndarray]
 
 
@@ -503,7 +503,10 @@ def _discrepancies() -> list[DiscrepancyEntry]:
 def _in_process_checks(seed: int) -> tuple[list[CheckEntry], CheckEntry, list[DiscrepancyEntry]]:
     """Every check but homodyne_counting_mc: the twelve deterministic ones,
     qkd_rotation_mc, and the discrepancies."""
-    spectra = {eps: fock_core.lowest_levels(ORACLE_DIM, eps, ORACLE_DIM) for eps in EPS_PAIR}
+    spectra = {
+        eps: fock_core.diagonalize(fock_core.build_hamiltonian(ORACLE_DIM, eps)).eigenvalues
+        for eps in EPS_PAIR
+    }
     deterministic = [
         _check_energy_order(spectra),
         _check_fidelity("coherent"),
@@ -529,7 +532,7 @@ def run_selfcheck(seed: int = 42) -> RunReport:
     reports. The homodyne counting draws run in a forked child beside the
     other checks (``forked.run_beside``), which sends back their z-scores as
     float64 bytes, so the report is the same on any number of CPUs. The
-    fork comes before the exact solves, so the child runs no BLAS.
+    fork comes before the dense builds, so the child runs no BLAS.
     """
     draws, (deterministic, rotation, discrepancies) = forked.run_beside(
         lambda: np.array(_homodyne_zscores(np.random.default_rng(seed))).tobytes(),

@@ -42,7 +42,10 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def spectra512():
     """Every exact level at dim 512 for both halving epsilons."""
-    return {eps: fock_core.lowest_levels(SPECTRUM_DIM, eps, SPECTRUM_DIM) for eps in SPECTRUM_EPS_PAIR}
+    return {
+        eps: fock_core.diagonalize(fock_core.build_hamiltonian(SPECTRUM_DIM, eps)).eigenvalues
+        for eps in SPECTRUM_EPS_PAIR
+    }
 
 
 def test_criterion_1_trap_reference_numbers():

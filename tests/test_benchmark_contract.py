@@ -120,24 +120,15 @@ def _tracer_hook_names() -> list[str]:
     raise AssertionError("perfbench/layers.py assigns no self._hooks")
 
 
-# Hooks whose functions were deleted with the dense oracle: their
-# fock_core.build_*, diagonalize_*, flops and bytes metrics read 0 until the
-# benchmark retargets them to lowest_levels, and this set empties with it.
-RETIRED_HOOKS = {"fock_core.build_hamiltonian", "fock_core.diagonalize"}
-
-
 def test_every_tracer_hook_names_a_public_function():
     """A hooked function that is renamed or deleted would read 0 in its traced
-    count without failing a job, so each hook but the known RETIRED_HOOKS must
-    name a public function of its layer."""
+    count without failing a job, so each hook must name a public function of
+    its layer."""
     names = _tracer_hook_names()
     assert names
-    dangling = set()
     for name in names:
         layer, _, function = name.partition(".")
-        if function not in _public_functions(layer):
-            dangling.add(name)
-    assert dangling == RETIRED_HOOKS
+        assert function in _public_functions(layer), name
 
 
 def test_selfcheck_check_names_match_the_benchmark():

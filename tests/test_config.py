@@ -18,7 +18,7 @@ from relqsl.config import (
     load_config,
     parse_config_text,
 )
-from relqsl.fock_core import lowest_levels
+from relqsl.fock_core import build_hamiltonian, lowest_levels
 from relqsl.homodyne_trap import (
     BhdConfig,
     TrapConfig,
@@ -397,6 +397,9 @@ NAN_REFUSALS = {
     ),
     "lowest_levels": (
         lambda: lowest_levels(256, math.nan, 11), "epsilon must be non-negative, got nan"
+    ),
+    "build_hamiltonian": (
+        lambda: build_hamiltonian(64, math.nan), "epsilon must be non-negative, got nan"
     ),
     "Axis-step": (lambda: Axis("t", 0.5, 1.0, math.nan), "axis t: step must be positive, got nan"),
 }

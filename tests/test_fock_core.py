@@ -2,12 +2,20 @@ import errno
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from relqsl import fock_core
-from relqsl.fock_core import default_cutoff, lowest_levels
+from relqsl.fock_core import (
+    SpectralDecomposition,
+    TruncatedOperator,
+    build_hamiltonian,
+    default_cutoff,
+    diagonalize,
+    lowest_levels,
+)
 from relqsl.selfcheck import spectral_moments
 from relqsl.states import CoherentSpec, SqueezeSpec, StateVector, coherent_amplitudes, squeezed_state
 
@@ -69,47 +77,64 @@ def test_quadratures_hermitian_and_canonical():
     assert np.allclose(comm[: DIM - 1, : DIM - 1], np.eye(DIM - 1), atol=1e-12)
 
 
-def _dense_hamiltonian(dim: int, eps: float) -> np.ndarray:
-    """The dense real H: the band's rows mirrored across the diagonal into a dim x dim float64 matrix."""
-    h = np.zeros((dim, dim))
-    for k, row in zip(range(0, 2 * fock_core.BAND_ROWS, 2), fock_core._lower_band(dim, eps, 1)):
-        idx = np.arange(dim - k)
-        h[idx + k, idx] = h[idx, idx + k] = row[: dim - k]
-    return h
-
-
-def _diagonalize(h: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of the dense H, ascending, from its even-n and odd-n blocks
-    sliced out of H and solved by ``np.linalg.eigh``, even first on a tie."""
-    w = np.concatenate([np.linalg.eigh(h[parity::2, parity::2])[0] for parity in (0, 1)])
-    return w[np.argsort(w, kind="stable")]
-
-
 def test_harmonic_spectrum_at_zero_epsilon():
-    levels = lowest_levels(DIM, 0.0, DIM)
+    spec = diagonalize(build_hamiltonian(DIM, 0.0))
     interior = DIM // 4
-    assert np.allclose(levels[:interior], np.arange(interior) + 0.5, atol=1e-10)
+    assert np.allclose(spec.eigenvalues[:interior], np.arange(interior) + 0.5, atol=1e-10)
 
 
 def test_hamiltonian_hermitian_with_correction():
-    """H is symmetric, and no entry couples an even level to an odd one, so
-    its two parity blocks are all of it; x couples n to n+-1 and is not so."""
-    h = _dense_hamiltonian(DIM, 0.01)
-    assert np.array_equal(h, h.T)
-    assert not np.any(h[0::2, 1::2]) and not np.any(h[1::2, 0::2])
-    assert np.any(_quadratures(DIM)[0][0::2, 1::2])
+    h = build_hamiltonian(DIM, 0.01)
+    assert h.is_hermitian()
 
 
 def test_epsilon_validation():
-    with pytest.raises(ValueError):
-        lowest_levels(DIM, -1e-6, 4)
-    with pytest.warns(UserWarning):
-        lowest_levels(DIM, 0.2, 4)
+    for build in (build_hamiltonian, lambda d, e: lowest_levels(d, e, 4)):
+        with pytest.raises(ValueError):
+            build(DIM, -1e-6)
+        with pytest.warns(UserWarning):
+            build(DIM, 0.2)
 
 
 def test_min_dim_enforced():
     with pytest.raises(ValueError):
+        build_hamiltonian(7, 0.0)
+    with pytest.raises(ValueError):
+        TruncatedOperator(4, np.zeros((4, 4), dtype=complex))
+    with pytest.raises(ValueError):
         lowest_levels(7, 1e-3, 1)
+
+
+def test_spectral_decomposition_requires_sorted():
+    w = np.array([1.0, 0.5] + [2.0] * (DIM - 2))
+    with pytest.raises(ValueError):
+        SpectralDecomposition(DIM, w, np.eye(DIM, dtype=complex))
+
+
+def test_diagonalize_rejects_non_hermitian():
+    m = np.zeros((DIM, DIM), dtype=complex)
+    m[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        diagonalize(TruncatedOperator(DIM, m))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_diagonalize_names_a_non_finite_entry_without_a_warning(bad):
+    m = np.eye(8)
+    m[2, 6] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError) as refused:
+            diagonalize(TruncatedOperator(8, m))
+    assert str(refused.value) == f"diagonalize(dim=8): H has a non-finite entry H[2, 6] = {bad!r}"
+
+
+def test_diagonalize_rejects_parity_coupling():
+    """x is Hermitian but couples n to n+-1, so its parity blocks are not all of it."""
+    x = TruncatedOperator(DIM, _quadratures(DIM)[0])
+    assert x.is_hermitian()
+    with pytest.raises(ValueError, match="parity"):
+        diagonalize(x)
 
 
 def _ground_state(dim: int) -> StateVector:
@@ -119,13 +144,15 @@ def _ground_state(dim: int) -> StateVector:
 
 
 def test_moments_on_ground_state():
-    assert spectral_moments(_ground_state(DIM), lowest_levels(DIM, 0.0, DIM)) == (
+    levels = diagonalize(build_hamiltonian(DIM, 0.0)).eigenvalues
+    assert spectral_moments(_ground_state(DIM), levels) == (
         pytest.approx(0.5, abs=1e-12), pytest.approx(0.0, abs=1e-12))
 
 
 def test_dimension_mismatch_raises():
+    spec = diagonalize(build_hamiltonian(DIM, 0.0))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        spectral_moments(_ground_state(2 * DIM), lowest_levels(DIM, 0.0, DIM))
+        spectral_moments(_ground_state(2 * DIM), spec.eigenvalues)
 
 
 MOMENT_STATES = {
@@ -136,16 +163,16 @@ MOMENT_STATES = {
 
 @pytest.mark.parametrize("state", MOMENT_STATES.values(), ids=MOMENT_STATES.keys())
 def test_moments_equal_the_carried_state_route(state):
-    """Moments off the eigenvalues equal <psi|H|psi> and ||H psi||^2 - <H>^2 of the
-    state carried onto the eigenvectors of the dense H."""
-    h = _dense_hamiltonian(256, 1e-4)
+    """Moments off the eigenvalues equal <psi|H|psi> and ||H psi||^2 - <H>^2 of the carried state."""
+    op = build_hamiltonian(256, 1e-4)
+    spec = diagonalize(op)
     bare = state(256)
-    carried = np.linalg.eigh(h)[1] @ bare.amps
-    hpsi = h @ carried
+    carried = spec.eigenvectors @ bare.amps
+    hpsi = op.entries @ carried
     mean = float(np.real(np.vdot(carried, hpsi)))
     var = float(np.real(np.vdot(hpsi, hpsi))) - mean * mean
-    levels = lowest_levels(256, 1e-4, 256)
-    assert spectral_moments(bare, levels) == (pytest.approx(mean, rel=1e-12), pytest.approx(var, rel=1e-12))
+    assert spectral_moments(bare, spec.eigenvalues) == (
+        pytest.approx(mean, rel=1e-12), pytest.approx(var, rel=1e-12))
 
 
 TIE_CASES = [
@@ -169,27 +196,26 @@ def _complex_reference_hamiltonian(dim: int, eps: float) -> np.ndarray:
 @pytest.mark.parametrize("dim,eps", TIE_CASES)
 def test_real_hamiltonian_matches_complex_reference(dim, eps):
     """The band's expansion is the brute-force complex H up to summation order in the last bit."""
-    h = _dense_hamiltonian(dim, eps)
+    op = build_hamiltonian(dim, eps)
+    h = op.entries
     ref = _complex_reference_hamiltonian(dim, eps)
     assert h.dtype == np.float64
     assert np.all(ref.imag == 0)
     assert np.abs(h - ref.real).max() <= 1e-15 * np.abs(h).max()
-    levels, vectors = fock_core._parity_solve(fock_core._lower_band(dim, eps, 11), 11, "solve")
-    assert vectors.dtype == np.float64
+    spec = diagonalize(op)
+    assert spec.eigenvectors.dtype == np.float64
     ref_levels = np.linalg.eigvalsh(ref)[:11]
-    assert np.abs(levels - ref_levels).max() <= 1e-11
+    assert np.abs(spec.eigenvalues[:11] - ref_levels).max() <= 1e-11
 
 
-def _assert_solvers_match_eigvalsh(h: np.ndarray, eps: float, counts) -> None:
-    """Every level and the lowest ``counts`` against a full-matrix eigvalsh of the dense H,
-    which shares nothing with the parity solve."""
-    dim = h.shape[0]
-    reference = np.linalg.eigvalsh(h)
-    full = lowest_levels(dim, eps, dim)
+def _assert_solvers_match_eigvalsh(op: TruncatedOperator, eps: float, counts) -> None:
+    """Both solvers against a full-matrix eigvalsh, which shares nothing with the parity solve."""
+    reference = np.linalg.eigvalsh(op.entries)
+    full = diagonalize(op).eigenvalues
     assert np.abs(full - reference).max() <= 1e-13 * np.abs(reference).max()
     assert np.abs(full[:11] - reference[:11]).max() <= 1e-11
     for count in counts:
-        levels = lowest_levels(dim, eps, count)
+        levels = lowest_levels(op.dim, eps, count)
         assert levels.shape == (count,)
         assert np.abs(levels - reference[:count]).max() <= 1e-11
 
@@ -197,12 +223,12 @@ def _assert_solvers_match_eigvalsh(h: np.ndarray, eps: float, counts) -> None:
 @pytest.mark.filterwarnings("ignore:epsilon=")
 @pytest.mark.parametrize("dim,eps", TIE_CASES)
 def test_banded_levels_tie_to_dense_reference(dim, eps):
-    """Every count returns the lowest levels of the band's dense expansion."""
+    """Both solvers return the lowest levels of the band's dense expansion."""
     assert fock_core._lower_band(dim, eps, 1).shape == (fock_core.BAND_ROWS, dim)
-    _assert_solvers_match_eigvalsh(_dense_hamiltonian(dim, eps), eps, sorted({1, 11, dim // 4}))
+    _assert_solvers_match_eigvalsh(build_hamiltonian(dim, eps), eps, sorted({1, 11, dim // 4}))
     if eps == 0.08:
-        # past the cutoff turnover 8/(3 eps) the solve reports the dense H's
-        # spurious ground state; it neither hides nor adds the defect
+        # past the cutoff turnover 8/(3 eps) both routes report the same
+        # spurious ground state; the swap neither hides nor adds the defect
         assert lowest_levels(dim, eps, 1)[0] == pytest.approx(-2093.42, abs=5e-3)
 
 
@@ -219,7 +245,7 @@ PARITY_EDGE_CASES = [
 @pytest.mark.parametrize("dim,eps,count", PARITY_EDGE_CASES)
 def test_parity_levels_edge_cases_match_dense_reference(dim, eps, count):
     """Unequal blocks, one level, and every level all merge to the dense lowest levels."""
-    _assert_solvers_match_eigvalsh(_dense_hamiltonian(dim, eps), eps, [count])
+    _assert_solvers_match_eigvalsh(build_hamiltonian(dim, eps), eps, [count])
 
 
 BIT_CASES = [(dim, eps, sorted({1, 11, dim // 4, dim})) for dim, eps in TIE_CASES] + [
@@ -229,24 +255,22 @@ BIT_CASES = [(dim, eps, sorted({1, 11, dim // 4, dim})) for dim, eps in TIE_CASE
 @pytest.mark.filterwarnings("ignore:epsilon=")
 @pytest.mark.parametrize("dim,eps,counts", BIT_CASES)
 def test_diagonalize_and_lowest_levels_agree_bit_for_bit(dim, eps, counts):
-    """Parity blocks sliced from the test-built dense H and solved here are the
-    blocks lowest_levels builds from the band, so their levels are the same bits."""
-    levels = _diagonalize(_dense_hamiltonian(dim, eps))
+    """Both solvers see the same parity blocks of the one H, so their levels are the same bits."""
+    levels = diagonalize(build_hamiltonian(dim, eps)).eigenvalues
     for count in counts:
         assert np.array_equal(levels[:count], lowest_levels(dim, eps, count))
 
 
-# a few levels, as spectrum solves, and every level ("diagonalize"), as
-# selfcheck and the acceptance tests solve
 VERIFIED_ROUTES = {
-    "lowest_levels": lambda eps: lowest_levels(DIM, eps, 5),
-    "diagonalize": lambda eps: lowest_levels(DIM, eps, DIM),
+    "lowest_levels": lambda op: lowest_levels(DIM, 1e-3, 5),
+    "diagonalize": diagonalize,
 }
 
 
 @pytest.mark.parametrize("route", VERIFIED_ROUTES.values(), ids=VERIFIED_ROUTES.keys())
 def test_banded_levels_verification_is_live(route, monkeypatch):
     """A perturbed eigh eigenvalue is caught by the residual check of either route."""
+    op = build_hamiltonian(DIM, 1e-3)
     solve = fock_core.np.linalg.eigh
 
     def perturbed(*args, **kwargs):
@@ -255,19 +279,23 @@ def test_banded_levels_verification_is_live(route, monkeypatch):
         w[2] += 1e-3
         return w, v
 
-    route(1e-3)
+    route(op)
     monkeypatch.setattr(fock_core.np.linalg, "eigh", perturbed)
     with pytest.raises(ArithmeticError, match="residual"):
-        route(1e-3)
+        route(op)
 
 
 @pytest.mark.filterwarnings("ignore:epsilon=.* is large", "error::RuntimeWarning")
-@pytest.mark.parametrize("route", VERIFIED_ROUTES.values(), ids=VERIFIED_ROUTES.keys())
+@pytest.mark.parametrize("route", ["lowest_levels", "diagonalize"])
 def test_verification_is_live_where_the_squares_overflow(route, monkeypatch):
     """At epsilon = 1e300 the squares summed for ||H||_F and for the residual
     norms pass the largest float; the check still passes the exact eigenpairs,
     without a RuntimeWarning, and still catches perturbed eigenvalues."""
-    assert np.isfinite(route(1e300)).all()
+    solve = {
+        "lowest_levels": lambda: lowest_levels(DIM, 1e300, 5),
+        "diagonalize": lambda: diagonalize(build_hamiltonian(DIM, 1e300)).eigenvalues,
+    }[route]
+    assert np.isfinite(solve()).all()
     eigh = fock_core.np.linalg.eigh
 
     def perturbed(*args, **kwargs):
@@ -276,7 +304,7 @@ def test_verification_is_live_where_the_squares_overflow(route, monkeypatch):
 
     monkeypatch.setattr(fock_core.np.linalg, "eigh", perturbed)
     with pytest.raises(ArithmeticError, match="eigenpair residual"):
-        route(1e300)
+        solve()
 
 
 def _unreachable(*args, **kwargs):
@@ -290,6 +318,22 @@ def test_lowest_levels_count_over_memory_budget_refused(monkeypatch):
     need = fock_core._VERIFY_BYTES_PER_DIM_COUNT * dim * dim
     with pytest.raises(ValueError, match=f"dim={dim} with count={dim} needs about {need} bytes"):
         lowest_levels(dim, 1e-3, dim)
+
+
+def test_build_hamiltonian_over_memory_budget_refused(monkeypatch):
+    """At MAX_DIM diagonalize could not verify every level within the budget, so
+    the dense build is refused before a dim x dim array is allocated."""
+    monkeypatch.setattr(fock_core.np.linalg, "eigh", _unreachable)
+    dim = fock_core.MAX_DIM
+    need = fock_core._VERIFY_BYTES_PER_DIM_COUNT * dim * dim
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"dim={dim} with count={dim} needs about {need} bytes"):
+            build_hamiltonian(dim, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim
 
 
 def test_lowest_levels_traced_peak():
@@ -354,7 +398,7 @@ def _count_forks(monkeypatch, fails: bool = False) -> list[int]:
 
 SOLVED_ROUTES = {
     "lowest_levels": lambda dim: lowest_levels(dim, 1e-3, dim // 4 + 1),
-    "diagonalize": lambda dim: lowest_levels(dim, 1e-3, dim),
+    "diagonalize": lambda dim: diagonalize(build_hamiltonian(dim, 1e-3)),
 }
 
 
@@ -366,9 +410,9 @@ def test_forked_solve_is_bit_identical(route, dim, monkeypatch, set_cpus):
     solved = []
     check = fock_core._check_eigenpairs
 
-    def spy(hv, v, w, scale, solve):
+    def spy(hv, v, w, scale):
         solved.append((w.copy(), v.copy()))
-        check(hv, v, w, scale, solve)
+        check(hv, v, w, scale)
 
     monkeypatch.setattr(fock_core, "_check_eigenpairs", spy)
     forks = _count_forks(monkeypatch)
@@ -430,8 +474,7 @@ def test_even_block_error_reaches_the_caller(fork_fails, monkeypatch, set_cpus):
 
 @pytest.mark.filterwarnings("ignore:epsilon=.* is large", "error::RuntimeWarning")
 def test_overflowing_hamiltonian_is_refused_with_epsilon():
-    """An H whose entries overflow fails the solve's check, which names dim,
-    epsilon and count, and no RuntimeWarning leaks."""
-    with pytest.raises(ArithmeticError, match=r"lowest_levels\(dim=256, epsilon=1e\+305, count=256\): "
-                                              "eigenpair residual nan"):
-        lowest_levels(256, 1e305, 256)
+    """An H whose entries overflow is refused where it is built, naming epsilon,
+    not by diagonalize as a non-Hermitian operator, and no RuntimeWarning leaks."""
+    with pytest.raises(ArithmeticError, match=r"build_hamiltonian\(dim=256, epsilon=1e\+305\): H has a non-finite"):
+        diagonalize(build_hamiltonian(256, 1e305))

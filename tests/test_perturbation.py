@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relqsl.fock_core import lowest_levels
+from relqsl.fock_core import build_hamiltonian, diagonalize
 from relqsl.perturbation import energy, level_spacing
 
 # first-order level energies, checked by hand from n + 1/2 - eps(6n^2+6n+3)/32
@@ -26,11 +26,11 @@ def test_energy_vectorized():
 
 
 def test_spectrum_residual_is_second_order():
-    """First-order energies track the exact levels with an O(eps^2) defect."""
+    """First-order energies track dense eigenvalues with an O(eps^2) defect."""
     eps = 1e-3
-    levels = lowest_levels(256, eps, 256)
+    spec = diagonalize(build_hamiltonian(256, eps))
     for n in range(11):
-        assert abs(levels[n] - energy(n, eps)) <= 100.0 * eps * eps
+        assert abs(spec.eigenvalues[n] - energy(n, eps)) <= 100.0 * eps * eps
 
 
 def test_level_spacing_slope():

@@ -139,18 +139,17 @@ def test_broken_spectrum_is_caught(monkeypatch):
     assert by_name["coherent_fidelity_oracle"].passed
 
 
-def test_one_solve_per_epsilon(monkeypatch):
-    """selfcheck solves H once per epsilon of the pair, for every level."""
+def test_one_dense_decomposition_per_epsilon(monkeypatch):
     calls = []
-    lowest_levels = fock_core.lowest_levels
+    diagonalize = fock_core.diagonalize
 
-    def counted(dim, epsilon, count):
-        calls.append((dim, epsilon, count))
-        return lowest_levels(dim, epsilon, count)
+    def counted(op):
+        calls.append(op.dim)
+        return diagonalize(op)
 
-    monkeypatch.setattr(fock_core, "lowest_levels", counted)
+    monkeypatch.setattr(fock_core, "diagonalize", counted)
     assert run_selfcheck(42).passed
-    assert calls == [(ORACLE_DIM, eps, ORACLE_DIM) for eps in EPS_PAIR]
+    assert calls == [256, 256]
 
 
 @pytest.mark.parametrize("pair", [(1e-3, 5e-4), (5e-4, 1e-3)])
@@ -166,7 +165,10 @@ def test_halving_reads_the_pair_from_its_keys(pair):
 
 def test_shared_residuals_reproduce_the_report(report):
     measured = {c.name: c.measured for c in report.checks}
-    spectra = {eps: fock_core.lowest_levels(ORACLE_DIM, eps, ORACLE_DIM) for eps in EPS_PAIR}
+    spectra = {
+        eps: fock_core.diagonalize(fock_core.build_hamiltonian(ORACLE_DIM, eps)).eigenvalues
+        for eps in EPS_PAIR
+    }
     for kind, par in AMPLITUDES.items():
         fidelity = fidelity_residuals(kind, par, FIDELITY_TIMES, EPS_PAIR)[EPS_PAIR[0]]
         got = measured[f"{kind}_fidelity_oracle"]
