@@ -5,18 +5,16 @@ package: H = (p^2 + x^2)/2 - eps*p^4/8 on the lowest ``dim`` Fock levels and
 its spectral decomposition, in natural units (m = omega = hbar = 1). H is
 defined once, by ``_lower_band``: its diagonals in closed form, as the
 products of the truncated quadratures x and q (p = i q) give them. So H is a
-real symmetric float64 matrix with real eigenvectors. The brute force that
-this band is checked against, H from ladder matrices and ``matrix_power(p,
-4)``, lives in the tests, not here.
+real symmetric float64 band with real eigenvectors, and no dim x dim matrix
+of it is formed here. The brute force that this band is checked against, H
+from ladder matrices and ``matrix_power(p, 4)``, lives in the tests.
 
 H couples n only to n+-2 and n+-4, so it splits exactly into an even-n and
-an odd-n block, and one parity solve serves both solvers: ``diagonalize``
-slices the blocks from a dense matrix such as ``build_hamiltonian``'s
-expansion of the band (after checking that every even-odd entry is zero)
-and returns the full eigenbasis; ``lowest_levels`` builds each block from
-the band and keeps only the lowest levels. The two see identical blocks of
-H, so their lowest eigenvalues agree bit for bit. The even block is solved
-first and then the odd one, both in this process.
+an odd-n block, and one parity solve serves both solvers: it builds each
+block from the band, solves the even block and then the odd one, and
+verifies the merged eigenpairs against the band. ``diagonalize`` asks it
+for every level of ``build_hamiltonian``'s band and returns the full
+eigenbasis; ``lowest_levels`` asks for the lowest levels only.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -46,27 +44,24 @@ MAX_DIM = math.isqrt(SOLVE_BUDGET_BYTES // SOLVE_BYTES_PER_DIM2)
 # n+-4, and parity zeroes the odd offsets.
 BAND_ROWS = 3
 EPSILON_WARN_THRESHOLD = 0.1
-HERMITIAN_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Operator on the lowest ``dim`` (at least MIN_DIM) Fock levels.
+    """A parity-conserving real symmetric operator on the lowest ``dim`` (at least MIN_DIM) Fock levels.
 
-    ``entries`` is a dim x dim matrix, float64 from ``build_hamiltonian``;
-    the checked floor and shape are what ``diagonalize`` relies on.
+    ``band`` is its lower band, of shape (BAND_ROWS, dim), laid out as
+    ``_lower_band`` returns it; the checked floor and shape are what
+    ``diagonalize`` relies on.
     """
 
     dim: int
-    entries: np.ndarray
+    band: np.ndarray
 
     def __post_init__(self):
         _check_min_dim(self.dim)
-        if self.entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries shape {self.entries.shape} does not match dim={self.dim}")
-
-    def is_hermitian(self) -> bool:
-        return bool(np.all(np.abs(self.entries - self.entries.conj().T) <= HERMITIAN_ATOL))
+        if self.band.shape != (BAND_ROWS, self.dim):
+            raise ValueError(f"band shape {self.band.shape} does not match ({BAND_ROWS}, dim={self.dim})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,76 +109,56 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
-    """The dense truncated H = (p^2 + x^2)/2 - epsilon * p^4 / 8, its band mirrored across the diagonal.
+    """The truncated H = (p^2 + x^2)/2 - epsilon * p^4 / 8, held as its lower band.
 
     epsilon above 0.1 is allowed but warns, as first order degrades there. A
     dim whose full solve and verification by ``diagonalize`` would exceed the
-    memory budget is refused before H is allocated, and an epsilon so large
-    that an entry of H overflows raises ArithmeticError.
+    memory budget is refused before the band is allocated, and an epsilon so
+    large that an entry of H overflows raises ArithmeticError.
     """
     _check_epsilon(epsilon)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         band = _lower_band(dim, epsilon, dim)
-    h = np.zeros((dim, dim))
-    for k, row in zip(range(0, 2 * BAND_ROWS, 2), band):
-        idx = np.arange(dim - k)
-        h[idx + k, idx] = h[idx, idx + k] = row[: dim - k]
-    if not np.isfinite(h).all():
+    if not np.isfinite(band).all():
         raise ArithmeticError(
             f"build_hamiltonian(dim={dim}, epsilon={epsilon!r}): H has a non-finite entry; lower epsilon"
         )
-    return TruncatedOperator(dim, h)
+    return TruncatedOperator(dim, band)
 
 
 def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator that conserves the parity of n.
+    """Every eigenpair of ``op``, through the verified parity solve of its band."""
+    return SpectralDecomposition(op.dim, *_parity_solve(op.band, op.dim, f"diagonalize(dim={op.dim})"))
 
-    A non-finite entry raises ArithmeticError; an input that is not
-    Hermitian, or has a nonzero entry between an even and an odd level,
-    raises ValueError. The even and odd blocks go through the parity solve,
-    and the result is verified against the full matrix: eigenpair residuals
-    below 1e-9 * ||H||_F and column orthonormality below 1e-10.
+
+def _parity_solve(band: np.ndarray, count: int, solve: str) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``count`` eigenpairs of the H whose lower band is ``band``, ascending, verified.
+
+    The even-n block and then the odd-n one are built from the band and
+    solved, and the lowest ``count`` pairs of each are kept; a block that
+    ``eigh`` cannot solve raises ArithmeticError naming ``solve``. The two
+    sets are merged in ascending order (even first on a tie), scattered back
+    to full-length vectors and checked against the full band with a banded
+    mat-vec, so an H that overflows fails the check.
     """
-    h = op.entries
-    finite = np.isfinite(h)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0].tolist()
-        raise ArithmeticError(
-            f"diagonalize(dim={op.dim}): H has a non-finite entry H[{i}, {j}] = {h[i, j].item()!r}"
-        )
-    if not op.is_hermitian():
-        raise ValueError("diagonalize requires a Hermitian operator")
-    if np.any(h[0::2, 1::2]) or np.any(h[1::2, 0::2]):
-        raise ValueError("diagonalize requires an operator that conserves the parity of n")
-    w, v = _parity_solve(op.dim, op.dim, lambda parity: h[parity::2, parity::2],
-                         f"diagonalize(dim={op.dim})")
-    _check_eigenpairs(h @ v, v, w, _norm(h))
-    return SpectralDecomposition(op.dim, w, v)
-
-
-def _parity_solve(dim: int, count: int, block: Callable[[int], np.ndarray],
-                  solve: str) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``count`` eigenpairs of a parity-conserving H, ascending, as full-length vectors.
-
-    ``block(parity)`` returns H on the levels n = parity (mod 2), of which
-    ``eigh`` reads the lower triangle. The even block and then the odd one
-    are built and solved, and the lowest ``count`` pairs of each are kept;
-    a block that ``eigh`` cannot solve raises ArithmeticError naming
-    ``solve``. The two sets are merged in ascending order (even first on a
-    tie) and scattered back to full-length vectors.
-    """
-    try:
-        w_even, v_even = _solve_block(block(0), count)
-        w_odd, v_odd = _solve_block(block(1), count)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"{solve}: eigh failed on a parity block: {exc}") from exc
-    w = np.concatenate([w_even, w_odd])
-    order = np.argsort(w, kind="stable")[:count]
-    odd = order >= w_even.size
-    v = np.zeros((dim, count), dtype=np.result_type(v_even, v_odd))
-    v[0::2, ~odd] = v_even[:, order[~odd]]
-    v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
-    return w[order], v
+    dim = band.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            w_even, v_even = _solve_block(_band_block(band, 0), count)
+            w_odd, v_odd = _solve_block(_band_block(band, 1), count)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"{solve}: eigh failed on a parity block: {exc}") from exc
+        w = np.concatenate([w_even, w_odd])
+        order = np.argsort(w, kind="stable")[:count]
+        odd = order >= w_even.size
+        v = np.zeros((dim, count))
+        v[0::2, ~odd] = v_even[:, order[~odd]]
+        v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
+        del v_even, v_odd  # released before the check holds its own dim x count arrays
+        w = w[order]
+        # ||H||_F, each off-diagonal band row standing for two diagonals
+        _check_eigenpairs(_band_matvec(band, v), v, w, _norm(np.vstack([band, band[1:]])))
+    return w, v
 
 
 def _solve_block(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +185,7 @@ def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float
     resid, bound = float(_norm(hv, axis=0).max()), 1e-9 * float(scale)
     if not resid <= bound < math.inf:  # a nan fails
         raise ArithmeticError(f"eigenpair residual {resid:.3e} is not within 1e-9 * ||H|| = {bound:.3e}")
-    defect = v.conj().T @ v
+    defect = v.T @ v
     defect[np.diag_indices_from(defect)] -= 1.0
     ortho = np.abs(defect, out=defect).max()
     if float(ortho) > 1e-10:
@@ -278,20 +253,14 @@ def _band_block(band: np.ndarray, parity: int) -> np.ndarray:
 def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
     """Lowest ``count`` eigenvalues, ascending, of the truncated H on ``dim`` levels.
 
-    The even-n and odd-n blocks are built from the band and go through the
-    parity solve, and the result through the eigenpair check against the
-    full band with a banded mat-vec, so no dim x dim matrix is formed.
+    The band goes through the parity solve, so no dim x dim matrix is formed.
     """
     if not 1 <= count <= dim:
         raise ValueError(f"count={count} must lie in 1..dim={dim}")
     _check_epsilon(epsilon)
     with np.errstate(over="ignore", invalid="ignore"):  # an H that overflows fails the check
         band = _lower_band(dim, epsilon, count)
-        w, v = _parity_solve(dim, count, lambda parity: _band_block(band, parity),
-                             f"lowest_levels(dim={dim}, epsilon={epsilon!r}, count={count})")
-        # ||H||_F, each off-diagonal band row standing for two diagonals
-        _check_eigenpairs(_band_matvec(band, v), v, w, _norm(np.vstack([band, band[1:]])))
-    return w
+    return _parity_solve(band, count, f"lowest_levels(dim={dim}, epsilon={epsilon!r}, count={count})")[0]
 
 
 def default_cutoff(alpha0: float = 0.0, r: float = 0.0) -> int:

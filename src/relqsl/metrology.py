@@ -72,6 +72,8 @@ def coherent_second_moment_closed(alpha0: Grid, epsilon: Grid) -> Any:
     consistency check.
     """
     alpha0, epsilon = as_arrays(alpha0, epsilon)
+    if np.any(alpha0 < 0):
+        raise ValueError("alpha0 must be non-negative")
     with np.errstate(all="ignore"):
         a2 = alpha0 * alpha0
         value = (0.25 + 2.0 * a2 + a2 * a2) - 3.0 * epsilon / 32.0 * (
@@ -106,6 +108,8 @@ def squeezed_energy(r: Grid, epsilon: Grid) -> EnergyMoments:
 def squeezed_second_moment_closed(r: Grid, epsilon: Grid) -> Any:
     """Printed first-order series for <H^2> in the squeezed vacuum."""
     r, epsilon = as_arrays(r, epsilon)
+    if np.any(r < 0):
+        raise ValueError("r must be non-negative")
     with np.errstate(all="ignore"):
         value = (-1.0 + 3.0 * libm(math.cosh, 4.0 * r)) / 8.0 + 3.0 * epsilon / 256.0 * (
             7.0 * libm(math.cosh, 2.0 * r) - 15.0 * libm(math.cosh, 6.0 * r)

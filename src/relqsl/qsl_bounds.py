@@ -100,8 +100,9 @@ def coherent_fidelity_closed(alpha0: Grid, t: Grid, epsilon: Grid) -> Any:
     """|<state(0)|state(t)>| for a coherent state, to first order in epsilon.
 
     F = F0 * [1 + (3 eps/8) a0^2 t (1 + a0^2 cos t) sin t] with
-    F0 = exp(a0^2 (cos t - 1)), clamped to [0, 1]. Takes floats (returning
-    a float), equal-shape or broadcastable (open-grid) arrays.
+    F0 = exp(a0^2 (cos t - 1)), clamped to [0, 1]. A non-finite value before
+    the clamp raises ValueError naming the point. Takes floats (returning a
+    float), equal-shape or broadcastable (open-grid) arrays.
     """
     alpha0, t, epsilon = as_arrays(alpha0, t, epsilon)
     if np.any(alpha0 < 0):
@@ -109,7 +110,11 @@ def coherent_fidelity_closed(alpha0: Grid, t: Grid, epsilon: Grid) -> Any:
     with np.errstate(all="ignore"):
         cos_t, sin_t, f0 = _coherent_core(alpha0, t)[:3]
         corr = 3.0 * epsilon / 8.0 * alpha0 * alpha0 * t * (1.0 + alpha0 * alpha0 * cos_t) * sin_t
-        return native(_clamp_fidelity(f0 * (1.0 + corr)))
+        f = f0 * (1.0 + corr)
+    # the clamp would turn a nan into 0.0, so a non-finite value stops here
+    require_finite("coherent_fidelity_closed", {"alpha0": alpha0, "t": t, "epsilon": epsilon},
+                   "fidelity {!r} is", f)
+    return native(_clamp_fidelity(f))
 
 
 def mt_coherent(alpha0: Grid, t: Grid, epsilon: Grid) -> BoundReport:

@@ -532,7 +532,7 @@ def run_selfcheck(seed: int = 42) -> RunReport:
     reports. The homodyne counting draws run in a forked child beside the
     other checks (``forked.run_beside``), which sends back their z-scores as
     float64 bytes, so the report is the same on any number of CPUs. The
-    fork comes before the dense builds, so the child runs no BLAS.
+    fork comes before the Hamiltonian solves, so the child runs no BLAS.
     """
     draws, (deterministic, rotation, discrepancies) = forked.run_beside(
         lambda: np.array(_homodyne_zscores(np.random.default_rng(seed))).tobytes(),

@@ -11,7 +11,9 @@ first-order validity warning are each worded once, in ``arrays``, and the
 syntax tree is read for copies.
 ``cli`` and ``config`` load no numpy at import, so that ``relqsl --version``
 and ``--help`` do not pay for it. Only ``report`` and ``selfcheck`` import
-``forked``, so that a new fork is a deliberate, measured change.
+``forked``, so that a new fork is a deliberate, measured change. One
+function calls numpy's ``eigh``, so every exact spectrum of H comes from the
+one verified parity solve.
 """
 
 import ast
@@ -152,6 +154,38 @@ def test_importer_scan_sees_every_relative_form(tmp_path):
     (tmp_path / "c.py").write_text("from . import config, forked as f\n", encoding="utf-8")
     (tmp_path / "d.py").write_text('"""forked"""\nfrom . import report\nimport forked\n', encoding="utf-8")
     assert _importers_of(tmp_path, "forked") == {"a", "b", "c"}
+
+
+def _eigh_calls(package: pathlib.Path) -> list[tuple[str, str]]:
+    """(module, enclosing top-level definition) of each call of ``eigh``, by
+    attribute (``np.linalg.eigh``) or by a bare imported name."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "eigh" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    found.append((path.stem, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_eigh_is_called_only_by_the_parity_block_solve():
+    assert _eigh_calls(PACKAGE) == [("fock_core", "_solve_block")], (
+        "solve a Hermitian spectrum through fock_core's parity solve, not a second eigh call"
+    )
+
+
+def test_eigh_scan_sees_attribute_and_bare_calls(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""np.linalg.eigh is mentioned here only."""\n'
+        "import numpy as np\nfrom numpy.linalg import eigh\n\n"
+        "LEVELS = np.linalg.eigh(np.eye(2))\n\n\n"
+        "def solve(h):\n    return eigh(h), np.linalg.eigvalsh(h), np.linalg.norm(h)\n\n\n"
+        "class Op:\n    def spectrum(self):\n        return np.linalg.eigh(self)\n",
+        encoding="utf-8",
+    )
+    assert _eigh_calls(tmp_path) == [("mod", "<module>"), ("mod", "solve"), ("mod", "Op")]
 
 
 def _eager_numpy_imports(package: pathlib.Path, stem: str) -> list[str]:

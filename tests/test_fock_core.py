@@ -77,15 +77,19 @@ def test_quadratures_hermitian_and_canonical():
     assert np.allclose(comm[: DIM - 1, : DIM - 1], np.eye(DIM - 1), atol=1e-12)
 
 
+def _dense(op: TruncatedOperator) -> np.ndarray:
+    """The dim x dim symmetric matrix whose lower band is ``op.band``."""
+    h = np.zeros((op.dim, op.dim))
+    for k, row in zip(range(0, 2 * fock_core.BAND_ROWS, 2), op.band):
+        idx = np.arange(op.dim - k)
+        h[idx + k, idx] = h[idx, idx + k] = row[: op.dim - k]
+    return h
+
+
 def test_harmonic_spectrum_at_zero_epsilon():
     spec = diagonalize(build_hamiltonian(DIM, 0.0))
     interior = DIM // 4
     assert np.allclose(spec.eigenvalues[:interior], np.arange(interior) + 0.5, atol=1e-10)
-
-
-def test_hamiltonian_hermitian_with_correction():
-    h = build_hamiltonian(DIM, 0.01)
-    assert h.is_hermitian()
 
 
 def test_epsilon_validation():
@@ -99,8 +103,10 @@ def test_epsilon_validation():
 def test_min_dim_enforced():
     with pytest.raises(ValueError):
         build_hamiltonian(7, 0.0)
-    with pytest.raises(ValueError):
-        TruncatedOperator(4, np.zeros((4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="dim=4 is too small"):
+        TruncatedOperator(4, np.zeros((fock_core.BAND_ROWS, 4)))
+    with pytest.raises(ValueError, match=r"band shape \(64, 64\) does not match \(3, dim=64\)"):
+        TruncatedOperator(DIM, np.zeros((DIM, DIM)))
     with pytest.raises(ValueError):
         lowest_levels(7, 1e-3, 1)
 
@@ -111,30 +117,16 @@ def test_spectral_decomposition_requires_sorted():
         SpectralDecomposition(DIM, w, np.eye(DIM, dtype=complex))
 
 
-def test_diagonalize_rejects_non_hermitian():
-    m = np.zeros((DIM, DIM), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        diagonalize(TruncatedOperator(DIM, m))
-
-
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_diagonalize_names_a_non_finite_entry_without_a_warning(bad):
-    m = np.eye(8)
-    m[2, 6] = bad
+def test_diagonalize_refuses_a_non_finite_band_without_a_warning(bad):
+    """A band entry that is not finite fails the parity solve or its eigenpair
+    check with ArithmeticError, and no numpy RuntimeWarning leaks."""
+    band = build_hamiltonian(8, 1e-3).band.copy()
+    band[1, 2] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError) as refused:
-            diagonalize(TruncatedOperator(8, m))
-    assert str(refused.value) == f"diagonalize(dim=8): H has a non-finite entry H[2, 6] = {bad!r}"
-
-
-def test_diagonalize_rejects_parity_coupling():
-    """x is Hermitian but couples n to n+-1, so its parity blocks are not all of it."""
-    x = TruncatedOperator(DIM, _quadratures(DIM)[0])
-    assert x.is_hermitian()
-    with pytest.raises(ValueError, match="parity"):
-        diagonalize(x)
+        with pytest.raises(ArithmeticError, match="eigh failed on a parity block|eigenpair residual nan"):
+            diagonalize(TruncatedOperator(8, band))
 
 
 def _ground_state(dim: int) -> StateVector:
@@ -168,7 +160,7 @@ def test_moments_equal_the_carried_state_route(state):
     spec = diagonalize(op)
     bare = state(256)
     carried = spec.eigenvectors @ bare.amps
-    hpsi = op.entries @ carried
+    hpsi = _dense(op) @ carried
     mean = float(np.real(np.vdot(carried, hpsi)))
     var = float(np.real(np.vdot(hpsi, hpsi))) - mean * mean
     assert spectral_moments(bare, spec.eigenvalues) == (
@@ -197,7 +189,7 @@ def _complex_reference_hamiltonian(dim: int, eps: float) -> np.ndarray:
 def test_real_hamiltonian_matches_complex_reference(dim, eps):
     """The band's expansion is the brute-force complex H up to summation order in the last bit."""
     op = build_hamiltonian(dim, eps)
-    h = op.entries
+    h = _dense(op)
     ref = _complex_reference_hamiltonian(dim, eps)
     assert h.dtype == np.float64
     assert np.all(ref.imag == 0)
@@ -210,7 +202,7 @@ def test_real_hamiltonian_matches_complex_reference(dim, eps):
 
 def _assert_solvers_match_eigvalsh(op: TruncatedOperator, eps: float, counts) -> None:
     """Both solvers against a full-matrix eigvalsh, which shares nothing with the parity solve."""
-    reference = np.linalg.eigvalsh(op.entries)
+    reference = np.linalg.eigvalsh(_dense(op))
     full = diagonalize(op).eigenvalues
     assert np.abs(full - reference).max() <= 1e-13 * np.abs(reference).max()
     assert np.abs(full[:11] - reference[:11]).max() <= 1e-11
@@ -322,7 +314,7 @@ def test_lowest_levels_count_over_memory_budget_refused(monkeypatch):
 
 def test_build_hamiltonian_over_memory_budget_refused(monkeypatch):
     """At MAX_DIM diagonalize could not verify every level within the budget, so
-    the dense build is refused before a dim x dim array is allocated."""
+    the build is refused before its band, let alone a dim x dim array, is allocated."""
     monkeypatch.setattr(fock_core.np.linalg, "eigh", _unreachable)
     dim = fock_core.MAX_DIM
     need = fock_core._VERIFY_BYTES_PER_DIM_COUNT * dim * dim
@@ -475,6 +467,6 @@ def test_even_block_error_reaches_the_caller(fork_fails, monkeypatch, set_cpus):
 @pytest.mark.filterwarnings("ignore:epsilon=.* is large", "error::RuntimeWarning")
 def test_overflowing_hamiltonian_is_refused_with_epsilon():
     """An H whose entries overflow is refused where it is built, naming epsilon,
-    not by diagonalize as a non-Hermitian operator, and no RuntimeWarning leaks."""
+    not by diagonalize's eigenpair check, and no RuntimeWarning leaks."""
     with pytest.raises(ArithmeticError, match=r"build_hamiltonian\(dim=256, epsilon=1e\+305\): H has a non-finite"):
         diagonalize(build_hamiltonian(256, 1e305))

@@ -84,10 +84,12 @@ def test_printed_second_moment_matches_at_zero_epsilon():
 
 
 def test_moment_argument_validation():
-    with pytest.raises(ValueError):
-        coherent_energy(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        squeezed_energy(-0.1, 0.0)
+    for moments in (coherent_energy, coherent_second_moment_closed):
+        with pytest.raises(ValueError, match="^alpha0 must be non-negative$"):
+            moments(-0.1, 0.0)
+    for moments in (squeezed_energy, squeezed_second_moment_closed):
+        with pytest.raises(ValueError, match="^r must be non-negative$"):
+            moments(-0.1, 0.0)
 
 
 def test_non_finite_moments_name_function_and_inputs():

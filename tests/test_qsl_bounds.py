@@ -112,6 +112,17 @@ def test_squeezed_fidelity_rejects_nan_instead_of_clamping_it_to_zero():
         squeezed_fidelity_closed(9.56228976435397, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("point, shown", [
+    ((math.nan, 1.0, 0.0), "alpha0=nan, t=1.0, epsilon=0.0"),
+    ((1.0, math.nan, 0.0), "alpha0=1.0, t=nan, epsilon=0.0"),
+    ((1e200, 1.0, 0.0), "alpha0=1e+200, t=1.0, epsilon=0.0"),  # inf * 0 in the correction
+], ids=["alpha0-nan", "t-nan", "alpha0-overflow"])
+def test_coherent_fidelity_rejects_nan_instead_of_clamping_it_to_zero(point, shown):
+    with pytest.raises(ValueError) as refused:
+        coherent_fidelity_closed(*point)
+    assert str(refused.value) == f"coherent_fidelity_closed: fidelity nan is not finite at {shown}"
+
+
 def test_near_revival_flag_and_suppression():
     """At t = 2 pi the overlap gap vanishes; the divergent term must be dropped."""
     rep = mt_coherent(1.0, 2.0 * math.pi, 1e-4)

@@ -139,17 +139,24 @@ def test_broken_spectrum_is_caught(monkeypatch):
     assert by_name["coherent_fidelity_oracle"].passed
 
 
-def test_one_dense_decomposition_per_epsilon(monkeypatch):
-    calls = []
-    diagonalize = fock_core.diagonalize
+def test_one_decomposition_per_epsilon(monkeypatch):
+    """One build and one solve of H(ORACLE_DIM, eps) per epsilon of EPS_PAIR."""
+    builds, solves = [], []
+    build_hamiltonian, diagonalize = fock_core.build_hamiltonian, fock_core.diagonalize
 
-    def counted(op):
-        calls.append(op.dim)
+    def counted_build(dim, epsilon):
+        builds.append((dim, epsilon))
+        return build_hamiltonian(dim, epsilon)
+
+    def counted_solve(op):
+        solves.append(op.dim)
         return diagonalize(op)
 
-    monkeypatch.setattr(fock_core, "diagonalize", counted)
+    monkeypatch.setattr(fock_core, "build_hamiltonian", counted_build)
+    monkeypatch.setattr(fock_core, "diagonalize", counted_solve)
     assert run_selfcheck(42).passed
-    assert calls == [256, 256]
+    assert builds == [(ORACLE_DIM, eps) for eps in EPS_PAIR]
+    assert solves == [ORACLE_DIM] * len(EPS_PAIR)
 
 
 @pytest.mark.parametrize("pair", [(1e-3, 5e-4), (5e-4, 1e-3)])
