@@ -2,19 +2,20 @@
 
 Exact-diagonalization oracle used to validate every closed form in this
 package: H = (p^2 + x^2)/2 - eps*p^4/8 on the lowest ``dim`` Fock levels and
-its spectral decomposition, in natural units (m = omega = hbar = 1). H is
-defined once, by ``_lower_band``: its diagonals in closed form, as the
-products of the truncated quadratures x and q (p = i q) give them. So H is a
-real symmetric float64 band with real eigenvectors, and no dim x dim matrix
-of it is formed here. The brute force that this band is checked against, H
-from ladder matrices and ``matrix_power(p, 4)``, lives in the tests.
+its spectrum, in natural units (m = omega = hbar = 1). H is defined once, by
+``_lower_band``: its diagonals in closed form, as the products of the
+truncated quadratures x and q (p = i q) give them. So H is a real symmetric
+float64 band, and no dim x dim matrix of it is formed here. The brute force
+that this band is checked against, H from ladder matrices and
+``matrix_power(p, 4)``, lives in the tests.
 
 H couples n only to n+-2 and n+-4, so it splits exactly into an even-n and
 an odd-n block, and one parity solve serves both solvers: it builds each
-block from the band, solves the even block and then the odd one, and
-verifies the merged eigenpairs against the band. ``diagonalize`` asks it
-for every level of ``build_hamiltonian``'s band and returns the full
-eigenbasis; ``lowest_levels`` asks for the lowest levels only.
+block from the band, asks LAPACK for the block's eigenvalues only, and
+certifies every kept level by an inertia count (Sylvester's law) of the
+block's LDL^T factorization, so no eigenvector is formed. ``diagonalize``
+asks it for every level of ``build_hamiltonian``'s band; ``lowest_levels``
+asks for the lowest levels only.
 """
 
 from __future__ import annotations
@@ -22,28 +23,27 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .arrays import SOLVE_BUDGET_BYTES
 
 MIN_DIM = 8
-# The solve holds one (dim/2) x (dim/2) parity block at a time: the block,
-# numpy's copy, its eigenvectors and the ?syevd workspace, about 10 * dim**2
-# bytes plus the first block's kept vectors; at dim 4096 peak RSS above
-# baseline measured 10.4 * dim**2 (count 11) and 11.4 * dim**2 (count
-# dim/4 + 1, spectrum's most).
+# The solve holds one (dim/2) x (dim/2) parity block at a time: the block
+# and numpy's copy of it, which the eigenvalue-only ?syevd reduces in place;
+# at dim 4096 peak RSS above baseline measured 4.09 * dim**2 bytes both at
+# count 11 and at count dim/4 + 1 (spectrum's most). The bound stays at the
+# 12 * dim**2 that the eigenvector solve (11.4 measured) needed, so MAX_DIM
+# and the refusal above it are unchanged.
 SOLVE_BYTES_PER_DIM2 = 12
-# Its verification holds three dim x count arrays and a count x count Gram
-# matrix: at dim 2048, 25.7 * dim * count at count = dim and at most 32.6 where
-# that exceeds 12 * dim**2. A solve over budget by either term is refused.
-_VERIFY_BYTES_PER_DIM_COUNT = 34
 MAX_DIM = math.isqrt(SOLVE_BUDGET_BYTES // SOLVE_BYTES_PER_DIM2)
 # Stored diagonals of H, at offsets 0, 2 and 4: the quartic term couples n to
 # n+-4, and parity zeroes the odd offsets.
 BAND_ROWS = 3
+# pivots held at once by the inertia count, per shift
+_PIVOT_ROWS = 64
 EPSILON_WARN_THRESHOLD = 0.1
+_PARITIES = ("even", "odd")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,21 +66,14 @@ class TruncatedOperator:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigen-decomposition of a Hermitian truncated operator.
-
-    ``eigenvalues`` ascending, ``eigenvectors`` column-orthonormal, so that
-    H = V diag(w) V^dagger.
-    """
+    """The spectrum of a truncated operator: its ``dim`` eigenvalues, ascending."""
 
     dim: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     def __post_init__(self):
         if self.eigenvalues.shape != (self.dim,):
             raise ValueError("eigenvalue count does not match dim")
-        if self.eigenvectors.shape != (self.dim, self.dim):
-            raise ValueError("eigenvector matrix shape does not match dim")
         if np.any(np.diff(self.eigenvalues) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
 
@@ -112,106 +105,147 @@ def build_hamiltonian(dim: int, epsilon: float) -> TruncatedOperator:
     """The truncated H = (p^2 + x^2)/2 - epsilon * p^4 / 8, held as its lower band.
 
     epsilon above 0.1 is allowed but warns, as first order degrades there. A
-    dim whose full solve and verification by ``diagonalize`` would exceed the
-    memory budget is refused before the band is allocated, and an epsilon so
-    large that an entry of H overflows raises ArithmeticError.
+    dim whose solve by ``diagonalize`` would exceed the memory budget is
+    refused before the band is allocated, and an epsilon so large that an
+    entry of H overflows raises ArithmeticError.
     """
     _check_epsilon(epsilon)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        band = _lower_band(dim, epsilon, dim)
-    if not np.isfinite(band).all():
-        raise ArithmeticError(
-            f"build_hamiltonian(dim={dim}, epsilon={epsilon!r}): H has a non-finite entry; lower epsilon"
-        )
+        band = _lower_band(dim, epsilon)
+    _require_finite_band(band, f"build_hamiltonian(dim={dim}, epsilon={epsilon!r})")
     return TruncatedOperator(dim, band)
 
 
 def diagonalize(op: TruncatedOperator) -> SpectralDecomposition:
-    """Every eigenpair of ``op``, through the verified parity solve of its band."""
-    return SpectralDecomposition(op.dim, *_parity_solve(op.band, op.dim, f"diagonalize(dim={op.dim})"))
+    """Every eigenvalue of ``op``, through the certified parity solve of its band."""
+    return SpectralDecomposition(op.dim, _parity_solve(op.band, op.dim, f"diagonalize(dim={op.dim})"))
 
 
-def _parity_solve(band: np.ndarray, count: int, solve: str) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``count`` eigenpairs of the H whose lower band is ``band``, ascending, verified.
+def _require_finite_band(band: np.ndarray, solve: str) -> None:
+    if not np.isfinite(band).all():
+        raise ArithmeticError(f"{solve}: H has a non-finite entry; lower epsilon")
 
-    The even-n block and then the odd-n one are built from the band and
-    solved, and the lowest ``count`` pairs of each are kept; a block that
-    ``eigh`` cannot solve raises ArithmeticError naming ``solve``. The two
-    sets are merged in ascending order (even first on a tie), scattered back
-    to full-length vectors and checked against the full band with a banded
-    mat-vec, so an H that overflows fails the check.
+
+def _parity_solve(band: np.ndarray, count: int, solve: str) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of the H whose lower band is ``band``, ascending, certified.
+
+    A band with an entry that is not finite is refused before LAPACK sees
+    it. The even-n block and then the odd-n one are built from the band and
+    solved by ``eigvalsh``, the lowest ``count`` levels of each are kept, and
+    ``_certify`` checks both sets in one pass; a block that ``eigvalsh``
+    cannot solve, or a level that fails its certificate, raises
+    ArithmeticError naming ``solve``. The two sets are merged in ascending
+    order.
+    """
+    _require_finite_band(band, solve)
+    kept = []
+    for parity, name in enumerate(_PARITIES):
+        try:
+            kept.append(np.linalg.eigvalsh(_band_block(band[:, parity::2]))[:count])
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"{solve}: eigvalsh failed on the {name} block: {exc}") from exc
+    _certify(band, kept, solve)
+    return np.sort(np.concatenate(kept))[:count]
+
+
+def _certify(band: np.ndarray, kept: list[np.ndarray], solve: str) -> None:
+    """Raise ArithmeticError unless ``kept[p]`` holds the parity-p block's lowest levels, each within delta.
+
+    delta is 1e-9 ||H||_F. Level k (0-based) of a block B passes when
+    B - sigma I has at most k negative pivots at sigma = level - delta and at
+    least k + 1 at sigma = level + delta: by Sylvester's law of inertia the
+    block's true k-th level then lies within delta of it, so a wrong level
+    fails, and so does a skipped one. The at-most/at-least form, not
+    equality, passes an exact degenerate pair. A pivot that is not finite
+    fails.
+    """
+    # 1e-9 * ||H||_F, each off-diagonal band row standing for two diagonals
+    delta = 1e-9 * _norm(np.vstack([band, band[1:]]))
+    levels = np.array([np.resize(w, kept[0].size) for w in kept])  # the odd block may keep one fewer
+    below, above = np.split(_negative_pivots(band, np.hstack([levels - delta, levels + delta])), 2, axis=1)
+    for parity, w in enumerate(kept):
+        index = np.arange(w.size)
+        passed = (below[parity, : w.size] <= index) & (above[parity, : w.size] >= index + 1)
+        failed = np.flatnonzero(~passed)  # a nan count fails
+        if failed.size:
+            k = int(failed[0])
+            raise ArithmeticError(
+                f"{solve}: {_PARITIES[parity]} block level {k} = {float(w[k])!r} is not certified: "
+                f"B - sigma I has {below[parity, k]:g} and {above[parity, k]:g} negative pivots at "
+                f"sigma = level -+ {delta:.3e} (1e-9 * ||H||_F), where at most {k} and at least {k + 1} "
+                "are needed"
+            )
+
+
+def _negative_pivots(band: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The number of negative pivots of the LDL^T factorization of B_p - sigma I, for sigma = shifts[p, i].
+
+    B_p is the parity-p block of the H whose lower band is ``band``, and
+    entries past the edge of H are read as zero. Both blocks are factorized
+    in one pass, without pivoting and for every shift at once: row j of the
+    loop is row j of each block (n = 2j and 2j + 1), and the loop keeps the
+    leading 2 x 2 window of each Schur complement, as its entries S[j, j],
+    S[j + 1, j] and S[j + 1, j + 1]. The even block of an odd dim has one row
+    more, whose pivot is the one the loop leaves. Pivots are counted
+    ``_PIVOT_ROWS`` rows at a time, since numpy's per-call cost, not
+    arithmetic, sets the loop's time. A shift at which some pivot is not
+    finite counts nan.
     """
     dim = band.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            w_even, v_even = _solve_block(_band_block(band, 0), count)
-            w_odd, v_odd = _solve_block(_band_block(band, 1), count)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"{solve}: eigh failed on a parity block: {exc}") from exc
-        w = np.concatenate([w_even, w_odd])
-        order = np.argsort(w, kind="stable")[:count]
-        odd = order >= w_even.size
-        v = np.zeros((dim, count))
-        v[0::2, ~odd] = v_even[:, order[~odd]]
-        v[1::2, odd] = v_odd[:, order[odd] - w_even.size]
-        del v_even, v_odd  # released before the check holds its own dim x count arrays
-        w = w[order]
-        # ||H||_F, each off-diagonal band row standing for two diagonals
-        _check_eigenpairs(_band_matvec(band, v), v, w, _norm(np.vstack([band, band[1:]])))
-    return w, v
+    rows = dim // 2
+    padded = np.zeros((BAND_ROWS, dim + 4))
+    for k, row in enumerate(band):
+        padded[k, : dim - 2 * k] = row[: dim - 2 * k]
+    # row j of the loop reads B_p[j + 2, j], B_p[j + 2, j + 1] and B_p[j + 2, j + 2],
+    # which are H[n + 4, n], H[n + 4, n + 2] and H[n + 4, n + 4] at n = 2j + p
+    coefficients = np.stack([padded[2, : 2 * rows], padded[1, 2 : 2 * rows + 2], padded[0, 4 : 2 * rows + 4]])
+    negative = np.zeros(shifts.shape)
+    finite = np.ones(shifts.shape, dtype=bool)
+    pivots = []
+    d0, d1 = padded[0, 0:2, None] - shifts, padded[0, 2:4, None] - shifts
+    e0 = np.broadcast_to(padded[1, 0:2, None], shifts.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # counted as nan below
+        for j, (f, g, h) in enumerate(coefficients.reshape(3, rows, 2, 1).transpose(1, 0, 2, 3)):
+            pivots.append(d0)
+            if len(pivots) == _PIVOT_ROWS or j == rows - 1:
+                held = np.array(pivots)
+                negative += (held < 0).sum(axis=0)
+                finite &= np.isfinite(held).all(axis=0)
+                pivots.clear()
+            t, u = e0 / d0, f / d0  # the pivot column of L below row j
+            d0, e0, d1 = d1 - e0 * t, g - f * t, (h - shifts) - f * u
+    if dim % 2:
+        negative[0] += d0[0] < 0
+        finite[0] &= np.isfinite(d0[0])
+    negative[~finite] = math.nan
+    return negative
 
 
-def _solve_block(h: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lowest ``count`` (at most all) eigenpairs of one block, the vectors C-ordered."""
-    w, v = np.linalg.eigh(h)
-    keep = min(count, w.size)
-    return w[:keep], v[:, :keep].copy()  # a copy frees the block's other vectors
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` of a finite ``a``, of ``a`` over its largest |entry| so no square overflows."""
+    big = np.abs(a).max()
+    with np.errstate(over="ignore"):  # a norm past the largest float is inf, and no level certifies
+        return float(np.linalg.norm(a / np.maximum(big, np.finfo(a.dtype).tiny)) * big)
 
 
-def _norm(a: np.ndarray, axis: int | None = None) -> Any:
-    """``np.linalg.norm(a, axis=axis)``, of ``a`` over its largest |entry| so no square overflows."""
-    big = np.abs(a).max(axis=axis, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # nan where a holds inf or nan
-        return np.linalg.norm(a / np.maximum(big, np.finfo(a.dtype).tiny), axis=axis) * big.squeeze(axis)
-
-
-def _check_eigenpairs(hv: np.ndarray, v: np.ndarray, w: np.ndarray, scale: float) -> None:
-    """Raise ArithmeticError unless the eigenpairs (w, v) of H pass verification.
-
-    ``hv`` is H @ v, overwritten with the residual. Each residual column must
-    stay within 1e-9 * ``scale`` (||H||_F), a finite bound, and v orthonormal within 1e-10.
-    """
-    hv -= v * w
-    resid, bound = float(_norm(hv, axis=0).max()), 1e-9 * float(scale)
-    if not resid <= bound < math.inf:  # a nan fails
-        raise ArithmeticError(f"eigenpair residual {resid:.3e} is not within 1e-9 * ||H|| = {bound:.3e}")
-    defect = v.T @ v
-    defect[np.diag_indices_from(defect)] -= 1.0
-    ortho = np.abs(defect, out=defect).max()
-    if float(ortho) > 1e-10:
-        raise ArithmeticError(f"eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
-
-
-def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
-    """Lower band of the truncated H, for a solve of ``count`` levels.
+def _lower_band(dim: int, epsilon: float) -> np.ndarray:
+    """Lower band of the truncated H.
 
     Row k holds the subdiagonal at offset 2k, ``band[k, j] = H[j + 2k, j]``;
     the odd offsets are zero by parity and not stored. The diagonals are
     closed-form products of the truncated quadratures x and q, where p = i q,
     so p^2 = -q^2 and p^4 = q^2 q^2 keep the truncation edge of the
     brute-force matrix products. epsilon is checked by the caller, so that
-    the large-epsilon warning points at the code that called it. A solve
-    whose block or verification would exceed ``SOLVE_BUDGET_BYTES`` is
-    refused here, before anything is allocated.
+    the large-epsilon warning points at the code that called it. A dim whose
+    solve would exceed ``SOLVE_BUDGET_BYTES`` is refused here, before
+    anything is allocated.
     """
     _check_min_dim(dim)
-    need = max(SOLVE_BYTES_PER_DIM2 * dim * dim, _VERIFY_BYTES_PER_DIM_COUNT * dim * count)
+    need = SOLVE_BYTES_PER_DIM2 * dim * dim
     if need > SOLVE_BUDGET_BYTES:
-        most = SOLVE_BUDGET_BYTES // (_VERIFY_BYTES_PER_DIM_COUNT * dim)
         raise ValueError(
-            f"dim={dim} with count={count} needs about {need} bytes ({need / 1024**3:.1f} GiB) "
-            f"to solve and verify, over the {SOLVE_BUDGET_BYTES / 1024**3:.0f} GiB budget; "
-            f"use dim <= {MAX_DIM} and count <= {most}"
+            f"dim={dim} needs about {need} bytes ({need / 1024**3:.1f} GiB) to solve, "
+            f"over the {SOLVE_BUDGET_BYTES / 1024**3:.0f} GiB budget; use dim <= {MAX_DIM}"
         )
     # Squared ladder couplings o_n = n/2 of x and q, zero-padded at both ends.
     o = np.zeros(dim + 2)
@@ -229,19 +263,8 @@ def _lower_band(dim: int, epsilon: float, count: int) -> np.ndarray:
     return band
 
 
-def _band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return H @ v for the symmetric H whose lower band is ``band``."""
-    out = band[0][:, None] * v
-    for k in range(2, 2 * band.shape[0], 2):
-        diag = band[k // 2, :-k, None]
-        out[k:] += diag * v[:-k]
-        out[:-k] += diag * v[k:]
-    return out
-
-
-def _band_block(band: np.ndarray, parity: int) -> np.ndarray:
-    """H on the levels n = parity (mod 2), filled from the band rows on its lower triangle."""
-    rows = band[:, parity::2]
+def _band_block(rows: np.ndarray) -> np.ndarray:
+    """The block whose lower band is ``rows``, filled on its lower triangle."""
     size = rows.shape[1]
     block = np.zeros((size, size))
     for k, row in enumerate(rows):
@@ -258,9 +281,9 @@ def lowest_levels(dim: int, epsilon: float, count: int) -> np.ndarray:
     if not 1 <= count <= dim:
         raise ValueError(f"count={count} must lie in 1..dim={dim}")
     _check_epsilon(epsilon)
-    with np.errstate(over="ignore", invalid="ignore"):  # an H that overflows fails the check
-        band = _lower_band(dim, epsilon, count)
-    return _parity_solve(band, count, f"lowest_levels(dim={dim}, epsilon={epsilon!r}, count={count})")[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an H that overflows is refused by the solve
+        band = _lower_band(dim, epsilon)
+    return _parity_solve(band, count, f"lowest_levels(dim={dim}, epsilon={epsilon!r}, count={count})")
 
 
 def default_cutoff(alpha0: float = 0.0, r: float = 0.0) -> int:

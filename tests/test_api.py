@@ -11,9 +11,9 @@ first-order validity warning are each worded once, in ``arrays``, and the
 syntax tree is read for copies.
 ``cli`` and ``config`` load no numpy at import, so that ``relqsl --version``
 and ``--help`` do not pay for it. Only ``report`` and ``selfcheck`` import
-``forked``, so that a new fork is a deliberate, measured change. One
-function calls numpy's ``eigh``, so every exact spectrum of H comes from the
-one verified parity solve.
+``forked``, so that a new fork is a deliberate, measured change. numpy's
+symmetric eigensolvers (``eigh``, ``eigvalsh``) have one call site, so every
+exact spectrum of H comes from the one certified parity solve.
 """
 
 import ast
@@ -156,36 +156,43 @@ def test_importer_scan_sees_every_relative_form(tmp_path):
     assert _importers_of(tmp_path, "forked") == {"a", "b", "c"}
 
 
-def _eigh_calls(package: pathlib.Path) -> list[tuple[str, str]]:
-    """(module, enclosing top-level definition) of each call of ``eigh``, by
-    attribute (``np.linalg.eigh``) or by a bare imported name."""
+SYMMETRIC_EIGENSOLVERS = {"eigh", "eigvalsh"}
+
+
+def _eigh_calls(package: pathlib.Path) -> list[tuple[str, str, str]]:
+    """(module, enclosing top-level definition, solver) of each call of ``eigh``
+    or ``eigvalsh``, by attribute (``np.linalg.eigh``) or by a bare imported name."""
     found = []
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "eigh" in (
-                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
-                ):
-                    found.append((path.stem, getattr(top, "name", "<module>")))
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name in SYMMETRIC_EIGENSOLVERS:
+                    found.append((path.stem, getattr(top, "name", "<module>"), name))
     return found
 
 
 def test_eigh_is_called_only_by_the_parity_block_solve():
-    assert _eigh_calls(PACKAGE) == [("fock_core", "_solve_block")], (
-        "solve a Hermitian spectrum through fock_core's parity solve, not a second eigh call"
+    assert _eigh_calls(PACKAGE) == [("fock_core", "_parity_solve", "eigvalsh")], (
+        "solve a symmetric spectrum through fock_core's parity solve, not a second eigh or eigvalsh call"
     )
 
 
 def test_eigh_scan_sees_attribute_and_bare_calls(tmp_path):
     (tmp_path / "mod.py").write_text(
         '"""np.linalg.eigh is mentioned here only."""\n'
-        "import numpy as np\nfrom numpy.linalg import eigh\n\n"
+        "import numpy as np\nfrom numpy.linalg import eigh, eigvalsh\n\n"
         "LEVELS = np.linalg.eigh(np.eye(2))\n\n\n"
         "def solve(h):\n    return eigh(h), np.linalg.eigvalsh(h), np.linalg.norm(h)\n\n\n"
+        "def levels(h):\n    return eigvalsh(h), np.linalg.eigvals(h)\n\n\n"
         "class Op:\n    def spectrum(self):\n        return np.linalg.eigh(self)\n",
         encoding="utf-8",
     )
-    assert _eigh_calls(tmp_path) == [("mod", "<module>"), ("mod", "solve"), ("mod", "Op")]
+    assert _eigh_calls(tmp_path) == [
+        ("mod", "<module>", "eigh"), ("mod", "solve", "eigh"), ("mod", "solve", "eigvalsh"),
+        ("mod", "levels", "eigvalsh"), ("mod", "Op", "eigh")]
 
 
 def _eager_numpy_imports(package: pathlib.Path, stem: str) -> list[str]:
